@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -46,6 +47,23 @@ def _write_csv(path: Path, header, rows) -> None:
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(_finite_or_null(payload), handle, indent=2, allow_nan=False)
+        handle.write("\n")
 
 
 def _resolve(args, config: dict, name: str, default):
@@ -179,9 +197,7 @@ def cmd_fit_mle(args, config: dict) -> int:
     report = _fit_report_dict(fit, data, lr_results)
     if fmt == "json":
         out = out_dir / "fit_mle.json"
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+        _write_json(out, report)
     else:
         out = out_dir / "fit_mle.csv"
         rows = []
@@ -262,9 +278,7 @@ def cmd_fit_bayes(args, config: dict) -> int:
             "acceptance_rates": chain.acceptance_rates.tolist(),
             "warnings": chain.warnings,
         }
-        with open(summary_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _write_json(summary_path, payload)
     else:
         summary_path = out_dir / "bayes_summary.csv"
         _write_csv(

@@ -192,16 +192,7 @@ def sample(p: KumIwParams, n: int, seed: int) -> np.ndarray:
     return np.asarray(quantile(p, u), dtype=float)
 
 
-# free parameters accepted by each sub-model; everything else is pinned
-_SUBMODEL_FREE = {
-    SubModel.KUM_IW: ("b", "c", "beta"),
-    SubModel.KUM_IR: ("b", "c"),
-    SubModel.IR: ("c",),
-    SubModel.KUM_IE: ("b", "c"),
-    SubModel.IE: ("c",),
-    SubModel.IW: ("c", "beta"),
-}
-
+# parameters each sub-model pins; the rest are free
 _SUBMODEL_PINNED = {
     SubModel.KUM_IW: {},
     SubModel.KUM_IR: {"beta": 2.0},
@@ -209,6 +200,11 @@ _SUBMODEL_PINNED = {
     SubModel.KUM_IE: {"beta": 1.0},
     SubModel.IE: {"b": 1.0, "beta": 1.0},
     SubModel.IW: {"b": 1.0},
+}
+
+_SUBMODEL_FREE = {
+    tag: tuple(name for name in ("b", "c", "beta") if name not in pins)
+    for tag, pins in _SUBMODEL_PINNED.items()
 }
 
 

@@ -1,21 +1,20 @@
 """Censored maximum-likelihood estimation.
 
-Log-likelihood with right censoring, numerical maximization over
-log-parameters, finite-difference observed information, Wald intervals
-on the log scale, and likelihood-ratio tests against the pinned
-sub-models.
+Log-likelihood with right censoring and its exact score and Hessian in
+(log b, log c, log beta); trust-region maximization on them; observed
+information from the exact Hessian; Wald intervals on the log scale; and
+likelihood-ratio tests against the pinned sub-models.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize, stats
 
-from .distribution import KumIwParams, SubModel, log1m_exp
+from .distribution import _SUBMODEL_PINNED, KumIwParams, SubModel, log1m_exp
 from .errors import DataError, NumericError
 from .survdata import CensoredDataset
 
@@ -25,7 +24,6 @@ __all__ = [
     "censored_loglik",
     "fit_mle",
     "observed_information",
-    "finite_difference_hessian",
     "wald_ci",
     "lr_test",
 ]
@@ -65,6 +63,46 @@ class _Loglik:
         # inf - inf at absurd parameter points collapses to the -inf sentinel
         return value if math.isfinite(value) else -math.inf
 
+    def value_score_hessian(self, b: float, c: float, beta: float):
+        """Value at (b, c, beta) with the exact score and Hessian in
+        phi = (log b, log c, log beta).
+
+        With x = (c/t)^beta, y = log x and L(x) = log(1 - e^-x), a row adds
+        k L(x) - e x, with e = 1 for an event (0 for a censoring) and
+        k = b - e, and an event also adds log b + log beta + y - log t.  As
+        dx/dlog c = beta x and dx/dlog beta = y x, the k L - e x part has
+        first derivatives beta a and y a in (log c, log beta) and second
+        derivatives beta^2 (s + a), beta m and y m, where a = x d/dx = k q - e x,
+        s = x^2 d2/dx2 = -k (q x + q^2) and m = y s + (1 + y) a.
+        q = x L'(x) = x / expm1(x) is computed as e^(y - x) / (1 - e^-x), so
+        x -> 0 and x -> inf stay finite.
+        """
+        value = self(b, c, beta)
+        log_c = math.log(c)
+        sums = np.zeros(8)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for log_t, e in ((self.log_tf, 1.0), (self.log_tc, 0.0)):
+                y = beta * (log_c - log_t)
+                x = np.exp(y)
+                den = -np.expm1(-x)
+                q = np.exp(y - x) / den
+                k = b - e
+                a = k * q - x if e else k * q
+                s = -k * (np.exp(2.0 * y - x) / den + q * q)
+                m = y * s + (1.0 + y) * a
+                rows = (log1m_exp(x), q, y * q, a, y * (e + a), s + a, m, y * (e + m))
+                sums += [np.sum(row) for row in rows]
+            sum_l, sum_q, sum_yq, sum_a, g_w, h_vv, h_vw, h_ww = sums
+            r = self.r
+            score = np.array([r + b * sum_l, beta * (r + sum_a), r + g_w])
+            h_bc, h_bbeta, h_cbeta = b * beta * sum_q, b * sum_yq, beta * (r + h_vw)
+            hess = np.array([
+                [b * sum_l, h_bc, h_bbeta],
+                [h_bc, beta**2 * h_vv, h_cbeta],
+                [h_bbeta, h_cbeta, h_ww],
+            ])
+        return value, score, hess
+
 
 def censored_loglik(p: KumIwParams, d: CensoredDataset) -> float:
     """Censored log-likelihood: events contribute log-density, censored
@@ -103,41 +141,6 @@ class LrTestResult:
     restricted: FitResult = field(repr=False, compare=False, default=None)
 
 
-def _central_gradient(fn, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
-    grad = np.empty_like(x)
-    for i in range(len(x)):
-        h = rel_step * max(1.0, abs(x[i]))
-        up = x.copy()
-        dn = x.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (fn(up) - fn(dn)) / (2.0 * h)
-    return grad
-
-
-def finite_difference_hessian(fn, x: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian with per-coordinate steps
-    ``h_i = rel_step * max(1, |x_i|)``, symmetrized as (H + H^T)/2."""
-    x = np.asarray(x, dtype=float)
-    k = len(x)
-    h = rel_step * np.maximum(1.0, np.abs(x))
-    hess = np.empty((k, k))
-    f0 = fn(x)
-    for i in range(k):
-        up = x.copy()
-        dn = x.copy()
-        up[i] += h[i]
-        dn[i] -= h[i]
-        hess[i, i] = (fn(up) - 2.0 * f0 + fn(dn)) / h[i] ** 2
-        for j in range(i + 1, k):
-            pp = x.copy(); pp[i] += h[i]; pp[j] += h[j]
-            pm = x.copy(); pm[i] += h[i]; pm[j] -= h[j]
-            mp = x.copy(); mp[i] -= h[i]; mp[j] += h[j]
-            mm = x.copy(); mm[i] -= h[i]; mm[j] -= h[j]
-            hess[i, j] = hess[j, i] = (fn(pp) - fn(pm) - fn(mp) + fn(mm)) / (4.0 * h[i] * h[j])
-    return 0.5 * (hess + hess.T)
-
-
 def _default_init(d: CensoredDataset) -> np.ndarray:
     """b = 1 with (c, beta) from an inverse-Weibull probability plot.
 
@@ -162,116 +165,74 @@ def _default_init(d: CensoredDataset) -> np.ndarray:
 
 
 def _maximize(ll: _Loglik, theta0: np.ndarray, free: np.ndarray):
-    """Maximize the log-likelihood over log-parameters of the free coordinates.
+    """Maximize the log-likelihood over the log-parameters of the free coordinates.
 
-    Nelder-Mead to get into the basin, then a BFGS polish with a central
-    finite-difference gradient.  Returns (theta, loglik, iterations,
+    scipy's trust-exact on the exact score and Hessian, then up to three
+    Newton steps, each kept only while the score's sup-norm shrinks:
+    trust-exact compares values, which stop resolving near the optimum
+    (at ~ulp(|l|)) while the score still can.  A trial point with a
+    non-finite value, score or Hessian is a rejected step; a start there
+    stops the fit at once.  Returns (theta, loglik, iterations,
     grad_sup_norm, converged, message).
     """
     free_idx = np.flatnonzero(free)
-    template = theta0.copy()
+    block = np.ix_(free_idx, free_idx)
+    last = {}
 
-    def nll(phi: np.ndarray) -> float:
-        theta = template.copy()
-        theta[free_idx] = np.exp(phi)
-        return -ll(theta[0], theta[1], theta[2])
+    def evaluate(phi):
+        key = phi.tobytes()
+        if key not in last:
+            theta = theta0.copy()
+            theta[free_idx] = np.exp(phi)
+            value, score, hess = ll.value_score_hessian(*theta)
+            finite = math.isfinite(value) and np.all(np.isfinite(score)) and np.all(np.isfinite(hess))
+            last.clear()
+            last[key] = (value, score[free_idx], hess[block], finite)
+        return last[key]
 
-    phi0 = np.log(theta0[free_idx])
-    iterations = 0
+    def negative(phi):
+        value, score, hess, finite = evaluate(phi)
+        if not finite:
+            return math.inf, np.zeros_like(score), np.zeros_like(hess)
+        return -value, -score, -hess
 
-    def nelder_mead(start, maxiter=1500):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return optimize.minimize(
-                nll, start, method="Nelder-Mead",
-                options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-11, "adaptive": True},
-            )
-
-    res = nelder_mead(phi0)
-    iterations += res.nit
-    phi = np.asarray(res.x, dtype=float)
-    fval = float(res.fun)
-
-    # Damped-Newton polish.  Near the optimum the likelihood is resolvable
-    # only to ~ulp(|l|), so the line search accepts candidates within that
-    # noise slack and the point with the smallest measured gradient wins;
-    # the central-difference gradient itself is accurate to ~1e-8 here.
-    def newton_polish(phi, fval):
-        nonlocal iterations
-        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(fval))
-        best = (phi, fval, math.inf)
-        for _ in range(25):
-            grad = _central_gradient(nll, phi)
-            if not np.all(np.isfinite(grad)):
-                break
-            grad_sup = float(np.max(np.abs(grad)))
-            if grad_sup < best[2]:
-                best = (phi, fval, grad_sup)
-            if grad_sup <= 0.05 * _GRAD_TOL:
-                break
-            hess = finite_difference_hessian(nll, phi, rel_step=1e-4)
-            if not np.all(np.isfinite(hess)):
-                break
-            diag_scale = float(np.mean(np.abs(np.diag(hess)))) or 1.0
-            improved = False
-            lam = 0.0
-            for attempt in range(8):
-                try:
-                    step = -np.linalg.solve(hess + lam * np.eye(len(phi)), grad)
-                except np.linalg.LinAlgError:
-                    step = None
-                if step is not None and np.all(np.isfinite(step)):
-                    sup = float(np.max(np.abs(step)))
-                    if sup > 2.0:
-                        step *= 2.0 / sup
-                    scale = 1.0
-                    while scale >= 2.0**-24:
-                        cand = phi + scale * step
-                        f_cand = nll(cand)
-                        if math.isfinite(f_cand) and f_cand <= fval + slack:
-                            phi, fval = cand, f_cand
-                            improved = True
-                            break
-                        scale /= 2.0
-                if improved:
-                    break
-                lam = diag_scale * 10.0 ** (attempt - 4)
-            iterations += 1
-            if not improved:
-                break
-        if best[2] < math.inf:
-            grad = _central_gradient(nll, phi)
-            if not np.all(np.isfinite(grad)) or float(np.max(np.abs(grad))) > best[2]:
-                phi, fval = best[0], best[1]
-        return phi, fval
-
+    res = optimize.minimize(
+        lambda phi: negative(phi)[:2], np.log(theta0[free_idx]), method="trust-exact",
+        jac=True, hess=lambda phi: negative(phi)[2],
+    )
+    phi, iterations = res.x, res.nit
+    value, score, hess, finite = evaluate(phi)
+    grad_norm = float(np.max(np.abs(score))) if finite else math.inf
     for _ in range(3):
-        phi, fval = newton_polish(phi, fval)
-        grad = _central_gradient(nll, phi)
-        if np.all(np.isfinite(grad)) and float(np.max(np.abs(grad))) <= _GRAD_TOL:
+        try:
+            cand = phi - np.linalg.solve(hess, score)
+        except np.linalg.LinAlgError:
             break
-        res = nelder_mead(phi, maxiter=800)
-        iterations += res.nit
-        if math.isfinite(res.fun) and res.fun < fval:
-            phi = np.asarray(res.x, dtype=float)
-            fval = float(res.fun)
-
-    grad = _central_gradient(nll, phi)
-    grad_norm = float(np.max(np.abs(grad))) if np.all(np.isfinite(grad)) else math.inf
-    theta = template.copy()
+        cand_value, cand_score, cand_hess, cand_finite = evaluate(cand)
+        cand_norm = float(np.max(np.abs(cand_score)))
+        if not (cand_finite and cand_norm < grad_norm):
+            break
+        phi, value, score, hess, grad_norm = cand, cand_value, cand_score, cand_hess, cand_norm
+        iterations += 1
+    theta = theta0.copy()
     theta[free_idx] = np.exp(phi)
-    loglik = -fval
-    converged = math.isfinite(loglik) and grad_norm <= _GRAD_TOL
-    message = "" if converged else f"gradient sup-norm {grad_norm:.3e} above {_GRAD_TOL}"
-    return theta, loglik, iterations, grad_norm, converged, message
+    converged = grad_norm <= _GRAD_TOL
+    message = ""
+    if not finite:
+        message = "non-finite log-likelihood, score or Hessian at the start"
+    elif not converged:
+        message = f"score sup-norm {grad_norm:.3e} above {_GRAD_TOL}"
+    return theta, value, iterations, grad_norm, converged, message
 
 
 def observed_information(p: KumIwParams, d: CensoredDataset) -> np.ndarray:
-    """Observed information: negative finite-difference Hessian of the
-    log-likelihood at ``p``, on the original parameter scale."""
-    ll = _Loglik(d)
-    hess = finite_difference_hessian(lambda th: ll(th[0], th[1], th[2]), p.as_array())
-    return -hess
+    """Observed information on the original scale: the exact log-scale
+    Hessian H and score g mapped by I_ij = -(H_ij - delta_ij g_i) / (theta_i theta_j),
+    exactly symmetric."""
+    theta = p.as_array()
+    _, score, hess = _Loglik(d).value_score_hessian(*theta)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return -(hess - np.diag(score)) / np.outer(theta, theta)
 
 
 def _covariance_from_info(info: np.ndarray):
@@ -306,9 +267,10 @@ def fit_mle(
 ) -> FitResult:
     """Maximum-likelihood fit of the full three-parameter model.
 
-    Optimizes over (log b, log c, log beta); the convergence flag means
-    the central finite-difference gradient has sup-norm <= 1e-6 on the
-    transformed scale.  Requires at least three events.
+    Optimizes over (log b, log c, log beta) with the exact score and
+    Hessian; ``converged`` means the exact score there has sup-norm
+    <= 1e-6, and ``grad_norm`` is that sup-norm.  Requires at least three
+    events.
     """
     if d.n_events < 3:
         raise DataError(f"fit_mle requires at least 3 events, got {d.n_events}")
@@ -350,15 +312,6 @@ def wald_ci(fit: FitResult, level: float) -> dict:
     return _wald_from_cov(fit.params.as_array(), fit.covariance, level)
 
 
-_NULL_PINS = {
-    SubModel.IW: {"b": 1.0},
-    SubModel.KUM_IR: {"beta": 2.0},
-    SubModel.KUM_IE: {"beta": 1.0},
-    SubModel.IR: {"b": 1.0, "beta": 2.0},
-    SubModel.IE: {"b": 1.0, "beta": 1.0},
-}
-
-
 def _fit_pinned(d: CensoredDataset, pins: dict) -> FitResult:
     ll = _Loglik(d)
     theta0 = _default_init(d)
@@ -391,9 +344,9 @@ def lr_test(d: CensoredDataset, null: SubModel, full_fit: FitResult | None = Non
     full = full_fit if full_fit is not None else fit_mle(d)
     if null is SubModel.KUM_IW:
         return LrTestResult(0.0, 0, 1.0, null, full, full)
-    if null not in _NULL_PINS:
+    if null not in _SUBMODEL_PINNED:
         raise ValueError(f"unsupported null sub-model {null}")
-    pins = _NULL_PINS[null]
+    pins = _SUBMODEL_PINNED[null]
     restricted = _fit_pinned(d, pins)
     statistic = 2.0 * (full.loglik - restricted.loglik)
     if statistic < 0:

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own series/special
 function code paths: brute-force quadrature of the defining integrals,
-Stirling-with-recurrence log-gamma, and the closed-form sub-model
-densities transcribed directly.
+Stirling-with-recurrence log-gamma, the closed-form sub-model
+densities transcribed directly, and central finite differences for the
+likelihood's analytic derivatives.
 """
 
 import math
@@ -186,6 +187,42 @@ def fisher_information_uniform_censoring(p: KumIwParams, M: float) -> np.ndarray
     )
     info = total.reshape(3, 3)
     return 0.5 * (info + info.T)
+
+
+def central_gradient(fn, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient with steps ``h_i = rel_step * max(1, |x_i|)``."""
+    grad = np.empty_like(x)
+    for i in range(len(x)):
+        h = rel_step * max(1.0, abs(x[i]))
+        up = x.copy()
+        dn = x.copy()
+        up[i] += h
+        dn[i] -= h
+        grad[i] = (fn(up) - fn(dn)) / (2.0 * h)
+    return grad
+
+
+def finite_difference_hessian(fn, x: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
+    """Central-difference Hessian with per-coordinate steps
+    ``h_i = rel_step * max(1, |x_i|)``, symmetrized as (H + H^T)/2."""
+    x = np.asarray(x, dtype=float)
+    k = len(x)
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    hess = np.empty((k, k))
+    f0 = fn(x)
+    for i in range(k):
+        up = x.copy()
+        dn = x.copy()
+        up[i] += h[i]
+        dn[i] -= h[i]
+        hess[i, i] = (fn(up) - 2.0 * f0 + fn(dn)) / h[i] ** 2
+        for j in range(i + 1, k):
+            pp = x.copy(); pp[i] += h[i]; pp[j] += h[j]
+            pm = x.copy(); pm[i] += h[i]; pm[j] -= h[j]
+            mp = x.copy(); mp[i] -= h[i]; mp[j] += h[j]
+            mm = x.copy(); mm[i] -= h[i]; mm[j] -= h[j]
+            hess[i, j] = hess[j, i] = (fn(pp) - fn(pm) - fn(mp) + fn(mm)) / (4.0 * h[i] * h[j])
+    return 0.5 * (hess + hess.T)
 
 
 def random_params(rng, b_range=(0.3, 6.0), c_range=(0.2, 5.0), beta_range=(0.7, 5.0)):

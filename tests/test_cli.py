@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from kumiw import KumIwParams, cdf, pdf, sample, survival
+from kumiw import KumIwParams, cdf, mle, pdf, sample, survival
 from kumiw.cli import DEFAULT_SEED, main
 from kumiw.survdata import load_csv
 from oracles import iw_pdf
@@ -106,6 +108,28 @@ class TestFitMle:
         assert [r["parameter"] for r in rows] == ["b", "c", "beta"]
         for row in rows:
             assert 0 < float(row["ci_lower"]) < float(row["estimate"]) < float(row["ci_upper"])
+
+    def test_report_is_strict_json(self, tmp_path, monkeypatch):
+        # exactly 3 events below 2 censorings: an unbounded likelihood whose
+        # fit cannot converge; the report must still be valid JSON
+        data = tmp_path / "three_events.csv"
+        data.write_text("time,status\n1,1\n2,1\n3,1\n4,0\n5,0\n")
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        assert main(["fit-mle", "--data", str(data), "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "fit_mle.json").read_text(), parse_constant=reject)
+        assert not report["converged"] and report["message"]
+
+        # a non-finite figure is written as null
+        real_fit = mle.fit_mle
+        monkeypatch.setattr(
+            mle, "fit_mle", lambda *a, **kw: dataclasses.replace(real_fit(*a, **kw), grad_norm=math.inf)
+        )
+        assert main(["fit-mle", "--data", str(data), "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "fit_mle.json").read_text(), parse_constant=reject)
+        assert report["grad_norm"] is None
 
     def test_malformed_csv_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

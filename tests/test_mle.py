@@ -16,9 +16,13 @@ from kumiw import (
     survival,
     wald_ci,
 )
-from kumiw.mle import FitResult, finite_difference_hessian
+from kumiw.mle import FitResult, _Loglik
 from kumiw.survdata import CensoredDataset, censoring_upper_bound, simulate_censored
-from oracles import fisher_information_uniform_censoring
+from oracles import (
+    central_gradient,
+    finite_difference_hessian,
+    fisher_information_uniform_censoring,
+)
 
 TRUTH = KumIwParams(2.0, 1.5, 3.0)
 
@@ -80,12 +84,10 @@ class TestFitMle:
         assert fit.converged and fit.grad_norm <= 1e-6
 
     def test_score_small_on_original_scale(self):
-        from kumiw.mle import _Loglik, _central_gradient
-
         d = simulate_censored(TRUTH, 300, 0.1, 33)
         fit = fit_mle(d)
         ll = _Loglik(d)
-        score = _central_gradient(lambda th: ll(th[0], th[1], th[2]), fit.params.as_array())
+        score = central_gradient(lambda th: ll(th[0], th[1], th[2]), fit.params.as_array())
         assert float(np.max(np.abs(score))) <= 1e-4
 
     def test_scale_equivariance(self):
@@ -104,9 +106,15 @@ class TestFitMle:
             fit_mle(d)
 
     def test_degenerate_data_no_crash(self):
-        d = CensoredDataset.from_arrays([2.0] * 20, [1] * 20)
-        fit = fit_mle(d)
-        assert not fit.converged or fit.covariance is None
+        # 20 ties, and exactly 3 events below 2 censorings: both likelihoods
+        # are unbounded, so the fit must stop and say why
+        for d in (
+            CensoredDataset.from_arrays([2.0] * 20, [1] * 20),
+            CensoredDataset.from_arrays([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 0, 0]),
+        ):
+            fit = fit_mle(d)
+            assert not fit.converged or fit.covariance is None
+            assert fit.converged or fit.message
 
     def test_ci_positive_bounds(self):
         d = simulate_censored(TRUTH, 500, 0.2, 13)
@@ -114,6 +122,50 @@ class TestFitMle:
         assert fit.ci is not None
         for lo, hi in fit.ci.values():
             assert 0 < lo < hi
+
+
+class TestLikelihoodDerivatives:
+    # b < 1, b = 1 (the event rows' log(1 - e^-x) term drops out), b > 1,
+    # and a point far from the optimum where x spans small and large values
+    POINTS = [(0.6, 1.2, 3.5), (1.0, 1.4, 3.2), (2.0, 1.5, 3.0), (8.0, 0.4, 0.8)]
+
+    @staticmethod
+    def scaled_error(exact, oracle):
+        # on the scale sqrt(|H_ii H_jj|) the finite-difference error is at
+        # most ~1e-7 at these points (n = 200), while dropping any single term
+        # of the score, the Hessian or the information map pushes some entry
+        # past 1e-5
+        diag = np.abs(np.diag(exact))
+        return np.abs(exact - oracle) / np.sqrt(np.outer(diag, diag))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_score_and_hessian_match_finite_differences(self, rate):
+        d = simulate_censored(TRUTH, 200, rate, 5)
+        ll = _Loglik(d)
+
+        def value(phi):
+            return ll(*np.exp(phi))
+
+        for theta in self.POINTS:
+            phi = np.log(theta)
+            val, score, hess = ll.value_score_hessian(*theta)
+            assert val == ll(*theta)
+            np.testing.assert_array_equal(hess, hess.T)
+            score_error = np.abs(score - central_gradient(value, phi)) / np.sqrt(
+                np.abs(np.diag(hess))
+            )
+            assert np.max(score_error) <= 1e-5, theta
+            oracle = finite_difference_hessian(value, phi)
+            assert np.max(self.scaled_error(hess, oracle)) <= 1e-5, theta
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_observed_information_matches_finite_differences(self, rate):
+        d = simulate_censored(TRUTH, 200, rate, 5)
+        ll = _Loglik(d)
+        for theta in self.POINTS:
+            info = observed_information(KumIwParams(*theta), d)
+            oracle = -finite_difference_hessian(lambda th: ll(*th), np.array(theta))
+            assert np.max(self.scaled_error(info, oracle)) <= 1e-5, theta
 
 
 class TestObservedInformation:
