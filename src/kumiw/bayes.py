@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,13 +64,25 @@ class PriorSpec:
     def rates(self) -> np.ndarray:
         return np.array([self.b_rate, self.c_rate, self.beta_rate])
 
-    def log_density(self, theta: np.ndarray) -> float:
-        """Sum of the three Gamma log-densities (normalizing constants included)."""
-        if np.any(theta <= 0):
+    @cached_property
+    def _log_norm(self) -> float:
+        return float(sum(s * math.log(r) - math.lgamma(s) for s, r in zip(self.shapes, self.rates)))
+
+    def log_density(self, theta) -> float:
+        """Sum of the three Gamma log-densities (normalizing constants included)
+        at theta = (b, c, beta).
+
+        Scalar arithmetic; the normalizing constant is computed once per
+        ``PriorSpec``.
+        """
+        b, c, beta = map(float, theta)
+        if not (b > 0 and c > 0 and beta > 0):
             return -math.inf
-        shapes, rates = self.shapes, self.rates
-        norm = sum(s * math.log(r) - math.lgamma(s) for s, r in zip(shapes, rates))
-        value = norm + float(np.sum((shapes - 1.0) * np.log(theta) - rates * theta))
+        value = self._log_norm + (
+            ((self.b_shape - 1.0) * math.log(b) - self.b_rate * b)
+            + ((self.c_shape - 1.0) * math.log(c) - self.c_rate * c)
+            + ((self.beta_shape - 1.0) * math.log(beta) - self.beta_rate * beta)
+        )
         return value if math.isfinite(value) else -math.inf
 
 
@@ -233,21 +246,34 @@ def run_mcmc(
     Proposal scales optionally adapt during burn-in toward acceptance
     rates in [0.2, 0.5] and are frozen afterward.  Deterministic for a
     fixed seed.
+
+    The chain keeps the likelihood terms ``_Loglik.terms(c, beta)`` of its
+    current state.  A b proposal reuses them, since b enters the
+    likelihood only through scalars, so it does no O(n) work; a c or beta
+    proposal computes them once and they become the current terms if it is
+    accepted.  A run therefore makes 1 + 2 n_iter passes over the data
+    (none with ``likelihood_weight`` 0, and none for a proposal whose prior
+    is -inf).
     """
     ll = _Loglik(d)
 
-    def log_post(theta: np.ndarray) -> float:
-        lp = prior.log_density(theta)
-        if likelihood_weight != 0.0 and lp != -math.inf:
-            lp = lp + likelihood_weight * ll(theta[0], theta[1], theta[2])
-        return lp if math.isfinite(lp) else -math.inf
+    def log_target(b: float, c: float, beta: float, terms):
+        """Log-posterior at (b, c, beta) and the terms it used; ``terms``
+        of None are computed here."""
+        lp = prior.log_density((b, c, beta))
+        if likelihood_weight == 0.0 or lp == -math.inf:
+            return lp, terms
+        if terms is None:
+            terms = ll.terms(c, beta)
+        lp += likelihood_weight * ll.combine(b, c, beta, terms)
+        return (lp if math.isfinite(lp) else -math.inf), terms
 
     if init is not None:
         theta = init.as_array()
     else:
         theta = np.array([1.0, float(np.exp(np.mean(np.log(d.times)))), 1.0])
     phi = np.log(theta)
-    lp_cur = log_post(theta)
+    lp_cur, terms = log_target(*theta.tolist(), None)
 
     rng = np.random.default_rng(cfg.seed)
     scales = np.array(cfg.proposal_scales, dtype=float)
@@ -267,12 +293,13 @@ def run_mcmc(
             phi_prop = phi.copy()
             phi_prop[j] += step
             theta_prop = np.exp(phi_prop)
-            lp_prop = log_post(theta_prop)
+            lp_prop, terms_prop = log_target(*theta_prop.tolist(), None if j else terms)
             accept_p = rw_accept_probability(lp_cur, lp_prop, phi[j], phi_prop[j])
             if rng.random() < accept_p:
                 phi = phi_prop
                 theta = theta_prop
                 lp_cur = lp_prop
+                terms = terms_prop
                 if i >= cfg.burn_in:
                     accepted_post[j] += 1
                 else:

@@ -33,7 +33,15 @@ _GRAD_TOL = 1e-6
 
 
 class _Loglik:
-    """Censored log-likelihood with the data terms precomputed."""
+    """Censored log-likelihood with the data terms precomputed.
+
+    The only O(n) work is ``terms(c, beta)``: with x = (c/t)^beta it returns
+    (sum of x over events, S_f = sum of log(1 - e^-x) over events, S_c = the
+    same sum over censorings).  ``combine(b, c, beta, terms)`` turns them into
+    the value in scalar arithmetic.  b enters only as
+    r log b + (b - 1) S_f + b S_c, so a caller that moves b alone (the
+    sampler's b update) reuses the terms of its current (c, beta).
+    """
 
     def __init__(self, d: CensoredDataset):
         times = d.times
@@ -44,24 +52,43 @@ class _Loglik:
         self.n = len(times)
         self.sum_log_tf = float(self.log_tf.sum())
 
+    def terms(self, c: float, beta: float) -> tuple[float, float, float]:
+        """(sum x over events, S_f, S_c) at (c, beta), for c > 0."""
+        log_c = math.log(c)
+        s_f = s_c = 0.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x_f = np.exp(beta * (log_c - self.log_tf))
+            # an empty group sums to 0.0; skipping it saves about ten ufunc calls
+            if self.r:
+                s_f = float(np.sum(log1m_exp(x_f)))
+            if len(self.log_tc):
+                s_c = float(np.sum(log1m_exp(np.exp(beta * (log_c - self.log_tc)))))
+        return float(x_f.sum()), s_f, s_c
+
+    def combine(self, b: float, c: float, beta: float, terms: tuple[float, float, float]) -> float:
+        """The log-likelihood at (b, c, beta) from ``terms(c, beta)``."""
+        if not (b > 0 and c > 0 and beta > 0):
+            return -math.inf
+        # Python floats: inf - inf below gives nan without a numpy warning
+        b, c, beta = float(b), float(c), float(beta)
+        sum_x_f, s_f, s_c = terms
+        value = (
+            self.r * (math.log(beta) + math.log(b) + beta * math.log(c))
+            - sum_x_f
+            - (beta + 1.0) * self.sum_log_tf
+        )
+        # b = 1 drops the event term, which keeps 0 * (-inf) out
+        if b != 1.0 and self.r:
+            value += (b - 1.0) * s_f
+        if len(self.log_tc):
+            value += b * s_c
+        # inf - inf at absurd parameter points collapses to the -inf sentinel
+        return value if math.isfinite(value) else -math.inf
+
     def __call__(self, b: float, c: float, beta: float) -> float:
         if not (b > 0 and c > 0 and beta > 0):
             return -math.inf
-        log_c = math.log(c)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x_f = np.exp(beta * (log_c - self.log_tf))
-            x_c = np.exp(beta * (log_c - self.log_tc))
-            value = (
-                self.r * (math.log(beta) + math.log(b) + beta * log_c)
-                - float(x_f.sum())
-                - (beta + 1.0) * self.sum_log_tf
-            )
-            if b != 1.0 and self.r:
-                value += (b - 1.0) * float(np.sum(log1m_exp(x_f)))
-            if len(self.log_tc):
-                value += b * float(np.sum(log1m_exp(x_c)))
-        # inf - inf at absurd parameter points collapses to the -inf sentinel
-        return value if math.isfinite(value) else -math.inf
+        return self.combine(b, c, beta, self.terms(c, beta))
 
     def value_score_hessian(self, b: float, c: float, beta: float):
         """Value at (b, c, beta) with the exact score and Hessian in
@@ -116,7 +143,8 @@ class FitResult:
 
     ``ci`` holds per-parameter (lower, upper) bounds built on the log
     scale (hence always positive); ``covariance`` is the inverse observed
-    information, absent when the information matrix is unusable.
+    information, absent when the fit did not converge or the information
+    matrix is unusable.
     """
 
     params: KumIwParams
@@ -269,8 +297,9 @@ def fit_mle(
 
     Optimizes over (log b, log c, log beta) with the exact score and
     Hessian; ``converged`` means the exact score there has sup-norm
-    <= 1e-6, and ``grad_norm`` is that sup-norm.  Requires at least three
-    events.
+    <= 1e-6, and ``grad_norm`` is that sup-norm.  An unconverged fit keeps
+    its observed information but has no covariance or Wald intervals, and
+    its message says so.  Requires at least three events.
     """
     if d.n_events < 3:
         raise DataError(f"fit_mle requires at least 3 events, got {d.n_events}")
@@ -281,9 +310,12 @@ def fit_mle(
     )
     params = KumIwParams(*theta)
     info = observed_information(params, d)
-    cov = _covariance_from_info(info)
+    # the inverse information is a sampling covariance only at a maximum
+    cov = _covariance_from_info(info) if converged else None
     ci = _wald_from_cov(theta, cov, ci_level) if cov is not None else None
-    if cov is None:
+    if not converged:
+        message += "; covariance withheld: the fit did not converge"
+    elif cov is None:
         message = (message + "; " if message else "") + "covariance unavailable"
     return FitResult(
         params=params,

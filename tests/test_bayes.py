@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from kumiw import (
@@ -21,10 +23,13 @@ from kumiw.bayes import (
     rw_accept_probability,
     write_chain_csv,
 )
+from kumiw.mle import _Loglik
 from kumiw.survdata import CensoredDataset, simulate_censored
 
 TRUTH = KumIwParams(2.0, 1.5, 3.0)
 PRIOR = PriorSpec(1.2, 0.5, 2.0, 0.8, 1.5, 0.3)
+SMALL_CENSORED = simulate_censored(TRUTH, 25, 0.3, 29)
+LOG_UNIFORM = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +165,35 @@ class TestRunMcmc:
         chain = run_mcmc(data, PRIOR, cfg)
         assert np.all(chain.acceptance_rates >= 0) and np.all(chain.acceptance_rates <= 1)
 
+    @pytest.mark.parametrize("censor_rate", [0.0, 0.3])
+    @pytest.mark.parametrize("weight", [1.0, 0.5, 0.0])
+    def test_stored_log_post_is_the_target(self, censor_rate, weight):
+        # the chain carries likelihood terms from one update to the next;
+        # every stored value must still be the log-posterior of its draw
+        d = simulate_censored(TRUTH, 60, censor_rate, 23)
+        cfg = McmcConfig(n_iter=400, burn_in=100, thin=1, seed=17)
+        chain = run_mcmc(d, PRIOR, cfg, likelihood_weight=weight)
+        expected = [log_posterior(KumIwParams(*draw), d, PRIOR, weight) for draw in chain.draws]
+        np.testing.assert_allclose(chain.log_post_trace, expected, rtol=0, atol=1e-9)
+
+    def test_b_moves_reuse_cached_terms(self, data, monkeypatch):
+        calls = []
+        terms = _Loglik.terms
+
+        def counted(self, c, beta):
+            calls.append((c, beta))
+            return terms(self, c, beta)
+
+        monkeypatch.setattr(_Loglik, "terms", counted)
+        cfg = McmcConfig(n_iter=300, burn_in=100, thin=1, seed=19)
+        run_mcmc(data, PRIOR, cfg)
+        # one pass over the data at the start and one per c and per beta
+        # proposal; b proposals make none
+        assert len(calls) == 1 + 2 * cfg.n_iter
+        calls.clear()
+        run_mcmc(data, PRIOR, cfg, likelihood_weight=0.0)
+        assert calls == []
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McmcConfig(n_iter=100, burn_in=100)
@@ -247,3 +281,25 @@ class TestRecovery:
         for name in ("c", "beta"):
             row = next(r for r in rows if r["Parameter"] == name)
             assert abs(row["Mean"] - truth[name]) / truth[name] <= 0.2
+
+
+class TestCachedTermsProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(b=LOG_UNIFORM, c=LOG_UNIFORM, beta=LOG_UNIFORM)
+    def test_loglik_terms_and_scalar_prior(self, b, c, beta):
+        ll = _Loglik(SMALL_CENSORED)
+        value = ll(b, c, beta)
+        assert not math.isnan(value)
+        assert value == ll.combine(b, c, beta, ll.terms(c, beta))
+
+        parts = [
+            stats.gamma(a=shape, scale=1 / rate).logpdf(v)
+            for shape, rate, v in zip(PRIOR.shapes, PRIOR.rates, (b, c, beta))
+        ]
+        expected = sum(parts)
+        prior = PRIOR.log_density((b, c, beta))
+        assert math.isfinite(prior) == math.isfinite(expected)
+        if math.isfinite(expected):
+            # relative to the size of the summands, so that a sum that
+            # cancels towards 0 is not held to digits it cannot carry
+            assert abs(prior - expected) <= 1e-9 * sum(abs(p) for p in parts)

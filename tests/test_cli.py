@@ -121,6 +121,8 @@ class TestFitMle:
         assert main(["fit-mle", "--data", str(data), "--out-dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "fit_mle.json").read_text(), parse_constant=reject)
         assert not report["converged"] and report["message"]
+        # an unconverged fit reports no standard errors or intervals
+        assert report["se"] is None and report["ci"] is None
 
         # a non-finite figure is written as null
         real_fit = mle.fit_mle

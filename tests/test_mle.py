@@ -116,6 +116,17 @@ class TestFitMle:
             assert not fit.converged or fit.covariance is None
             assert fit.converged or fit.message
 
+    def test_unconverged_fit_withholds_covariance(self):
+        # exactly 3 events below 2 censorings: the likelihood is unbounded and
+        # the fit stops short of the score test; an inverse information there
+        # is no sampling covariance
+        d = CensoredDataset.from_arrays([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 0, 0])
+        fit = fit_mle(d)
+        assert not fit.converged
+        assert fit.covariance is None and fit.ci is None
+        assert fit.observed_info is not None and fit.observed_info.shape == (3, 3)
+        assert "did not converge" in fit.message
+
     def test_ci_positive_bounds(self):
         d = simulate_censored(TRUTH, 500, 0.2, 13)
         fit = fit_mle(d)
