@@ -34,19 +34,28 @@ _LR_NULLS = {
 }
 
 
-def _fmt(value) -> str:
+def _column_format(value) -> str:
+    """The ``%`` format of a CSV column, from its first value: a string as
+    it is, an integer with ``%d``, anything else as a float with ``%.17g``."""
     if isinstance(value, str):
-        return value
+        return "%s"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+        return "%d"
+    return "%.17g"
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Write a headered CSV; ``rows`` are tuples whose columns keep the
+    types of the first row, so that one ``%`` template formats each row."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        if first is None:
+            return
+        template = ",".join(_column_format(v) for v in first) + "\n"
+        handle.write(template % first)
+        handle.writelines(template % row for row in rows)
 
 
 def _finite_or_null(value):
@@ -143,11 +152,10 @@ def cmd_sample(args, config: dict) -> int:
             _write_csv(out, ["time", "status"], [])
         else:
             data = survdata.simulate_censored(p, n, censor_rate, seed)
-            mask = data.event_mask
             _write_csv(
                 out,
                 ["time", "status"],
-                ((t, int(e)) for t, e in zip(data.times, mask)),
+                zip(data.times, data.event_mask.astype(int)),
             )
     print(f"wrote {out} ({n} rows)")
     return 0
@@ -201,15 +209,12 @@ def cmd_fit_mle(args, config: dict) -> int:
     else:
         out = out_dir / "fit_mle.csv"
         rows = []
-        for i, name in enumerate(("b", "c", "beta")):
+        for name in ("b", "c", "beta"):
             est = getattr(fit.params, name)
             se = report["se"][name] if report["se"] else ""
             lo, hi = fit.ci[name] if fit.ci else ("", "")
             rows.append((name, est, se, lo, hi))
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write("parameter,estimate,se,ci_lower,ci_upper\n")
-            for row in rows:
-                handle.write(",".join("" if v == "" else _fmt(v) for v in row) + "\n")
+        _write_csv(out, ["parameter", "estimate", "se", "ci_lower", "ci_upper"], rows)
     print(f"estimates: b={fit.params.b:.6g} c={fit.params.c:.6g} beta={fit.params.beta:.6g}")
     print(f"loglik={fit.loglik:.6f} converged={fit.converged}")
     for res in lr_results:
@@ -327,9 +332,8 @@ def cmd_compare(args, config: dict) -> int:
     else:
         p = _params_from(args, config)
     out_dir = _out_dir(args, config)
-    curve = survdata.kaplan_meier(data)
     comparison = survdata.km_vs_parametric(data, p)
-    _write_km(out_dir, curve)
+    _write_km(out_dir, comparison.curve)
     _write_csv(
         out_dir / "compare.csv",
         ["t", "km_survival", "model_survival"],

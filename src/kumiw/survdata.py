@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,45 +47,98 @@ class CensoredObs:
             raise ValueError(f"status must be a Status member, got {self.status!r}")
 
 
-@dataclass(frozen=True)
 class CensoredDataset:
-    """An ordered, immutable collection of censored observations."""
+    """An ordered, immutable censored sample held as two read-only columns:
+    ``times`` (float64, finite and > 0) and ``event_mask`` (bool, True for an
+    event).
 
-    observations: tuple[CensoredObs, ...]
-    name: str = ""
+    ``from_arrays`` is the primary constructor; ``CensoredDataset(observations)``
+    still accepts a sequence of ``CensoredObs``, and ``observations`` gives
+    the rows back as such, built on first access.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "observations", tuple(self.observations))
-        if len(self.observations) == 0:
-            raise DataError("empty dataset")
+    __slots__ = ("_times", "_events", "_observations", "name")
 
-    def __len__(self) -> int:
-        return len(self.observations)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([o.time for o in self.observations], dtype=float)
-
-    @property
-    def event_mask(self) -> np.ndarray:
-        return np.array([o.status is Status.EVENT for o in self.observations], dtype=bool)
-
-    @property
-    def n_events(self) -> int:
-        return int(self.event_mask.sum())
+    def __init__(self, observations: Iterable[CensoredObs], name: str = "") -> None:
+        obs = tuple(observations)
+        self._set_columns(
+            [o.time for o in obs], [o.status is Status.EVENT for o in obs], name
+        )
+        object.__setattr__(self, "_observations", obs)
 
     @classmethod
     def from_arrays(cls, times, events, name: str = "") -> "CensoredDataset":
-        """Build a dataset from a time array and an event indicator array."""
-        times = np.asarray(times, dtype=float)
-        events = np.asarray(events)
+        """Build a dataset from a time array and an event indicator array
+        (any nonzero value is an event).  Both are copied."""
+        d = cls.__new__(cls)
+        d._set_columns(times, events, name)
+        return d
+
+    def _set_columns(self, times, events, name: str) -> None:
+        times = np.array(times, dtype=float)
+        events = np.array(events, dtype=bool)
         if times.shape != events.shape:
             raise DataError("times and events must have matching shapes")
-        obs = tuple(
-            CensoredObs(float(t), Status.EVENT if bool(e) else Status.CENSORED)
-            for t, e in zip(times, events)
+        if times.ndim != 1:
+            raise DataError("times and events must be one-dimensional")
+        if len(times) == 0:
+            raise DataError("empty dataset")
+        bad = ~(np.isfinite(times) & (times > 0))
+        if bad.any():
+            bad_time = float(times[np.argmax(bad)])
+            raise ValueError(f"observation time must be finite and > 0, got {bad_time}")
+        times.flags.writeable = False
+        events.flags.writeable = False
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_events", events)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_observations", None)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"CensoredDataset is immutable; cannot set {attr!r}")
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CensoredDataset):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and np.array_equal(self._times, other._times)
+            and np.array_equal(self._events, other._events)
         )
-        return cls(obs, name=name)
+
+    def __hash__(self) -> int:
+        return hash((self._times.tobytes(), self._events.tobytes(), self.name))
+
+    def __reduce__(self):
+        return CensoredDataset.from_arrays, (self._times, self._events, self.name)
+
+    def __repr__(self) -> str:
+        return f"CensoredDataset(n={len(self)}, n_events={self.n_events}, name={self.name!r})"
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._times
+
+    @property
+    def event_mask(self) -> np.ndarray:
+        return self._events
+
+    @property
+    def n_events(self) -> int:
+        return int(np.count_nonzero(self._events))
+
+    @property
+    def observations(self) -> tuple[CensoredObs, ...]:
+        if self._observations is None:
+            obs = tuple(
+                CensoredObs(t, Status.EVENT if e else Status.CENSORED)
+                for t, e in zip(self._times.tolist(), self._events.tolist())
+            )
+            object.__setattr__(self, "_observations", obs)
+        return self._observations
 
 
 @dataclass(frozen=True)
@@ -115,51 +169,78 @@ class KmCurve:
         return out if np.ndim(out) else float(out)
 
 
+def _leading_floats(cells: list[str]) -> np.ndarray:
+    """The cells parsed with ``float`` up to, not including, the first one
+    that does not parse; every cell when all of them do."""
+    values = []
+    try:
+        for cell in cells:
+            values.append(float(cell))
+    except ValueError:
+        pass
+    return np.array(values, dtype=float)
+
+
 def load_csv(path, time_col: str = "time", status_col: str = "status") -> CensoredDataset:
     """Read a censored dataset from a headered CSV file.
 
     Status coding is 1 = event, 0 = censored.  A file without the status
     column is read as fully observed (every row an event), so time-only
-    sample files round-trip.  Malformed rows are reported with their
-    file line number (the header is line 1).
+    sample files round-trip.  Blank lines are skipped.  The first malformed
+    row is reported with its file line number (the header is line 1, and
+    blank lines count).
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty dataset")
-        if time_col not in reader.fieldnames:
+        # a repeated column name resolves to its last occurrence
+        column = {name: i for i, name in enumerate(header)}
+        if time_col not in column:
             raise DataError(f"{path}: missing column(s) ['{time_col}']")
-        has_status = status_col in reader.fieldnames
-        observations = []
-        for line_no, row in enumerate(reader, start=2):
-            raw_time = (row.get(time_col) or "").strip()
-            try:
-                t = float(raw_time)
-            except ValueError:
-                raise DataError(f"{path}: row {line_no}: cannot parse time {raw_time!r}") from None
-            if not (math.isfinite(t) and t > 0):
-                raise DataError(f"{path}: row {line_no}: time must be > 0, got {raw_time!r}")
-            if has_status:
-                raw_status = (row.get(status_col) or "").strip()
-                if raw_status == "1":
-                    status = Status.EVENT
-                elif raw_status == "0":
-                    status = Status.CENSORED
-                else:
-                    raise DataError(
-                        f"{path}: row {line_no}: unknown status code {raw_status!r} "
-                        f"(expected 0 or 1)"
-                    )
-            else:
-                status = Status.EVENT
-            observations.append(CensoredObs(t, status))
-    if not observations:
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    if not rows:
         raise DataError(f"{path}: empty dataset")
-    return CensoredDataset(tuple(observations), name=str(path))
+
+    def cells(i: int) -> list[str]:
+        # a short row reads as an empty cell
+        return [row[i] if i < len(row) else "" for row in rows]
+
+    n = len(rows)
+    raw_times = cells(column[time_col])
+    times = _leading_floats(raw_times)
+    # first row failing each check; a row is reported for the first check it fails
+    first_unparsed = len(times)
+    bad_time = ~(np.isfinite(times) & (times > 0))
+    first_bad_time = int(np.argmax(bad_time)) if bad_time.any() else n
+    if status_col in column:
+        raw_status = [cell.strip() for cell in cells(column[status_col])]
+        events = np.array([s == "1" for s in raw_status], dtype=bool)
+        known = events | np.array([s == "0" for s in raw_status], dtype=bool)
+        first_bad_status = n if known.all() else int(np.argmin(known))
+    else:
+        events = np.ones(n, dtype=bool)
+        first_bad_status = n
+    first = min(first_unparsed, first_bad_time, first_bad_status)
+    if first < n:
+        where = f"{path}: row {lines[first]}"
+        if first == first_unparsed:
+            raise DataError(f"{where}: cannot parse time {raw_times[first].strip()!r}")
+        if first == first_bad_time:
+            raise DataError(f"{where}: time must be > 0, got {raw_times[first].strip()!r}")
+        raise DataError(
+            f"{where}: unknown status code {raw_status[first]!r} (expected 0 or 1)"
+        )
+    return CensoredDataset.from_arrays(times, events, name=str(path))
 
 
 def kaplan_meier(d: CensoredDataset) -> KmCurve:
@@ -167,50 +248,37 @@ def kaplan_meier(d: CensoredDataset) -> KmCurve:
 
     Ties at a time are processed against the risk set including all tied
     subjects; censored observations leave the risk set between event
-    times without introducing steps.
+    times without introducing steps.  With the times sorted, each distinct
+    time starts a run: its risk set is n minus the run's start, its event
+    count the run's sum, and the survival the running product of
+    1 - events / at_risk over runs with events.
     """
     if d.n_events == 0:
         raise DataError("Kaplan-Meier requires at least one event")
-    times = d.times
-    events = d.event_mask
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    events = events[order]
-    n = len(times)
-
-    step_times, step_surv, step_risk, step_events = [], [], [], []
-    surv = 1.0
-    i = 0
-    while i < n:
-        t = times[i]
-        j = i
-        d_events = 0
-        while j < n and times[j] == t:
-            d_events += int(events[j])
-            j += 1
-        if d_events > 0:
-            at_risk = n - i
-            surv *= 1.0 - d_events / at_risk
-            step_times.append(t)
-            step_surv.append(surv)
-            step_risk.append(at_risk)
-            step_events.append(d_events)
-        i = j
+    order = np.argsort(d.times, kind="stable")
+    times = d.times[order]
+    starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
+    events = np.add.reduceat(d.event_mask[order].astype(np.intp), starts)
+    steps = events > 0
+    at_risk = len(times) - starts[steps]
+    events = events[steps]
     return KmCurve(
-        times=np.array(step_times),
-        survival=np.array(step_surv),
-        at_risk=np.array(step_risk, dtype=int),
-        events=np.array(step_events, dtype=int),
+        times=times[starts[steps]],
+        survival=np.cumprod(1.0 - events / at_risk),
+        at_risk=at_risk,
+        events=events,
     )
 
 
 @dataclass(frozen=True)
 class KmComparison:
-    """Paired nonparametric/parametric survival values at the KM step times."""
+    """Paired nonparametric/parametric survival values at the KM step times,
+    with the curve they come from (for its at-risk and event counts)."""
 
     t: np.ndarray
     km_survival: np.ndarray
     model_survival: np.ndarray
+    curve: KmCurve
 
 
 def km_vs_parametric(d: CensoredDataset, p: KumIwParams) -> KmComparison:
@@ -221,7 +289,9 @@ def km_vs_parametric(d: CensoredDataset, p: KumIwParams) -> KmComparison:
     """
     curve = kaplan_meier(d)
     model = np.asarray(survival(p, curve.times), dtype=float)
-    return KmComparison(t=curve.times.copy(), km_survival=curve.survival.copy(), model_survival=model)
+    return KmComparison(
+        t=curve.times.copy(), km_survival=curve.survival.copy(), model_survival=model, curve=curve
+    )
 
 
 def censoring_upper_bound(p: KumIwParams, rate: float) -> float:

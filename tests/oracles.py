@@ -225,6 +225,44 @@ def finite_difference_hessian(fn, x: np.ndarray, rel_step: float = 1e-4) -> np.n
     return 0.5 * (hess + hess.T)
 
 
+def kaplan_meier_product_limit(times, events):
+    """Kaplan-Meier estimate by a plain loop over the sorted times: the
+    (step times, survival, at-risk counts, event counts) of every distinct
+    time with at least one event, each tie handled against the risk set
+    that includes all tied subjects."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=bool)
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    events = events[order]
+    n = len(times)
+
+    step_times, step_surv, step_risk, step_events = [], [], [], []
+    surv = 1.0
+    i = 0
+    while i < n:
+        t = times[i]
+        j = i
+        d_events = 0
+        while j < n and times[j] == t:
+            d_events += int(events[j])
+            j += 1
+        if d_events > 0:
+            at_risk = n - i
+            surv *= 1.0 - d_events / at_risk
+            step_times.append(t)
+            step_surv.append(surv)
+            step_risk.append(at_risk)
+            step_events.append(d_events)
+        i = j
+    return (
+        np.array(step_times),
+        np.array(step_surv),
+        np.array(step_risk, dtype=int),
+        np.array(step_events, dtype=int),
+    )
+
+
 def random_params(rng, b_range=(0.3, 6.0), c_range=(0.2, 5.0), beta_range=(0.7, 5.0)):
     """Log-uniform random parameter triple."""
 

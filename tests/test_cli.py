@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from kumiw import KumIwParams, cdf, mle, pdf, sample, survival
-from kumiw.cli import DEFAULT_SEED, main
+from kumiw import KumIwParams, cdf, mle, pdf, sample, survdata, survival
+from kumiw.cli import DEFAULT_SEED, _write_csv, main
 from kumiw.survdata import load_csv
 from oracles import iw_pdf
 
@@ -236,6 +236,21 @@ class TestKmCompare:
         assert np.all(np.diff(qq["km_survival"]) <= 1e-15)
         assert np.all(np.diff(qq["model_survival"]) <= 1e-15)
 
+    def test_compare_builds_km_once(self, tmp_path, monkeypatch):
+        path = make_sample(tmp_path)
+        calls = []
+        real_km = survdata.kaplan_meier
+
+        def counting_km(d):
+            calls.append(len(d))
+            return real_km(d)
+
+        monkeypatch.setattr(survdata, "kaplan_meier", counting_km)
+        argv = ["compare", "--data", str(path), "--b", "2", "--c", "1.5", "--beta", "3",
+                "--out-dir", str(tmp_path / "cmp")]
+        assert main(argv) == 0
+        assert calls == [400]
+
     def test_compare_from_fit_report(self, tmp_path):
         path = make_sample(tmp_path, n=300, seed=47)
         assert main(["fit-mle", "--data", str(path), "--out-dir", str(tmp_path)]) == 0
@@ -246,6 +261,27 @@ class TestKmCompare:
         ]) == 0
         comp = read_table(tmp_path / "compare.csv")
         assert np.mean(np.abs(comp["km_survival"] - comp["model_survival"])) <= 0.1
+
+
+class TestCsvWriter:
+    def test_matches_per_value_formatting(self, tmp_path):
+        floats = [
+            -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1, np.float64(1 / 3),
+            np.float32(0.1), np.float64(-2.5e-300),
+        ]
+        ints = [0, -3, np.int64(2**62), np.int32(-7), True, np.int64(0), 5, 6, 7, 8]
+        rows = list(zip(["a"] * len(floats), floats, ints))
+        path = tmp_path / "out.csv"
+        _write_csv(path, ["name", "x", "k"], iter(rows))
+        expected = "name,x,k\n" + "".join(
+            f"{name},{float(x):.17g},{int(k)}\n" for name, x, k in rows
+        )
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        _write_csv(path, ["time", "status"], [])
+        assert path.read_text(encoding="utf-8") == "time,status\n"
 
 
 class TestConfigAndSeeds:

@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kumiw import DataError, KumIwParams, survival
 from kumiw.survdata import (
@@ -12,6 +16,7 @@ from kumiw.survdata import (
     load_csv,
     simulate_censored,
 )
+from oracles import kaplan_meier_product_limit
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -36,6 +41,38 @@ class TestTypes:
         d = CensoredDataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1])
         assert len(d) == 3 and d.n_events == 2
         np.testing.assert_array_equal(d.event_mask, [True, False, True])
+
+    def test_from_arrays_validates_columns(self):
+        with pytest.raises(DataError, match="matching shapes"):
+            CensoredDataset.from_arrays([1.0, 2.0], [1])
+        with pytest.raises(DataError, match="empty"):
+            CensoredDataset.from_arrays([], [])
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                CensoredDataset.from_arrays([1.0, bad], [1, 1])
+
+    def test_dataset_is_immutable(self):
+        times = np.array([1.0, 2.0, 3.0])
+        d = CensoredDataset.from_arrays(times, [1, 0, 1])
+        with pytest.raises(ValueError):
+            d.times[0] = 1.0
+        with pytest.raises(ValueError):
+            d.event_mask[0] = False
+        with pytest.raises(AttributeError):
+            d.name = "renamed"
+        times[0] = 9.0  # the dataset holds its own copy
+        np.testing.assert_array_equal(d.times, [1.0, 2.0, 3.0])
+
+    def test_observations_view_round_trips(self):
+        obs = (CensoredObs(2.5, Status.EVENT), CensoredObs(1.0, Status.CENSORED))
+        d = CensoredDataset(obs, name="two")
+        assert d.observations == obs
+        np.testing.assert_array_equal(d.times, [2.5, 1.0])
+        np.testing.assert_array_equal(d.event_mask, [True, False])
+        same = CensoredDataset.from_arrays([2.5, 1.0], [1, 0], name="two")
+        assert same.observations == obs
+        assert same == d and hash(same) == hash(d)
+        assert pickle.loads(pickle.dumps(d)) == d
 
 
 class TestLoadCsv:
@@ -63,6 +100,31 @@ class TestLoadCsv:
         path = write(tmp_path, "time,status\n10,1\n-5,1\n")
         with pytest.raises(DataError, match="row 3"):
             load_csv(path)
+
+    def test_blank_lines_keep_file_line_numbers(self, tmp_path):
+        path = write(tmp_path, "time,status\n10,1\n\n-5,1\n")
+        with pytest.raises(DataError, match="row 4: time must be > 0, got '-5'"):
+            load_csv(path)
+
+    def test_first_malformed_row_is_reported(self, tmp_path):
+        # each row is checked in file order: time parse, time value, status
+        path = write(tmp_path, "time,status\n10,1\n5,7\n-1,1\nabc,1\n")
+        with pytest.raises(DataError, match=r"row 3: unknown status code '7' \(expected 0 or 1\)"):
+            load_csv(path)
+        path = write(tmp_path, "time,status\n10,1\nabc,7\n-1,1\n")
+        with pytest.raises(DataError, match="row 3: cannot parse time 'abc'"):
+            load_csv(path)
+        path = write(tmp_path, "time,status\n10,1\n-1,7\nabc,1\n")
+        with pytest.raises(DataError, match="row 3: time must be > 0, got '-1'"):
+            load_csv(path)
+
+    def test_short_rows_and_time_only_files(self, tmp_path):
+        path = write(tmp_path, "time,status\n10,1\n12\n")
+        with pytest.raises(DataError, match="row 3: unknown status code ''"):
+            load_csv(path)
+        d = load_csv(write(tmp_path, "time\n 3.5 \n1e1\n", name="t.csv"))
+        np.testing.assert_array_equal(d.times, [3.5, 10.0])
+        assert d.n_events == 2
 
     def test_unparseable_time_names_row(self, tmp_path):
         path = write(tmp_path, "time,status\nabc,1\n")
@@ -146,6 +208,29 @@ class TestKaplanMeier:
         np.testing.assert_array_equal(km.times, [1.0, 2.0])
         np.testing.assert_allclose(km.survival, [0.5, 0.0])
         np.testing.assert_array_equal(km.events, [2, 2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(1, 6).map(float), st.floats(0.01, 100.0)),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=60,
+        ).filter(lambda rows: any(event for _, event in rows))
+    )
+    @example([(2.0, True)] * 4 + [(1.0, True)] * 3 + [(3.0, True)] * 5)  # heavy ties
+    @example([(2.0, False), (2.0, True), (1.0, False), (2.0, True), (3.0, False)])
+    @example([(1.0, True), (2.0, False), (3.0, False), (4.0, False)])  # censored after the last event
+    @example([(5.0, True)])  # n = 1
+    def test_matches_product_limit_oracle(self, rows):
+        times, events = zip(*rows)
+        km = kaplan_meier(CensoredDataset.from_arrays(times, events))
+        expected = kaplan_meier_product_limit(times, events)
+        for got, want in zip((km.times, km.survival, km.at_risk, km.events), expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_step_evaluation(self):
         d = CensoredDataset.from_arrays([1.0, 2.0, 3.0], [1, 1, 1])
