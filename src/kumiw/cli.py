@@ -229,12 +229,15 @@ def cmd_fit_mle(args, config: dict) -> int:
         replicates = int(replicates)
         seed = _resolve_seed(args, config)
         censor_frac = 1.0 - data.n_events / len(data)
+        # the fitted law and the rate are the same for every replicate
+        bound = survdata.censoring_upper_bound(fit.params, censor_frac) if censor_frac > 0 else None
         rep_rows = []
         for idx in range(replicates):
             rep_seed = np.random.SeedSequence(entropy=seed, spawn_key=(idx,))
             rep_rng_seed = int(rep_seed.generate_state(1)[0])
             sim = survdata.simulate_censored(
-                fit.params, len(data), censor_frac, rep_rng_seed, name=f"replicate-{idx}"
+                fit.params, len(data), censor_frac, rep_rng_seed, name=f"replicate-{idx}",
+                upper_bound=bound,
             ) if censor_frac > 0 else survdata.CensoredDataset.from_arrays(
                 sample(fit.params, len(data), rep_rng_seed), np.ones(len(data), dtype=bool)
             )

@@ -1,12 +1,17 @@
 """Moments, inequality measures, order statistics and entropies.
 
-The series route expands ``(1 - e^{-x})^{shape-1}`` with signed
-generalized-binomial weights and sums the resulting closed-form terms;
-for non-integer shapes below ~1.5 the terms decay only polynomially, so
-the engine finishes the sum with an Euler-Maclaurin tail built on the
-smooth continuation of the weights.  Shannon/Renyi entropies and
-order-statistic moments are computed by adaptive quadrature (their
-published series forms are kept only as cross-checks).
+Every series here expands ``(1 - e^{-x})^{shape-1}`` as
+``sum_r w_r e^{-r x}`` with signed generalized-binomial weights, and one
+engine, ``_signed_series``, sums ``w_r * factor(r)`` for all of them:
+moments (a power of r), the partial first moment behind the mean
+deviations and Bonferroni/Lorenz curves (a power of r times scipy's
+upper incomplete gamma) and the expanded density (an exponential in r).
+It sums block-wise until an exact zero weight or a negligible term, and
+where the terms decay slowly (fractional shape, upper probabilities)
+finishes with an Euler-Maclaurin tail built on the smooth continuation
+of the weights.  Shannon/Renyi entropies and order-statistic moments are
+computed by adaptive quadrature (their published series forms are kept
+only as cross-checks).
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from scipy import integrate, special
 
 from .distribution import KumIwParams, cdf, pdf, quantile, survival
 from .errors import MomentNotDefinedError, NumericError
-from .specfun import upper_incomplete_gamma
 
 __all__ = [
     "SeriesConfig",
@@ -60,8 +64,25 @@ class SeriesConfig:
 
 DEFAULT_SERIES = SeriesConfig()
 
+# direct summation runs in blocks of this many terms
+_BLOCK = 64
 # where direct summation hands over to the Euler-Maclaurin tail
 _EM_SWITCH = 512
+# the tail integral runs over y = start * e^u for 0 <= u <= _EM_SPAN
+_EM_SPAN = 60.0
+
+
+def upper_incomplete_gamma(a, x):
+    """Unnormalized upper incomplete gamma integral over (x, inf), vectorised over x."""
+    return special.gammaincc(a, x) * special.gamma(a)
+
+
+def _weight_block(shape: float, r0: int, w0: float, n: int) -> np.ndarray:
+    """Weights w_r0 .. w_{r0+n-1} of ``shape`` from w_r0 = ``w0``, by the
+    recurrence w_r = w_{r-1} (r - shape) / r: finite for every real shape,
+    and exactly 0 from r = shape on for a positive-integer shape."""
+    r = np.arange(r0 + 1.0, r0 + n)
+    return np.cumprod(np.concatenate(([w0], (r - shape) / r)))
 
 
 def _gamma_ratio(y: float, shape: float) -> float:
@@ -73,63 +94,72 @@ def _gamma_ratio(y: float, shape: float) -> float:
     return y ** (-shape) * (1.0 - shape * (1.0 - shape) / (2.0 * y))
 
 
-def _em_tail(shape: float, s: float, start: float, shift: float) -> float:
-    """Sum of w_r * (r + shift)^(s-1) for r >= start, via Euler-Maclaurin.
+def _em_tail(shape: float, factor, dlog_factor, start: int, epsabs: float) -> float:
+    """Sum of w_r * factor(r) for r >= start, via Euler-Maclaurin.
 
-    Valid for non-integer ``shape`` with ``s < shape`` (the convergent
-    regime); the weights continue smoothly as
-    ``w(y) = Gamma(y+1-shape) / (Gamma(1-shape) Gamma(y+1))``.
+    For non-integer ``shape`` the weights continue smoothly as
+    ``w(y) = Gamma(y+1-shape) / (Gamma(1-shape) Gamma(y+1))``.  The
+    integral is taken in u = log(y / start), so a factor that decays only
+    at y >> start is resolved as well as one that decays near it.  Past
+    ``end = start e^_EM_SPAN`` the weights are y^-shape to within 1/end,
+    so a summand still alive there is a power law, integrated in closed
+    form; it must decay faster than 1/y.
     """
     rg = special.rgamma(1.0 - shape)
 
     def phi(y: float) -> float:
-        return rg * _gamma_ratio(y, shape) * (y + shift) ** (s - 1.0)
-
-    def dphi(y: float) -> float:
-        return phi(y) * (
-            special.digamma(y + 1.0 - shape)
-            - special.digamma(y + 1.0)
-            + (s - 1.0) / (y + shift)
-        )
+        return rg * _gamma_ratio(y, shape) * factor(y)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         integral, _ = integrate.quad(
-            lambda v: phi(start / v) * start / v**2,
-            0.0,
-            1.0,
-            epsabs=1e-14,
-            epsrel=1e-12,
-            limit=200,
+            lambda u: phi(start * math.exp(u)) * start * math.exp(u),
+            0.0, _EM_SPAN, epsabs=epsabs, epsrel=1e-12, limit=200,
         )
-    return integral + 0.5 * phi(start) - dphi(start) / 12.0
+    end = start * math.exp(_EM_SPAN)
+    phi_end = phi(end)
+    if phi_end != 0.0:
+        decay = shape - end * dlog_factor(end)
+        if not decay > 1.0:
+            raise NumericError(f"expansion series diverges: terms decay as r^-{decay}")
+        integral += phi_end * end / (decay - 1.0)
+    dlog0 = special.digamma(start + 1.0 - shape) - special.digamma(start + 1.0) + dlog_factor(start)
+    return float(integral + phi(start) * (0.5 - dlog0 / 12.0))
+
+
+def _signed_series(shape: float, factor, dlog_factor, cfg: SeriesConfig) -> float:
+    """Sum over r >= 0 of w_r(shape) * factor(r).
+
+    ``factor`` takes an array of orders r (one real y in the tail);
+    ``dlog_factor(y)`` is d/dy log factor(y).  The sum stops at an exact
+    zero weight (positive-integer ``shape``) or at the first term past
+    r > shape below ``cfg.tol`` of its partial sum; failing both, the
+    Euler-Maclaurin tail sums the terms from about ``_EM_SWITCH`` on.
+    """
+    start = max(_EM_SWITCH, math.floor(max(shape, 0.0) + 8.0) + 1)
+    total, w0, r0 = 0.0, 1.0, 0
+    while r0 < min(start, cfg.max_terms):
+        r1 = min(r0 + _BLOCK, start, cfg.max_terms)
+        r = np.arange(r0, r1, dtype=float)
+        w = _weight_block(shape, r0, w0, r1 - r0)
+        terms = w * factor(r)
+        sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+        done = (w == 0.0) | ((r > shape) & (np.abs(terms) <= cfg.tol * np.abs(sums)))
+        if done.any():
+            return float(sums[done.argmax()])
+        total, w0, r0 = float(sums[-1]), w[-1] * ((r1 - shape) / r1), r1
+    if r0 == start:
+        return total + _em_tail(shape, factor, dlog_factor, start, cfg.tol * abs(total))
+    raise NumericError(
+        f"expansion series did not converge within {cfg.max_terms} terms "
+        f"(shape={shape}); last partial sum {total}"
+    )
 
 
 def _weight_series(shape: float, s: float, cfg: SeriesConfig, shift: float = 1.0) -> float:
-    """Sum over r >= 0 of w_r(shape) * (r + shift)^(s - 1).
-
-    Terminates exactly for positive-integer ``shape``; otherwise sums
-    directly until the tolerance is met and falls back to the
-    Euler-Maclaurin tail once the (same-sign, polynomially decaying)
-    tail regime is reached.  Convergence requires s < shape.
-    """
-    total = 0.0
-    w = 1.0
-    for r in range(cfg.max_terms):
-        term = w * (r + shift) ** (s - 1.0)
-        total += term
-        w *= -(shape - (r + 1.0)) / (r + 1.0)
-        if w == 0.0:
-            return total
-        if r > shape and abs(term) <= cfg.tol * abs(total):
-            return total
-        if r + 1 >= _EM_SWITCH and r + 1 > max(shape, 0.0) + 8.0:
-            if s >= shape:
-                break
-            return total + _em_tail(shape, s, r + 1.0, shift)
-    raise NumericError(
-        f"expansion series did not converge within {cfg.max_terms} terms "
-        f"(shape={shape}, s={s}); last partial sum {total}"
+    """Sum over r >= 0 of w_r(shape) * (r + shift)^(s - 1); converges for s < shape."""
+    return _signed_series(
+        shape, lambda r: (r + shift) ** (s - 1.0), lambda y: (s - 1.0) / (y + shift), cfg
     )
 
 
@@ -231,25 +261,22 @@ def _require_mean(p: KumIwParams) -> None:
 def _partial_first_moment_series(p: KumIwParams, q: float, cfg: SeriesConfig) -> float:
     # integral of t f(t) over (0, q):
     #   b c sum_r w_r (r+1)^(1/beta - 1) GammaUpper(1 - 1/beta, (r+1)(c/q)^beta)
-    # The incomplete-gamma factor decays exponentially in r, so direct
-    # summation converges for every shape.
+    # The incomplete gamma cuts the terms off only near r ~ (q/c)^beta,
+    # far past direct summation at upper probabilities; for fractional b
+    # the Euler-Maclaurin tail sums the rest.
     s = 1.0 / p.beta
     a = 1.0 - s
     xq = (p.c / q) ** p.beta
-    total = 0.0
-    w = 1.0
-    for r in range(cfg.max_terms):
-        term = w * (r + 1.0) ** (s - 1.0) * upper_incomplete_gamma(a, (r + 1.0) * xq)
-        total += term
-        w *= -(p.b - (r + 1.0)) / (r + 1.0)
-        if w == 0.0:
-            return p.b * p.c * total
-        if r > p.b and abs(term) <= cfg.tol * abs(total):
-            return p.b * p.c * total
-    raise NumericError(
-        f"partial-moment series did not converge within {cfg.max_terms} terms; "
-        f"last partial sum {p.b * p.c * total}"
-    )
+
+    def factor(r):
+        return (r + 1.0) ** (s - 1.0) * upper_incomplete_gamma(a, (r + 1.0) * xq)
+
+    def dlog_factor(y: float) -> float:
+        z = (y + 1.0) * xq
+        density = math.exp((a - 1.0) * math.log(z) - z)
+        return (s - 1.0) / (y + 1.0) - xq * density / upper_incomplete_gamma(a, z)
+
+    return p.b * p.c * _signed_series(p.b, factor, dlog_factor, cfg)
 
 
 def mean_deviation_about_mean(p: KumIwParams, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -460,18 +487,5 @@ def expanded_pdf(p: KumIwParams, t: float, cfg: SeriesConfig = DEFAULT_SERIES) -
     if not t > 0:
         raise ValueError(f"time must be > 0, got {t}")
     x = (p.c / t) ** p.beta
-    q = math.exp(-x)
     prefactor = p.beta * p.b * p.c**p.beta * t ** (-(p.beta + 1.0))
-    total = 0.0
-    w = 1.0
-    for i in range(cfg.max_terms):
-        term = w * q ** (i + 1.0)
-        total += term
-        w *= -(p.b - (i + 1.0)) / (i + 1.0)
-        if w == 0.0:
-            return prefactor * total
-        if i > p.b and abs(term) <= cfg.tol * abs(total):
-            return prefactor * total
-    raise NumericError(
-        f"pdf expansion did not converge within {cfg.max_terms} terms at t={t}"
-    )
+    return prefactor * _signed_series(p.b, lambda r: np.exp(-(r + 1.0) * x), lambda y: -x, cfg)

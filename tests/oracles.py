@@ -2,9 +2,8 @@
 
 Everything here deliberately avoids the library's own series/special
 function code paths: brute-force quadrature of the defining integrals,
-Stirling-with-recurrence log-gamma, the closed-form sub-model
-densities transcribed directly, and central finite differences for the
-likelihood's analytic derivatives.
+the closed-form sub-model densities transcribed directly, and central
+finite differences for the likelihood's analytic derivatives.
 """
 
 import math
@@ -93,47 +92,27 @@ def ie_pdf(lam, t):
     return lam * t**-2 * np.exp(-lam / t)
 
 
-_STIRLING_COEFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-)
-
-
-def stirling_log_gamma(a: float) -> float:
-    """log Gamma by the Stirling asymptotic series plus the recurrence
-    Gamma(a) = Gamma(a + k) / (a (a+1) ... (a+k-1)); independent of any
-    Lanczos-style implementation."""
-    shift = 0.0
-    z = a
-    while z < 24.0:
-        shift += math.log(z)
-        z += 1.0
-    value = (z - 0.5) * math.log(z) - z + 0.5 * math.log(2.0 * math.pi)
-    for i, coef in enumerate(_STIRLING_COEFS):
-        value += coef / z ** (2 * i + 1)
-    return value - shift
-
-
-def quad_lower_incomplete_gamma(a: float, x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    val, _ = integrate.quad(
-        lambda s: s ** (a - 1.0) * math.exp(-s), 0.0, x,
-        epsabs=1e-14, epsrel=1e-12, limit=300,
-    )
-    return val
-
-
 def quad_upper_incomplete_gamma(a: float, x: float) -> float:
-    # tail substitution s = x + u keeps the integrand well scaled
-    val, _ = integrate.quad(
-        lambda u: (x + u) ** (a - 1.0) * math.exp(-(x + u)), 0.0, np.inf,
-        epsabs=1e-14, epsrel=1e-12, limit=300,
+    """Gamma(a, x) by quadrature, to a relative tolerance only.
+
+    From x >= 1 on it is e^-x times an integral of size x^(a-1); below 1
+    the piece over (x, 1) is integrated in w = s^a, where
+    s^(a-1) ds = dw / a has no endpoint singularity.
+    """
+
+    def tail(x0: float) -> float:
+        val, _ = integrate.quad(
+            lambda u: (x0 + u) ** (a - 1.0) * math.exp(-u), 0.0, np.inf,
+            epsabs=0.0, epsrel=1e-13, limit=300,
+        )
+        return math.exp(-x0) * val
+
+    if x >= 1.0:
+        return tail(x)
+    head, _ = integrate.quad(
+        lambda w: math.exp(-(w ** (1.0 / a))), x**a, 1.0, epsabs=0.0, epsrel=1e-13, limit=300
     )
-    return val
+    return tail(1.0) + head / a
 
 
 def _kumiw_scores(p: KumIwParams, t: float):

@@ -176,6 +176,21 @@ class TestFitMle:
         table = read_table(tmp_path / "replicates.csv")
         assert len(table["replicate"]) == 3
 
+    def test_replicates_calibrate_censoring_once(self, tmp_path, monkeypatch):
+        path = make_sample(tmp_path)
+        calls = []
+        real_bound = survdata.censoring_upper_bound
+
+        def counting_bound(p, rate):
+            calls.append(rate)
+            return real_bound(p, rate)
+
+        monkeypatch.setattr(survdata, "censoring_upper_bound", counting_bound)
+        argv = ["fit-mle", "--data", str(path), "--replicates", "3",
+                "--out-dir", str(tmp_path / "fit")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
 
 class TestFitBayes:
     def test_outputs_and_determinism(self, tmp_path):

@@ -27,17 +27,31 @@ from kumiw.measures import (
     moment_exists,
     order_stat_moment_series,
     renyi_entropy_series,
+    upper_incomplete_gamma,
 )
-from kumiw.specfun import EULER_GAMMA
 from oracles import (
     quad_mean_deviation,
     quad_moment,
     quad_partial_first_moment,
     quad_t_integral,
+    quad_upper_incomplete_gamma,
     random_params,
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+# the fractional-b triples of the dist-measures benchmark workload
+FRACTIONAL_B = (
+    (1.25, 0.8, 2.5), (1.3, 1.5, 3.0), (1.4, 1.0, 4.0), (1.1, 2.0, 5.0),
+    (0.7, 1.0, 5.0), (0.5, 2.0, 6.0), (0.8, 1.5, 3.5), (0.6, 1.0, 3.0),
+)
+
+
+@pytest.mark.parametrize("a", [0.01, 1 / 3, 2 / 3, 0.99])
+def test_upper_incomplete_gamma_vs_quadrature(a):
+    xs = np.array([0.0, 1e-8, 1e-4, 0.01, 0.5, 1.0, 3.0, 10.0, 50.0, 200.0, 700.0])
+    expected = [quad_upper_incomplete_gamma(a, x) for x in xs]
+    assert upper_incomplete_gamma(a, xs) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 class TestSeriesConfig:
@@ -179,6 +193,16 @@ class TestBonferroniLorenz:
         expected = quad_partial_first_moment(p, q) / (0.5 * quad_moment(p, 1))
         assert bonferroni(p, 0.5) == pytest.approx(expected, rel=1e-5)
 
+    @pytest.mark.parametrize("prob", [0.9, 0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("triple", FRACTIONAL_B)
+    def test_upper_probabilities_fractional_b(self, triple, prob):
+        # the incomplete-gamma cut-off lies far past direct summation here
+        p = KumIwParams(*triple)
+        q = float(quantile(p, prob))
+        expected = quad_partial_first_moment(p, q) / (prob * quad_moment(p, 1))
+        assert bonferroni(p, prob) == pytest.approx(expected, rel=1e-8)
+        assert lorenz(p, prob) == pytest.approx(prob * bonferroni(p, prob), rel=1e-13)
+
     def test_lorenz_boundary(self):
         assert lorenz(KumIwParams(2, 1, 3), 0.999) == pytest.approx(1.0, abs=1e-2)
 
@@ -265,7 +289,7 @@ class TestOrderStatistics:
 class TestEntropies:
     def test_ie_closed_form(self):
         assert shannon_entropy(KumIwParams(1, 1, 1)) == pytest.approx(
-            1 + 2 * EULER_GAMMA, abs=1e-7
+            1 + 2 * np.euler_gamma, abs=1e-7
         )
 
     def test_scale_law(self):
@@ -327,6 +351,14 @@ class TestExpandedPdf:
     def test_fractional_b(self):
         p = KumIwParams(2.5, 1, 2)
         assert expanded_pdf(p, 0.8) == pytest.approx(float(pdf(p, 0.8)), rel=1e-8)
+
+    @pytest.mark.parametrize("u", [0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("triple", [(0.5, 1, 3), (0.7, 1, 5), (1.3, 1.5, 3)])
+    def test_fractional_b_upper_tail(self, triple, u):
+        # (c/t)^beta is small, so the terms decay only far past direct summation
+        p = KumIwParams(*triple)
+        t = float(quantile(p, u))
+        assert expanded_pdf(p, t) == pytest.approx(float(pdf(p, t)), rel=1e-8, abs=0.0)
 
     def test_grid_match(self):
         rng = np.random.default_rng(31)
