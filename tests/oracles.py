@@ -92,6 +92,16 @@ def ie_pdf(lam, t):
     return lam * t**-2 * np.exp(-lam / t)
 
 
+def quad_lower_incomplete_gamma(a: float, x: float) -> float:
+    if x == 0.0:
+        return 0.0
+    val, _ = integrate.quad(
+        lambda s: s ** (a - 1.0) * math.exp(-s), 0.0, x,
+        epsabs=1e-14, epsrel=1e-12, limit=300,
+    )
+    return val
+
+
 def quad_upper_incomplete_gamma(a: float, x: float) -> float:
     """Gamma(a, x) by quadrature, to a relative tolerance only.
 

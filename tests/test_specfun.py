@@ -1,71 +1,39 @@
+"""The special-function pieces the ``measures`` series engine is built from.
+
+The signed generalized-binomial weights (``measures._weight_block``, summed
+by ``measures._signed_series``) and the upper incomplete gamma behind the
+partial first moment (``measures.upper_incomplete_gamma``), checked against
+closed forms, identities and brute-force quadrature.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
-from kumiw.errors import NumericError
-from kumiw.specfun import (
-    Accuracy,
-    EULER_GAMMA,
-    gen_binomial_weight,
-    log_gamma,
-    lower_incomplete_gamma,
-    upper_incomplete_gamma,
-)
-from oracles import (
-    quad_lower_incomplete_gamma,
-    quad_upper_incomplete_gamma,
-    stirling_log_gamma,
-)
+from kumiw.measures import DEFAULT_SERIES, _signed_series, _weight_block, upper_incomplete_gamma
+from oracles import quad_lower_incomplete_gamma, quad_upper_incomplete_gamma
 
 
-class TestAccuracy:
-    def test_defaults_valid(self):
-        acc = Accuracy()
-        assert acc.rel_tol > 0 and acc.abs_tol > 0 and acc.max_iter >= 1
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"abs_tol": 0.0}, {"rel_tol": -1e-9}, {"max_iter": 0}],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            Accuracy(**kwargs)
-
-
-class TestLogGamma:
-    def test_gamma_of_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_gamma_of_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_against_stirling_oracle(self):
-        # includes the spec's a = 7.25 spot value
-        for a in (7.25, 1e-3, 0.02, 0.75, 3.5, 42.0, 1e3):
-            expected = stirling_log_gamma(a)
-            scale = max(abs(expected), 1.0)
-            assert abs(log_gamma(a) - expected) / scale <= 1e-13
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.5)
+def gen_binomial_weight(b: float, r: int) -> float:
+    """w_r(b), the coefficient of x^r in (1 - x)^(b-1), from the library's recurrence."""
+    return float(_weight_block(b, 0, 1.0, r + 1)[-1])
 
 
 class TestIncompleteGamma:
     def test_exponential_special_case(self):
-        assert lower_incomplete_gamma(1.0, 1.0) == pytest.approx(1 - math.exp(-1), rel=1e-13)
+        assert 1.0 - upper_incomplete_gamma(1.0, 1.0) == pytest.approx(1 - math.exp(-1), rel=1e-13)
         assert upper_incomplete_gamma(1.0, 2.0) == pytest.approx(math.exp(-2), rel=1e-13)
 
     def test_boundaries(self):
-        assert lower_incomplete_gamma(0.5, 0.0) == 0.0
+        assert upper_incomplete_gamma(0.5, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
         assert upper_incomplete_gamma(1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert upper_incomplete_gamma(0.5, math.inf) == 0.0
 
     @pytest.mark.parametrize("a,x", [(2.5, 1.7), (0.3, 0.9), (0.9, 0.01), (5.0, 30.0), (1.2, 8.0)])
     def test_against_quadrature_oracle(self, a, x):
-        assert lower_incomplete_gamma(a, x) == pytest.approx(
+        # the lower integral as Gamma(a) minus the library's upper one
+        assert math.gamma(a) - upper_incomplete_gamma(a, x) == pytest.approx(
             quad_lower_incomplete_gamma(a, x), rel=1e-10
         )
         assert upper_incomplete_gamma(a, x) == pytest.approx(
@@ -77,30 +45,18 @@ class TestIncompleteGamma:
         for _ in range(20):
             a = float(np.exp(rng.uniform(np.log(0.05), np.log(40.0))))
             x = float(rng.uniform(0.0, 3.0 * a + 2.0))
-            total = lower_incomplete_gamma(a, x) + upper_incomplete_gamma(a, x)
+            total = quad_lower_incomplete_gamma(a, x) + upper_incomplete_gamma(a, x)
             assert total == pytest.approx(math.gamma(a), rel=1e-10)
 
     def test_monotone_and_limit_in_x(self):
         for a in (0.4, 1.0, 3.3):
             xs = np.linspace(0.0, 8.0 * a + 4.0, 40)
-            vals = [lower_incomplete_gamma(a, x) for x in xs]
-            assert all(v2 >= v1 - 1e-15 for v1, v2 in zip(vals, vals[1:]))
-            # at x = 50a the true tail is ~ (50a)^(a-1) e^(-50a); allow for it
+            vals = upper_incomplete_gamma(a, xs)
+            assert vals[0] == pytest.approx(math.gamma(a), rel=1e-14)
+            assert np.all(np.diff(vals) <= 1e-15)
+            # at x = 50a the true tail is ~ (50a)^(a-1) e^(-50a)
             tail_bound = 3.0 * (50.0 * a) ** a * math.exp(-50.0 * a)
-            tol = max(10 * Accuracy().rel_tol * math.gamma(a), tail_bound)
-            assert abs(lower_incomplete_gamma(a, 50.0 * a) - math.gamma(a)) <= tol
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            lower_incomplete_gamma(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            lower_incomplete_gamma(1.0, -0.5)
-        with pytest.raises(ValueError):
-            upper_incomplete_gamma(0.0, 1.0)
-
-    def test_non_convergence_raises(self):
-        with pytest.raises(NumericError):
-            lower_incomplete_gamma(2.0, 1.0, Accuracy(max_iter=1))
+            assert 0.0 <= upper_incomplete_gamma(a, 50.0 * a) <= tail_bound
 
 
 class TestGenBinomialWeight:
@@ -124,27 +80,15 @@ class TestGenBinomialWeight:
     @pytest.mark.parametrize("b", [0.5, 1.0, 2.5, 7.0])
     @pytest.mark.parametrize("x", [0.0, 0.3, 0.7, 0.95])
     def test_partial_sums_converge_to_binomial_series(self, b, x):
+        # sum_r w_r x^r through the engine, with its own stopping rule
         target = (1.0 - x) ** (b - 1.0)
-        total = 0.0
-        for r in range(20_000):
-            w = gen_binomial_weight(b, r)
-            total += w * x**r
-            if w == 0.0 and r >= b:
-                break
-            if r > 10 and abs(w * x**r) < 1e-12 * max(abs(total), 1e-30):
-                break
+        total = _signed_series(b, lambda r: x**r, lambda y: math.log(x), DEFAULT_SERIES)
         assert abs(total - target) <= 1e-8
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gen_binomial_weight(0.0, 1)
-        with pytest.raises(ValueError):
-            gen_binomial_weight(2.0, -1)
 
 
 def test_euler_gamma_constant():
-    # gamma = -integral of log(u) e^-u du
+    # gamma = -integral of log(u) e^-u du; the closed-form entropy checks use np.euler_gamma
     from scipy import integrate
 
     val, _ = integrate.quad(lambda u: math.log(u) * math.exp(-u), 0, np.inf, limit=200)
-    assert EULER_GAMMA == pytest.approx(-val, abs=1e-10)
+    assert np.euler_gamma == pytest.approx(-val, abs=1e-10)
