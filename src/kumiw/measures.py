@@ -16,6 +16,7 @@ only as cross-checks).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -258,6 +259,13 @@ def _require_mean(p: KumIwParams) -> None:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _mean(p: KumIwParams, cfg: SeriesConfig) -> float:
+    # the mean deviations and Bonferroni/Lorenz curves at several
+    # probabilities share one mean series per (p, cfg)
+    return moment(p, 1, cfg)
+
+
 def _partial_first_moment_series(p: KumIwParams, q: float, cfg: SeriesConfig) -> float:
     # integral of t f(t) over (0, q):
     #   b c sum_r w_r (r+1)^(1/beta - 1) GammaUpper(1 - 1/beta, (r+1)(c/q)^beta)
@@ -282,14 +290,14 @@ def _partial_first_moment_series(p: KumIwParams, q: float, cfg: SeriesConfig) ->
 def mean_deviation_about_mean(p: KumIwParams, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Mean absolute deviation about the mean, 2 mu F(mu) - 2 int_0^mu t f dt."""
     _require_mean(p)
-    mu = moment(p, 1, cfg)
+    mu = _mean(p, cfg)
     return 2.0 * mu * float(cdf(p, mu)) - 2.0 * _partial_first_moment_series(p, mu, cfg)
 
 
 def mean_deviation_about_median(p: KumIwParams, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Mean absolute deviation about the median, mu - 2 int_0^M t f dt."""
     _require_mean(p)
-    mu = moment(p, 1, cfg)
+    mu = _mean(p, cfg)
     med = float(quantile(p, 0.5))
     return mu - 2.0 * _partial_first_moment_series(p, med, cfg)
 
@@ -299,7 +307,7 @@ def bonferroni(p: KumIwParams, prob: float, cfg: SeriesConfig = DEFAULT_SERIES) 
     if not 0 < prob < 1:
         raise ValueError(f"bonferroni requires prob in (0, 1), got {prob}")
     _require_mean(p)
-    mu = moment(p, 1, cfg)
+    mu = _mean(p, cfg)
     q = float(quantile(p, prob))
     return _partial_first_moment_series(p, q, cfg) / (prob * mu)
 
@@ -309,7 +317,7 @@ def lorenz(p: KumIwParams, prob: float, cfg: SeriesConfig = DEFAULT_SERIES) -> f
     if not 0 < prob < 1:
         raise ValueError(f"lorenz requires prob in (0, 1), got {prob}")
     _require_mean(p)
-    mu = moment(p, 1, cfg)
+    mu = _mean(p, cfg)
     q = float(quantile(p, prob))
     return _partial_first_moment_series(p, q, cfg) / mu
 

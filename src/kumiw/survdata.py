@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import KumIwParams, quantile, sample, survival
-from .errors import DataError
+from .distribution import KumIwParams, sample, survival
+from .errors import DataError, NumericError
 
 __all__ = [
     "Status",
@@ -294,33 +294,73 @@ def km_vs_parametric(d: CensoredDataset, p: KumIwParams) -> KmComparison:
     )
 
 
+# Gauss-Legendre nodes and weights on [-1, 1] for one panel of the
+# censoring calibration's quadrature in y = log x, x = (c/t)^beta.
+_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(32)
+_PANELS = 16
+# The range in y reaches hundreds for large beta at small rates, where
+# 16 panels lose digits.
+_MAX_PANEL_WIDTH = 2.0
+# y below which x = e^y is subnormal and survival() loses the tail
+_Y_MIN = math.log(np.finfo(float).tiny)
+
+
+def _survival_integral(p: KumIwParams, y_m: float) -> float:
+    """Integral of the survival function over (0, M), with y_m = log x at t = M.
+
+    Below t_cut, where x >= 45 + log+ b, F(t) < 1e-17 and S(t) rounds to
+    1, so that piece is t_cut exactly.  Above it, dt = -(t / beta) dy, and
+    the integral runs over equal Gauss-Legendre panels in y from y_m to
+    y_cut: in y the transition of S has unit width whatever beta is.
+    """
+    y_cut = math.log(45.0 + max(0.0, math.log(p.b)))
+    t_cut = p.c * math.exp(-y_cut / p.beta)
+    if y_m >= y_cut:
+        return p.c * math.exp(-y_m / p.beta)
+    panels = max(_PANELS, math.ceil((y_cut - y_m) / _MAX_PANEL_WIDTH))
+    half = (y_cut - y_m) / (2.0 * panels)
+    nodes, weights = _GAUSS_LEGENDRE
+    y = y_m + half * (2.0 * np.arange(panels)[:, None] + 1.0 + nodes)
+    t = p.c * np.exp(-y / p.beta)
+    return t_cut + half / p.beta * float(np.sum(weights * t * survival(p, t)))
+
+
 def censoring_upper_bound(p: KumIwParams, rate: float) -> float:
     """Upper bound M of a U(0, M) censoring law hitting a target censoring rate.
 
     Solves E[min(T, M)] / M = rate; the left side decreases from 1 to 0
-    as M grows, so the root is bracketed and unique.
+    as M grows, so the root is unique.  It exceeds S(M), so the root lies
+    above the (1 - rate) quantile.  brentq works in y = log x at t = M,
+    from a bracket widened toward larger M in doubling steps; each
+    evaluation is one vectorised ``survival`` call (``_survival_integral``).
     """
     if not 0 < rate < 1:
         raise ValueError(f"censoring rate must be in (0, 1), got {rate}")
-    from scipy import integrate, optimize
+    from scipy import optimize
 
-    def censored_fraction(m: float) -> float:
-        with np.errstate(all="ignore"):
-            val, _ = integrate.quad(lambda t: float(survival(p, t)), 0.0, m, limit=200)
-        return val / m
+    log_c = math.log(p.c)
 
-    lo = float(quantile(p, 1e-6))
-    hi = float(quantile(p, 1.0 - 1e-9))
-    # expand until the target is bracketed
-    for _ in range(200):
-        if censored_fraction(lo) > rate:
+    def excess(y: float) -> float:
+        return _survival_integral(p, y) / math.exp(log_c - y / p.beta) - rate
+
+    # M must stay finite and x at M a normal float
+    y_floor = max(_Y_MIN, p.beta * (log_c - math.log(np.finfo(float).max)))
+    # start at the (1 - rate) quantile, where S = rate: x = -log(1 - rate^(1/b))
+    x = -math.log1p(-(rate ** (1.0 / p.b)))
+    hi = math.log(x) if x > 0.0 else -math.inf
+    step = 1.0
+    while True:
+        lo = max(hi - step, y_floor)
+        if lo < hi and excess(lo) < 0.0:
             break
-        lo /= 4.0
-    for _ in range(200):
-        if censored_fraction(hi) < rate:
-            break
-        hi *= 4.0
-    return float(optimize.brentq(lambda m: censored_fraction(m) - rate, lo, hi, xtol=1e-10, rtol=1e-10))
+        if lo <= y_floor:
+            raise NumericError(
+                f"cannot bracket the censoring bound for {p} at rate {rate}: "
+                "it lies beyond the range of the survival function"
+            )
+        hi, step = lo, 2.0 * step
+    y = optimize.brentq(excess, lo, hi, xtol=1e-15 * p.beta)
+    return math.exp(log_c - y / p.beta)
 
 
 def simulate_censored(
@@ -340,12 +380,15 @@ def simulate_censored(
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
+    if upper_bound is not None and not (math.isfinite(upper_bound) and upper_bound > 0):
+        raise ValueError(f"upper_bound must be finite and > 0, got {upper_bound}")
+    if censor_rate != 0 and upper_bound is None:
+        upper_bound = censoring_upper_bound(p, censor_rate)
     lifetimes = sample(p, n, seed)
     if censor_rate == 0:
         return CensoredDataset.from_arrays(lifetimes, np.ones(n, dtype=bool), name=name)
-    bound = upper_bound if upper_bound is not None else censoring_upper_bound(p, censor_rate)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    censor_times = rng.uniform(0.0, bound, size=n)
+    censor_times = rng.uniform(0.0, upper_bound, size=n)
     observed = np.minimum(lifetimes, censor_times)
     events = lifetimes <= censor_times
     return CensoredDataset.from_arrays(observed, events, name=name)

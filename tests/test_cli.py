@@ -82,6 +82,19 @@ class TestSample:
         frac = 1.0 - table["status"].mean()
         assert 0.17 <= frac <= 0.23
 
+    def test_heavy_tail_censoring(self, tmp_path):
+        out = tmp_path / "data"
+        argv = ["sample", "--n", "2000", "--seed", "1", "--censor-rate", "0.5",
+                "--b", "0.2", "--c", "1", "--beta", "1.2", "--out-dir", str(out)]
+        assert main(argv) == 0
+        frac = 1.0 - read_table(out / "sample.csv")["status"].mean()
+        assert abs(frac - 0.5) <= 0.05
+
+    def test_unreachable_censoring_bound_exit_4(self, tmp_path):
+        argv = ["sample", "--n", "10", "--censor-rate", "0.01", "--b", "0.001",
+                "--c", "1", "--beta", "1", "--out-dir", str(tmp_path)]
+        assert main(argv) == 4
+
     def test_roundtrip_through_loader(self, tmp_path):
         path = make_sample(tmp_path, n=50, seed=9)
         d = load_csv(path)

@@ -203,6 +203,30 @@ class TestBonferroniLorenz:
         assert bonferroni(p, prob) == pytest.approx(expected, rel=1e-8)
         assert lorenz(p, prob) == pytest.approx(prob * bonferroni(p, prob), rel=1e-13)
 
+    def test_mean_series_summed_once(self, monkeypatch):
+        from kumiw import measures
+
+        calls = []
+        real_series = measures._weight_series
+
+        def counting_series(*args, **kwargs):
+            calls.append(args)
+            return real_series(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "_weight_series", counting_series)
+        measures._mean.cache_clear()
+        p = KumIwParams(1.3, 1.5, 3)
+        mean_deviation_about_mean(p)
+        mean_deviation_about_median(p)
+        for prob in (0.25, 0.5, 0.75):
+            bonferroni(p, prob)
+            lorenz(p, prob)
+        assert len(calls) == 1
+        # the shared mean is the moment series' value, bit for bit
+        q = float(quantile(p, 0.5))
+        fresh = measures._partial_first_moment_series(p, q, measures.DEFAULT_SERIES) / moment(p, 1)
+        assert lorenz(p, 0.5) == fresh
+
     def test_lorenz_boundary(self):
         assert lorenz(KumIwParams(2, 1, 3), 0.999) == pytest.approx(1.0, abs=1e-2)
 

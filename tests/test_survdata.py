@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kumiw import DataError, KumIwParams, survival
+from kumiw import DataError, KumIwParams, NumericError, survdata, survival
 from kumiw.survdata import (
     CensoredDataset,
     CensoredObs,
@@ -16,7 +17,7 @@ from kumiw.survdata import (
     load_csv,
     simulate_censored,
 )
-from oracles import kaplan_meier_product_limit
+from oracles import censored_fraction_quad, kaplan_meier_product_limit, survival_closed_form
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -284,3 +285,71 @@ class TestSimulation:
         d2 = simulate_censored(p, 50, 0.3, 5)
         np.testing.assert_array_equal(d1.times, d2.times)
         np.testing.assert_array_equal(d1.event_mask, d2.event_mask)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0, 0.0])
+    def test_upper_bound_validated(self, bound):
+        with pytest.raises(ValueError, match="upper_bound must be finite and > 0"):
+            simulate_censored(KumIwParams(2.0, 1.5, 3.0), 10, 0.2, 1, upper_bound=bound)
+
+
+# both criterion-8 truths, then heavy and light tails, beta from 0.5 to 100
+BOUND_GRID = [
+    (2.0, 1.5, 3.0), (1.0, 1.5, 3.0), (0.2, 1.0, 1.2), (50.0, 3.0, 0.8),
+    (0.5, 2.0, 0.5), (3.0, 0.5, 100.0), (0.2, 10.0, 100.0), (50.0, 0.1, 100.0),
+]
+
+
+def assert_bound_calibrated(p, rate, root_rtol=None):
+    m = censoring_upper_bound(p, rate)
+    residual = censored_fraction_quad(p, m) - rate
+    assert abs(residual) <= 1e-11
+    if root_rtol is not None:
+        # one Newton step on the oracle: d fraction / d log M = S(M) - fraction
+        assert abs(residual / (rate - survival_closed_form(p, m))) <= root_rtol
+
+
+class TestCensoringUpperBound:
+    @pytest.mark.parametrize("rate", [0.01, 0.2, 0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("triple", BOUND_GRID)
+    def test_grid_against_oracle(self, triple, rate):
+        assert_bound_calibrated(KumIwParams(*triple), rate, root_rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(math.log(0.2), math.log(50.0)),
+        st.floats(math.log(0.01), math.log(100.0)),
+        st.floats(math.log(0.5), math.log(100.0)),
+        st.floats(0.01, 0.99),
+    )
+    def test_property_against_oracle(self, log_b, log_c, log_beta, rate):
+        p = KumIwParams(math.exp(log_b), math.exp(log_c), math.exp(log_beta))
+        assert_bound_calibrated(p, rate)
+
+    def test_heavy_tail(self):
+        # 30-digit mpmath root; an adaptive quad inside brentq failed to converge here
+        m = censoring_upper_bound(KumIwParams(0.2, 1.0, 1.2), 0.5)
+        assert m == pytest.approx(51.836424513513, rel=1e-12)
+
+    @pytest.mark.parametrize("triple", [(2.0, 1.5, 3.0), (0.2, 1.0, 1.2), (3.0, 0.5, 100.0)])
+    def test_few_vectorised_survival_calls(self, triple, monkeypatch):
+        calls = []
+
+        def counting_survival(p, t):
+            calls.append(np.size(t))
+            return survival(p, t)
+
+        monkeypatch.setattr(survdata, "survival", counting_survival)
+        for rate in (0.01, 0.2, 0.99):
+            calls.clear()
+            censoring_upper_bound(KumIwParams(*triple), rate)
+            assert 0 < len(calls) <= 40
+
+    def test_unreachable_bound_is_a_numeric_error(self):
+        # M ~ 1e2000: x = (c/M)^beta underflows long before the root
+        with pytest.raises(NumericError, match="cannot bracket"):
+            censoring_upper_bound(KumIwParams(0.001, 1.0, 1.0), 0.01)
+
+    def test_rate_validated(self):
+        for rate in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="censoring rate"):
+                censoring_upper_bound(KumIwParams(2.0, 1.5, 3.0), rate)
