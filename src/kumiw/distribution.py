@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
+
 __all__ = [
     "KumIwParams",
     "SubModel",
@@ -164,14 +166,17 @@ def hazard(p: KumIwParams, t):
 def quantile(p: KumIwParams, u):
     """Closed-form quantile: c * (-log(1 - (1-u)^(1/b)))^(-1/beta).
 
-    Uses expm1/log1p throughout so both tails keep full precision.
+    Uses expm1/log1p throughout so both tails keep full precision.  For a
+    very heavy tail (small b or beta) Q(u) can exceed the float range, and
+    it is then inf.
     """
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0) | (u >= 1) | ~np.isfinite(u)):
         raise ValueError("quantile requires probabilities strictly inside (0, 1)")
     z = np.log1p(-u) / p.b          # log (1-u)^(1/b), in (-inf, 0)
     inner = -log1m_exp(-z)          # -log(1 - (1-u)^(1/b)) > 0
-    out = p.c * inner ** (-1.0 / p.beta)
+    with np.errstate(over="ignore", divide="ignore"):
+        out = p.c * inner ** (-1.0 / p.beta)
     return out if np.ndim(out) else np.float64(out)
 
 
@@ -179,7 +184,8 @@ def sample(p: KumIwParams, n: int, seed: int) -> np.ndarray:
     """Draw n variates by inverse transform through the quantile function.
 
     Deterministic for a fixed seed (PCG64). Returns an array of length n;
-    n = 0 yields an empty array.
+    n = 0 yields an empty array.  Raises NumericError when a draw exceeds
+    the float range, which a very heavy tail can make happen.
     """
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
@@ -189,7 +195,11 @@ def sample(p: KumIwParams, n: int, seed: int) -> np.ndarray:
     u = rng.random(n)
     # keep u strictly inside (0, 1); the boundary has probability ~2^-53
     u = np.clip(u, 5e-17, 1.0 - 1e-16)
-    return np.asarray(quantile(p, u), dtype=float)
+    draws = np.asarray(quantile(p, u), dtype=float)
+    bad = np.count_nonzero(~np.isfinite(draws))
+    if bad:
+        raise NumericError(f"{bad} of {n} draws exceed the float range at {p}")
+    return draws
 
 
 # parameters each sub-model pins; the rest are free

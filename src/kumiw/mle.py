@@ -35,35 +35,39 @@ _GRAD_TOL = 1e-6
 class _Loglik:
     """Censored log-likelihood with the data terms precomputed.
 
-    The only O(n) work is ``terms(c, beta)``: with x = (c/t)^beta it returns
-    (sum of x over events, S_f = sum of log(1 - e^-x) over events, S_c = the
-    same sum over censorings).  ``combine(b, c, beta, terms)`` turns them into
-    the value in scalar arithmetic.  b enters only as
-    r log b + (b - 1) S_f + b S_c, so a caller that moves b alone (the
-    sampler's b update) reuses the terms of its current (c, beta).
+    The data are one array ``log_t`` of log-times, the r events first and
+    then the n - r censorings, so every O(n) pass is one ufunc call per
+    step over all rows; only the sums are taken per group, over
+    ``[:r]`` and ``[r:]``.  ``terms(c, beta)`` is the only O(n) work of a
+    value: with x = (c/t)^beta it returns (sum of x over events,
+    S_f = sum of log(1 - e^-x) over events, S_c = the same sum over
+    censorings).  ``combine(b, c, beta, terms)`` turns them into the value
+    in scalar arithmetic.  b enters only as r log b + (b - 1) S_f + b S_c,
+    so a caller that moves b alone (the sampler's b update) reuses the
+    terms of its current (c, beta).
     """
 
     def __init__(self, d: CensoredDataset):
         times = d.times
         events = d.event_mask
-        self.log_tf = np.log(times[events])
-        self.log_tc = np.log(times[~events])
+        self.log_t = np.log(np.concatenate((times[events], times[~events])))
         self.r = int(events.sum())
         self.n = len(times)
-        self.sum_log_tf = float(self.log_tf.sum())
+        self.sum_log_tf = float(self.log_t[: self.r].sum())
 
     def terms(self, c: float, beta: float) -> tuple[float, float, float]:
         """(sum x over events, S_f, S_c) at (c, beta), for c > 0."""
-        log_c = math.log(c)
+        r = self.r
         s_f = s_c = 0.0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x_f = np.exp(beta * (log_c - self.log_tf))
-            # an empty group sums to 0.0; skipping it saves about ten ufunc calls
-            if self.r:
-                s_f = float(np.sum(log1m_exp(x_f)))
-            if len(self.log_tc):
-                s_c = float(np.sum(log1m_exp(np.exp(beta * (log_c - self.log_tc)))))
-        return float(x_f.sum()), s_f, s_c
+            x = np.exp(beta * (math.log(c) - self.log_t))
+            ell = log1m_exp(x)
+            # an empty group sums to 0.0; skipping it saves a reduction
+            if r:
+                s_f = float(ell[:r].sum())
+            if r < self.n:
+                s_c = float(ell[r:].sum())
+        return float(x[:r].sum()), s_f, s_c
 
     def combine(self, b: float, c: float, beta: float, terms: tuple[float, float, float]) -> float:
         """The log-likelihood at (b, c, beta) from ``terms(c, beta)``."""
@@ -80,7 +84,7 @@ class _Loglik:
         # b = 1 drops the event term, which keeps 0 * (-inf) out
         if b != 1.0 and self.r:
             value += (b - 1.0) * s_f
-        if len(self.log_tc):
+        if self.r < self.n:
             value += b * s_c
         # inf - inf at absurd parameter points collapses to the -inf sentinel
         return value if math.isfinite(value) else -math.inf
@@ -92,7 +96,7 @@ class _Loglik:
 
     def value_score_hessian(self, b: float, c: float, beta: float):
         """Value at (b, c, beta) with the exact score and Hessian in
-        phi = (log b, log c, log beta).
+        phi = (log b, log c, log beta), in one pass over the rows.
 
         With x = (c/t)^beta, y = log x and L(x) = log(1 - e^-x), a row adds
         k L(x) - e x, with e = 1 for an event (0 for a censoring) and
@@ -103,24 +107,36 @@ class _Loglik:
         s = x^2 d2/dx2 = -k (q x + q^2) and m = y s + (1 + y) a.
         q = x L'(x) = x / expm1(x) is computed as e^(y - x) / (1 - e^-x), so
         x -> 0 and x -> inf stay finite.
+
+        y, x, q, L and q x + q^2 do not depend on b and are computed once
+        over all rows; k, a, s, m and the sums are taken per group (the
+        events ``[:r]``, then the censorings ``[r:]``).  The value is
+        ``combine`` on the event sum of x and the two group sums of L.
         """
-        value = self(b, c, beta)
-        log_c = math.log(c)
+        r, n = self.r, self.n
         sums = np.zeros(8)
+        s_ell = [0.0, 0.0]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for log_t, e in ((self.log_tf, 1.0), (self.log_tc, 0.0)):
-                y = beta * (log_c - log_t)
-                x = np.exp(y)
-                den = -np.expm1(-x)
-                q = np.exp(y - x) / den
+            y = beta * (math.log(c) - self.log_t)
+            x = np.exp(y)
+            den = -np.expm1(-x)
+            q = np.exp(y - x) / den
+            curv = np.exp(2.0 * y - x) / den + q * q
+            ell = log1m_exp(x)
+            for group, (lo, hi, e) in enumerate(((0, r, 1.0), (r, n, 0.0))):
+                if lo == hi:
+                    continue
+                y_g, q_g = y[lo:hi], q[lo:hi]
                 k = b - e
-                a = k * q - x if e else k * q
-                s = -k * (np.exp(2.0 * y - x) / den + q * q)
-                m = y * s + (1.0 + y) * a
-                rows = (log1m_exp(x), q, y * q, a, y * (e + a), s + a, m, y * (e + m))
-                sums += [np.sum(row) for row in rows]
+                a = k * q_g - x[lo:hi] if e else k * q_g
+                s = -k * curv[lo:hi]
+                m = y_g * s + (1.0 + y_g) * a
+                rows = (ell[lo:hi], q_g, y_g * q_g, a, y_g * (e + a), s + a, m, y_g * (e + m))
+                part = [row.sum() for row in rows]
+                s_ell[group] = float(part[0])
+                sums += part
+            value = self.combine(b, c, beta, (float(x[:r].sum()), *s_ell))
             sum_l, sum_q, sum_yq, sum_a, g_w, h_vv, h_vw, h_ww = sums
-            r = self.r
             score = np.array([r + b * sum_l, beta * (r + sum_a), r + g_w])
             h_bc, h_bbeta, h_cbeta = b * beta * sum_q, b * sum_yq, beta * (r + h_vw)
             hess = np.array([
@@ -200,8 +216,9 @@ def _maximize(ll: _Loglik, theta0: np.ndarray, free: np.ndarray):
     trust-exact compares values, which stop resolving near the optimum
     (at ~ulp(|l|)) while the score still can.  A trial point with a
     non-finite value, score or Hessian is a rejected step; a start there
-    stops the fit at once.  Returns (theta, loglik, iterations,
-    grad_sup_norm, converged, message).
+    stops the fit at once.  Returns (theta, loglik, score, hessian,
+    iterations, grad_sup_norm, converged, message), with the log-scale score
+    and Hessian of the free coordinates at theta.
     """
     free_idx = np.flatnonzero(free)
     block = np.ix_(free_idx, free_idx)
@@ -250,7 +267,12 @@ def _maximize(ll: _Loglik, theta0: np.ndarray, free: np.ndarray):
         message = "non-finite log-likelihood, score or Hessian at the start"
     elif not converged:
         message = f"score sup-norm {grad_norm:.3e} above {_GRAD_TOL}"
-    return theta, value, iterations, grad_norm, converged, message
+    return theta, value, score, hess, iterations, grad_norm, converged, message
+
+
+def _information(theta: np.ndarray, score: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return -(hess - np.diag(score)) / np.outer(theta, theta)
 
 
 def observed_information(p: KumIwParams, d: CensoredDataset) -> np.ndarray:
@@ -259,8 +281,7 @@ def observed_information(p: KumIwParams, d: CensoredDataset) -> np.ndarray:
     exactly symmetric."""
     theta = p.as_array()
     _, score, hess = _Loglik(d).value_score_hessian(*theta)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return -(hess - np.diag(score)) / np.outer(theta, theta)
+    return _information(theta, score, hess)
 
 
 def _covariance_from_info(info: np.ndarray):
@@ -305,11 +326,12 @@ def fit_mle(
         raise DataError(f"fit_mle requires at least 3 events, got {d.n_events}")
     ll = _Loglik(d)
     theta0 = init.as_array() if init is not None else _default_init(d)
-    theta, loglik, iters, grad_norm, converged, message = _maximize(
+    theta, loglik, score, hess, iters, grad_norm, converged, message = _maximize(
         ll, theta0, np.array([True, True, True])
     )
     params = KumIwParams(*theta)
-    info = observed_information(params, d)
+    # the accepted point's own score and Hessian, not a second evaluation
+    info = _information(theta, score, hess)
     # the inverse information is a sampling covariance only at a maximum
     cov = _covariance_from_info(info) if converged else None
     ci = _wald_from_cov(theta, cov, ci_level) if cov is not None else None
@@ -351,7 +373,7 @@ def _fit_pinned(d: CensoredDataset, pins: dict) -> FitResult:
     for i, name in enumerate(_PARAM_NAMES):
         if name in pins:
             theta0[i] = pins[name]
-    theta, loglik, iters, grad_norm, converged, message = _maximize(ll, theta0, free)
+    theta, loglik, _, _, iters, grad_norm, converged, message = _maximize(ll, theta0, free)
     return FitResult(
         params=KumIwParams(*theta),
         loglik=loglik,

@@ -95,6 +95,13 @@ class TestSample:
                 "--c", "1", "--beta", "1", "--out-dir", str(tmp_path)]
         assert main(argv) == 4
 
+    def test_draw_beyond_float_range_exit_4(self, tmp_path, capsys):
+        argv = ["sample", "--b", "0.001", "--c", "1", "--beta", "1", "--n", "5",
+                "--seed", "1", "--out-dir", str(tmp_path)]
+        assert main(argv) == 4
+        assert not (tmp_path / "sample.csv").exists()
+        assert "exceed the float range" in capsys.readouterr().err
+
     def test_roundtrip_through_loader(self, tmp_path):
         path = make_sample(tmp_path, n=50, seed=9)
         d = load_csv(path)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from kumiw import (
     KumIwParams,
+    NumericError,
     SubModel,
     cdf,
     hazard,
@@ -175,6 +177,18 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile(KumIwParams(1, 1, 1), bad)
 
+    # at u = 0.9, inner = -log(1 - (1-u)^(1/b)) is 0 for b = 0.001 (a
+    # division by zero in the power) and 1e-10 for b = 0.1, where
+    # inner^(-1/beta) overflows at beta = 0.01
+    @pytest.mark.parametrize("p", [KumIwParams(0.001, 1.0, 1.0), KumIwParams(0.1, 1.0, 0.01)])
+    def test_inf_beyond_float_range_without_warning(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = quantile(p, np.array([0.1, 0.5, 0.9]))
+            scalar = quantile(p, 0.9)
+        np.testing.assert_array_equal(q == np.inf, [False, False, True])
+        assert np.all(q[:2] > 1e36) and scalar == np.inf
+
 
 class TestSample:
     def test_empty(self):
@@ -204,6 +218,11 @@ class TestSample:
         p = KumIwParams(2, 1.5, 2)
         draws = sample(p, 100_000, 99)
         assert np.mean(draws) == pytest.approx(moment(p, 1), rel=0.02)
+
+    def test_draw_beyond_float_range_is_a_numeric_error(self):
+        # seed 1 draws 3 of 5 variates past the float range at b = 0.001
+        with pytest.raises(NumericError, match="3 of 5 draws"):
+            sample(KumIwParams(0.001, 1.0, 1.0), 5, 1)
 
 
 class TestSubModels:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from kumiw import (
@@ -19,6 +21,7 @@ from kumiw import (
 from kumiw.mle import FitResult, _Loglik
 from kumiw.survdata import CensoredDataset, censoring_upper_bound, simulate_censored
 from oracles import (
+    TwoGroupLoglik,
     central_gradient,
     finite_difference_hessian,
     fisher_information_uniform_censoring,
@@ -177,6 +180,74 @@ class TestLikelihoodDerivatives:
             info = observed_information(KumIwParams(*theta), d)
             oracle = -finite_difference_hessian(lambda th: ll(*th), np.array(theta))
             assert np.max(self.scaled_error(info, oracle)) <= 1e-5, theta
+
+
+LOG_UNIFORM = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
+# the row layouts the one-pass core must handle: one group empty, one row,
+# and both groups present
+CORE_DATA = {
+    "all-event": simulate_censored(TRUTH, 40, 0.0, 51),
+    "all-censored": CensoredDataset.from_arrays([0.5, 1.0, 2.0, 4.0], [0, 0, 0, 0]),
+    "n=1": CensoredDataset.from_arrays([1.7], [1]),
+    "20%-censored": simulate_censored(TRUTH, 60, 0.2, 53),
+}
+
+
+class TestOnePassCore:
+    @pytest.mark.parametrize("name", list(CORE_DATA))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        b=LOG_UNIFORM, c=LOG_UNIFORM, beta=LOG_UNIFORM,
+        unit_b=st.sampled_from([True, False, False, False, False]),
+    )
+    def test_bit_identical_to_two_group_core(self, name, b, c, beta, unit_b):
+        # b = 1 takes the branch that drops the event rows' L term
+        if unit_b:
+            b = 1.0
+        d = CORE_DATA[name]
+        ll, oracle = _Loglik(d), TwoGroupLoglik(d)
+        assert ll.sum_log_tf == oracle.sum_log_tf
+        assert np.array_equal(ll.terms(c, beta), oracle.terms(c, beta), equal_nan=True)
+        value, score, hess = ll.value_score_hessian(b, c, beta)
+        o_value, o_score, o_hess = oracle.value_score_hessian(b, c, beta)
+        assert value == o_value == ll(b, c, beta)
+        assert np.array_equal(score, o_score, equal_nan=True)
+        assert np.array_equal(hess, o_hess, equal_nan=True)
+
+
+class TestFitReusesTheCore:
+    DATA = simulate_censored(TRUTH, 500, 0.2, 61)
+    # exactly 3 events below 2 censorings: the fit stops unconverged
+    UNBOUNDED = CensoredDataset.from_arrays([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 0, 0])
+
+    def test_no_value_only_calls(self, monkeypatch):
+        calls = []
+        original = _Loglik.__call__
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(_Loglik, "__call__", counted)
+        assert fit_mle(self.DATA).converged
+        assert calls == []
+
+    def test_one_loglik_per_fit(self, monkeypatch):
+        built = []
+        original = _Loglik.__init__
+
+        def counted(self, d):
+            built.append(d)
+            original(self, d)
+
+        monkeypatch.setattr(_Loglik, "__init__", counted)
+        fit_mle(self.DATA)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("d", [DATA, UNBOUNDED], ids=["converged", "unconverged"])
+    def test_observed_info_is_the_accepted_points(self, d):
+        fit = fit_mle(d)
+        np.testing.assert_array_equal(fit.observed_info, observed_information(fit.params, d))
 
 
 class TestObservedInformation:
