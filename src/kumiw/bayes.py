@@ -1,8 +1,8 @@
 """Bayesian inference with independent Gamma priors.
 
-Log-posterior, the three full conditionals, a Metropolis-within-Gibbs
-sampler (Gaussian random walk on log-parameters with Jacobian-corrected
-acceptance), and posterior summaries.
+Log-posterior, the three full conditionals, a partially collapsed
+Metropolis sampler (a joint Gaussian random walk on (log c, log beta) with
+b drawn from its exact Gamma conditional), and posterior summaries.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class PriorSpec:
 
     def __post_init__(self) -> None:
         for name in ("b_shape", "b_rate", "c_shape", "c_rate", "beta_shape", "beta_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
     @property
     def shapes(self) -> np.ndarray:
@@ -168,7 +168,14 @@ def full_conditional_log(
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampler settings; defaults sized so desk-scale studies run in minutes."""
+    """Sampler settings; defaults sized so desk-scale studies run in minutes.
+
+    ``proposal_scales`` holds three entries in (b, c, beta) order for
+    compatibility.  b is drawn from its exact conditional, so the b entry
+    is unused (it must still be finite and positive); the c and beta
+    entries are the standard deviations on the log scale of the initial
+    diagonal proposal covariance of the joint (log c, log beta) move.
+    """
 
     n_iter: int = 25_000
     burn_in: int = 5_000
@@ -184,19 +191,30 @@ class McmcConfig:
             raise ValueError(f"burn_in must satisfy 0 <= burn_in < n_iter, got {self.burn_in}")
         if self.thin < 1:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
-        if len(self.proposal_scales) != 3 or any(s <= 0 for s in self.proposal_scales):
-            raise ValueError("proposal_scales must be 3 positive reals")
+        if len(self.proposal_scales) != 3 or not all(
+            0 < s < math.inf for s in self.proposal_scales
+        ):
+            raise ValueError(
+                f"proposal_scales must be 3 finite positive reals, got {self.proposal_scales}"
+            )
 
 
 @dataclass
 class McmcChain:
-    """Post-burn-in, thinned draws with acceptance and trace diagnostics."""
+    """Post-burn-in, thinned draws with acceptance and trace diagnostics.
+
+    Every iteration makes one joint move of (b, c, beta), so
+    ``acceptance_rates`` repeats its post-burn-in acceptance rate three
+    times.  ``proposal_scales`` holds the standard deviations of the
+    (log c, log beta) proposal in force after burn-in, behind a nan for
+    b, which has no proposal scale.
+    """
 
     draws: np.ndarray            # (m, 3) rows of (b, c, beta)
     log_post_trace: np.ndarray   # (m,)
     iterations: np.ndarray       # (m,) original iteration index of each draw
-    acceptance_rates: np.ndarray  # (3,) post-burn-in per-coordinate rates
-    proposal_scales: np.ndarray   # (3,) scales in force after burn-in
+    acceptance_rates: np.ndarray  # (3,) post-burn-in rate of the joint move, repeated
+    proposal_scales: np.ndarray   # (3,) nan, then the adapted log c and log beta sds
     warnings: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -229,6 +247,43 @@ def rw_accept_probability(
 
 
 _ADAPT_WINDOW = 200
+#: Haario-Saksman-Tamminen scale for a 2-D random walk: 2.38^2 / d.
+_ADAPT_SCALE = 2.38**2 / 2
+
+
+def _collapsed(prior: PriorSpec, ll: _Loglik, weight: float, c: float, beta: float, terms):
+    """The sampler's log-target at (c, beta) with b integrated out, and the
+    Gamma(shape, rate) law of b given (c, beta).
+
+    Given (c, beta), b enters the weighted likelihood and its prior only
+    as b^(a_b + w r - 1) exp(-b (rate_b - w (S_f + S_c))), so b | c, beta
+    is Gamma(a_b + w r, rate_b - w (S_f + S_c)) and the marginal of
+    (c, beta) is, up to a constant, the c and beta priors plus
+    w [r (log beta + beta log c) - sum x_f - (beta + 1) sum log t_f - S_f]
+    plus lgamma(shape) - shape log(rate).  ``terms`` are
+    ``ll.terms(c, beta)``, unused (and may be None) when ``weight`` is 0.
+    Returns (log target, shape, rate); the log target is -inf where the
+    rate is not finite and positive.
+    """
+    shape, rate = prior.b_shape, prior.b_rate
+    # the b prior at b = 1 is the constant -b_rate
+    value = prior.log_density((1.0, c, beta))
+    if value == -math.inf:
+        return value, shape, rate
+    if weight != 0.0:
+        sum_x_f, s_f, s_c = terms
+        shape += weight * ll.r
+        rate -= weight * (s_f + s_c)
+        if not 0.0 < rate < math.inf:
+            return -math.inf, shape, rate
+        value += weight * (
+            ll.r * (math.log(beta) + beta * math.log(c))
+            - sum_x_f
+            - (beta + 1.0) * ll.sum_log_tf
+            - s_f
+        )
+    value += math.lgamma(shape) - shape * math.log(rate)
+    return (value if math.isfinite(value) else -math.inf), shape, rate
 
 
 def run_mcmc(
@@ -238,88 +293,99 @@ def run_mcmc(
     likelihood_weight: float = 1.0,
     init: KumIwParams | None = None,
 ) -> McmcChain:
-    """Metropolis-within-Gibbs sampling of (b, c, beta).
+    """Partially collapsed Metropolis sampling of (b, c, beta).
 
-    Each iteration updates b, then c, then beta by a Gaussian random walk
-    on the log scale, accepted against the joint log-posterior (which
-    matches the full conditionals up to coordinate-free constants).
-    Proposal scales optionally adapt during burn-in toward acceptance
-    rates in [0.2, 0.5] and are frozen afterward.  Deterministic for a
-    fixed seed.
+    Each iteration makes one joint move.  (log c, log beta) take a 2-D
+    Gaussian random-walk step, b' is drawn from its exact Gamma
+    conditional given (c', beta'), and the triple is accepted or rejected
+    together with the (c, beta) marginal ratio and the log-Jacobian.  The
+    conditional density of b' cancels from the Metropolis-Hastings ratio,
+    so the move leaves the posterior invariant (van Dyk & Park 2008).
+    A b' that underflows to 0 rejects the move.
 
-    The chain keeps the likelihood terms ``_Loglik.terms(c, beta)`` of its
-    current state.  A b proposal reuses them, since b enters the
-    likelihood only through scalars, so it does no O(n) work; a c or beta
-    proposal computes them once and they become the current terms if it is
-    accepted.  A run therefore makes 1 + 2 n_iter passes over the data
-    (none with ``likelihood_weight`` 0, and none for a proposal whose prior
-    is -inf).
+    The proposal covariance starts diagonal with the c and beta entries of
+    ``cfg.proposal_scales`` as standard deviations (the b entry is
+    unused).  With ``cfg.adapt``, at the end of each 200-iteration
+    burn-in window it becomes 2.38^2 / 2 times the sample covariance of
+    (log c, log beta) over the window (Haario, Saksman & Tamminen 2001);
+    when the window has fewer than 2 acceptances or a singular covariance,
+    the standard deviations shrink by 0.7 instead.  They are kept in
+    [1e-3, 25], and the covariance is frozen after burn-in.
+    Deterministic for a fixed seed.
+
+    A proposal makes one pass over the data, ``_Loglik.terms(c', beta')``,
+    and everything else is scalar arithmetic on those sums: a run makes
+    1 + n_iter passes (none with ``likelihood_weight`` 0).  Stored
+    ``log_post_trace`` values are the full log-posterior of each draw.
     """
     ll = _Loglik(d)
+    weight = likelihood_weight
 
-    def log_target(b: float, c: float, beta: float, terms):
-        """Log-posterior at (b, c, beta) and the terms it used; ``terms``
-        of None are computed here."""
+    def propose(c: float, beta: float):
+        terms = ll.terms(c, beta) if weight != 0.0 and c > 0.0 else None
+        return _collapsed(prior, ll, weight, c, beta, terms), terms
+
+    def log_post(b: float, c: float, beta: float, terms) -> float:
         lp = prior.log_density((b, c, beta))
-        if likelihood_weight == 0.0 or lp == -math.inf:
-            return lp, terms
-        if terms is None:
-            terms = ll.terms(c, beta)
-        lp += likelihood_weight * ll.combine(b, c, beta, terms)
-        return (lp if math.isfinite(lp) else -math.inf), terms
+        if weight == 0.0 or lp == -math.inf:
+            return lp
+        lp += weight * ll.combine(b, c, beta, terms)
+        return lp if math.isfinite(lp) else -math.inf
 
     if init is not None:
         theta = init.as_array()
     else:
         theta = np.array([1.0, float(np.exp(np.mean(np.log(d.times)))), 1.0])
-    phi = np.log(theta)
-    lp_cur, terms = log_target(*theta.tolist(), None)
+    b, c, beta = theta.tolist()
+    u_c, u_beta = math.log(c), math.log(beta)
+    (lt_cur, _, _), terms = propose(c, beta)
+    lp_cur = log_post(b, c, beta, terms)
 
     rng = np.random.default_rng(cfg.seed)
-    scales = np.array(cfg.proposal_scales, dtype=float)
+    # lower Cholesky factor [[l00, 0], [l10, l11]] of the proposal covariance
+    chol = np.diag(np.array(cfg.proposal_scales[1:], dtype=float))
+    (l00, _), (l10, l11) = chol.tolist()
     keep = range(cfg.burn_in, cfg.n_iter, cfg.thin)
     n_keep = len(keep)
     draws = np.empty((n_keep, 3))
     trace = np.empty(n_keep)
     kept_iters = np.fromiter(keep, dtype=int)
-    accepted_post = np.zeros(3, dtype=int)
-    window_accepted = np.zeros(3, dtype=int)
+    accepted_post = 0
+    window_accepted = 0
+    window = np.empty((_ADAPT_WINDOW, 2))
     warn_list: list[str] = []
     stored = 0
 
     for i in range(cfg.n_iter):
-        for j in range(3):
-            step = scales[j] * rng.standard_normal()
-            phi_prop = phi.copy()
-            phi_prop[j] += step
-            theta_prop = np.exp(phi_prop)
-            lp_prop, terms_prop = log_target(*theta_prop.tolist(), None if j else terms)
-            accept_p = rw_accept_probability(lp_cur, lp_prop, phi[j], phi_prop[j])
-            if rng.random() < accept_p:
-                phi = phi_prop
-                theta = theta_prop
-                lp_cur = lp_prop
-                terms = terms_prop
+        z0, z1 = rng.standard_normal(2).tolist()
+        u_c_prop = u_c + l00 * z0
+        u_beta_prop = u_beta + l10 * z0 + l11 * z1
+        c_prop, beta_prop = _exp(u_c_prop), _exp(u_beta_prop)
+        (lt_prop, shape, rate), terms_prop = propose(c_prop, beta_prop)
+        accept_p = rw_accept_probability(lt_cur, lt_prop, u_c + u_beta, u_c_prop + u_beta_prop)
+        if rng.random() < accept_p:
+            b_prop = float(rng.gamma(shape, 1.0 / rate))
+            if b_prop > 0.0:
+                b, c, beta, u_c, u_beta = b_prop, c_prop, beta_prop, u_c_prop, u_beta_prop
+                lt_cur, terms = lt_prop, terms_prop
+                lp_cur = log_post(b, c, beta, terms)
                 if i >= cfg.burn_in:
-                    accepted_post[j] += 1
+                    accepted_post += 1
                 else:
-                    window_accepted[j] += 1
-        if cfg.adapt and i < cfg.burn_in and (i + 1) % _ADAPT_WINDOW == 0:
-            rates = window_accepted / _ADAPT_WINDOW
-            for j in range(3):
-                if window_accepted[j] == 0:
+                    window_accepted += 1
+        if cfg.adapt and i < cfg.burn_in:
+            window[i % _ADAPT_WINDOW] = (u_c, u_beta)
+            if (i + 1) % _ADAPT_WINDOW == 0:
+                if window_accepted == 0:
                     warn_list.append(
-                        f"{_PARAM_NAMES[j]}: no acceptances in adaptation window "
+                        f"(b, c, beta): no acceptances in adaptation window "
                         f"ending at iteration {i + 1}"
                     )
-                if rates[j] < 0.2:
-                    scales[j] *= 0.7
-                elif rates[j] > 0.5:
-                    scales[j] *= 1.4
-                scales[j] = min(max(scales[j], 1e-3), 25.0)
-            window_accepted[:] = 0
+                chol = _adapted_cholesky(chol, window, window_accepted)
+                (l00, _), (l10, l11) = chol.tolist()
+                window_accepted = 0
         if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == 0:
-            draws[stored] = theta
+            draws[stored] = (b, c, beta)
             trace[stored] = lp_cur
             stored += 1
 
@@ -328,10 +394,36 @@ def run_mcmc(
         draws=draws,
         log_post_trace=trace,
         iterations=kept_iters,
-        acceptance_rates=accepted_post / n_post,
-        proposal_scales=scales,
+        acceptance_rates=np.full(3, accepted_post / n_post),
+        proposal_scales=np.array([math.nan, l00, math.hypot(l10, l11)]),
         warnings=warn_list,
     )
+
+
+def _exp(u: float) -> float:
+    """e^u as a float, inf beyond the float range (where math.exp raises)."""
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
+
+
+def _adapted_cholesky(chol: np.ndarray, window: np.ndarray, accepted: int) -> np.ndarray:
+    """Cholesky factor of the next proposal covariance: 2.38^2 / 2 times
+    the window's sample covariance, or 0.7 times the current factor when
+    fewer than 2 moves were accepted or the covariance is singular; its
+    standard deviations are clipped to [1e-3, 25]."""
+    cov = chol @ chol.T * 0.49
+    if accepted >= 2:
+        sample = _ADAPT_SCALE * np.cov(window, rowvar=False)
+        try:
+            np.linalg.cholesky(sample)
+            cov = sample
+        except np.linalg.LinAlgError:
+            pass
+    sd = np.sqrt(np.diag(cov))
+    ratio = np.clip(sd, 1e-3, 25.0) / sd
+    return np.linalg.cholesky(cov * np.outer(ratio, ratio))
 
 
 def summarize(chain: McmcChain) -> list[dict]:

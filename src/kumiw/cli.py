@@ -407,7 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(handler=cmd_fit_mle)
 
-    sp = sub.add_parser("fit-bayes", help="Metropolis-within-Gibbs posterior sampling")
+    sp = sub.add_parser(
+        "fit-bayes",
+        help="posterior sampling: joint (log c, log beta) random walk, exact Gamma draw of b",
+    )
     add_common(sp)
     add_data(sp)
     for pname in ("b", "c", "beta"):
@@ -421,10 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--thin", type=int, help="thinning stride (default 5)")
     sp.add_argument(
         "--scales", nargs=3, type=float, metavar=("SB", "SC", "SBETA"),
-        help="random-walk proposal scales on the log scale (default 0.5 0.5 0.5)",
+        help="initial proposal standard deviations of log c and log beta (SC, SBETA; "
+        "SB is unused, as b is drawn exactly); all finite and > 0 (default 0.5 0.5 0.5)",
     )
     sp.add_argument("--no-adapt", dest="no_adapt", action="store_const", const=True,
-                    help="disable proposal-scale adaptation during burn-in")
+                    help="disable proposal-covariance adaptation during burn-in")
     sp.add_argument("--format", choices=("json", "csv"), help="summary format (default csv)")
     sp.set_defaults(handler=cmd_fit_bayes)
 

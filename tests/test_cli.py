@@ -246,6 +246,22 @@ class TestFitBayes:
             assert float(row["Median"]) == pytest.approx(np.median(draws), rel=1e-12)
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--scales", "nan", "0.5", "0.5"],
+        ["--scales", "0.5", "inf", "0.5"],
+        ["--prior-b", "1", "inf"],
+        ["--prior-beta", "nan", "1"],
+    ])
+    def test_non_finite_settings_exit_2(self, tmp_path, flags, capsys):
+        path = make_sample(tmp_path, n=50, seed=31)
+        out = tmp_path / "out"
+        argv = ["fit-bayes", "--data", str(path), "--iterations", "50", "--burn-in", "10",
+                "--out-dir", str(out)] + flags
+        assert main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "chain.csv").exists()
+
+
 class TestKmCompare:
     def test_km_output(self, tmp_path):
         path = make_sample(tmp_path, n=100, seed=41)
