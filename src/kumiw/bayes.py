@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+# log1m_exp is unused here (the sums come from _Loglik.terms); perfbench/tracing.py wraps it
 from .distribution import KumIwParams, log1m_exp
 from .survdata import CensoredDataset
 from .mle import _Loglik
@@ -86,6 +87,16 @@ class PriorSpec:
         return value if math.isfinite(value) else -math.inf
 
 
+def _log_post(prior: PriorSpec, ll: _Loglik, weight: float, b: float, c: float, beta: float, terms):
+    """Log-posterior at (b, c, beta) from ``terms = ll.terms(c, beta)``,
+    which is unused (and may be None) when ``weight`` is 0."""
+    lp = prior.log_density((b, c, beta))
+    if weight == 0.0 or lp == -math.inf:
+        return lp
+    lp += weight * ll.combine(b, c, beta, terms)
+    return lp if math.isfinite(lp) else -math.inf
+
+
 def log_posterior(
     p: KumIwParams,
     d: CensoredDataset,
@@ -98,12 +109,9 @@ def log_posterior(
     ``likelihood_weight`` is a test hook: 0 switches the likelihood off,
     leaving the prior as the target.
     """
-    theta = p.as_array()
-    lp = prior.log_density(theta)
-    if likelihood_weight != 0.0:
-        ll = _Loglik(d)(p.b, p.c, p.beta)
-        lp = lp + likelihood_weight * ll
-    return lp if math.isfinite(lp) else -math.inf
+    ll = _Loglik(d)
+    terms = ll.terms(p.c, p.beta) if likelihood_weight != 0.0 else None
+    return _log_post(prior, ll, likelihood_weight, p.b, p.c, p.beta, terms)
 
 
 def full_conditional_log(
@@ -119,7 +127,8 @@ def full_conditional_log(
     remaining parameters in canonical (b, c, beta) order.  Each
     conditional is transcribed from the joint-posterior algebra keeping
     every term that varies with the coordinate, so it differs from
-    ``log_posterior`` only by a coordinate-free constant.
+    ``log_posterior`` only by a coordinate-free constant.  The data enter
+    through ``_Loglik.terms`` and the event log-time sum alone.
     """
     if which == 0:
         b, (c, beta) = value, others
@@ -131,38 +140,25 @@ def full_conditional_log(
         raise ValueError(f"parameter index must be 0, 1 or 2, got {which}")
     if not (b > 0 and c > 0 and beta > 0):
         return -math.inf
-
-    times = d.times
-    events = d.event_mask
-    tf = times[events]
-    tc = times[~events]
-    r = len(tf)
-    log_c = math.log(c)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x_f = np.exp(beta * (log_c - np.log(tf)))
-        x_c = np.exp(beta * (log_c - np.log(tc)))
-        sum_lf = float(np.sum(log1m_exp(x_f))) if r else 0.0
-        sum_lc = float(np.sum(log1m_exp(x_c))) if len(tc) else 0.0
-        bracket = (b - 1.0) * sum_lf + b * sum_lc
-
-        if which == 0:
-            out = (prior.b_shape + r - 1.0) * math.log(b) - prior.b_rate * b + bracket
-        elif which == 1:
-            out = (
-                (prior.c_shape + r * beta - 1.0) * log_c
-                - prior.c_rate * c
-                - float(x_f.sum())
-                + bracket
-            )
-        else:
-            out = (
-                (prior.beta_shape + r - 1.0) * math.log(beta)
-                + r * beta * log_c
-                - prior.beta_rate * beta
-                - float(x_f.sum())
-                - (beta + 1.0) * float(np.sum(np.log(tf)))
-                + bracket
-            )
+    # Python floats: 0 * (-inf) below gives nan without a numpy warning
+    b, c, beta = float(b), float(c), float(beta)
+    ll = _Loglik(d)
+    sum_x_f, s_f, s_c = ll.terms(c, beta)
+    r, log_c = ll.r, math.log(c)
+    bracket = (b - 1.0) * s_f + b * s_c
+    if which == 0:
+        out = (prior.b_shape + r - 1.0) * math.log(b) - prior.b_rate * b + bracket
+    elif which == 1:
+        out = (prior.c_shape + r * beta - 1.0) * log_c - prior.c_rate * c - sum_x_f + bracket
+    else:
+        out = (
+            (prior.beta_shape + r - 1.0) * math.log(beta)
+            + r * beta * log_c
+            - prior.beta_rate * beta
+            - sum_x_f
+            - (beta + 1.0) * ll.sum_log_tf
+            + bracket
+        )
     return out if math.isfinite(out) else -math.inf
 
 
@@ -325,13 +321,6 @@ def run_mcmc(
         terms = ll.terms(c, beta) if weight != 0.0 and c > 0.0 else None
         return _collapsed(prior, ll, weight, c, beta, terms), terms
 
-    def log_post(b: float, c: float, beta: float, terms) -> float:
-        lp = prior.log_density((b, c, beta))
-        if weight == 0.0 or lp == -math.inf:
-            return lp
-        lp += weight * ll.combine(b, c, beta, terms)
-        return lp if math.isfinite(lp) else -math.inf
-
     if init is not None:
         theta = init.as_array()
     else:
@@ -339,7 +328,7 @@ def run_mcmc(
     b, c, beta = theta.tolist()
     u_c, u_beta = math.log(c), math.log(beta)
     (lt_cur, _, _), terms = propose(c, beta)
-    lp_cur = log_post(b, c, beta, terms)
+    lp_cur = _log_post(prior, ll, weight, b, c, beta, terms)
 
     rng = np.random.default_rng(cfg.seed)
     # lower Cholesky factor [[l00, 0], [l10, l11]] of the proposal covariance
@@ -368,7 +357,7 @@ def run_mcmc(
             if b_prop > 0.0:
                 b, c, beta, u_c, u_beta = b_prop, c_prop, beta_prop, u_c_prop, u_beta_prop
                 lt_cur, terms = lt_prop, terms_prop
-                lp_cur = log_post(b, c, beta, terms)
+                lp_cur = _log_post(prior, ll, weight, b, c, beta, terms)
                 if i >= cfg.burn_in:
                     accepted_post += 1
                 else:

@@ -194,6 +194,9 @@ def _fit_report_dict(fit: mle.FitResult, data: survdata.CensoredDataset, lr_resu
 
 
 def cmd_fit_mle(args, config: dict) -> int:
+    replicates = int(_resolve(args, config, "replicates", None) or 0)
+    if replicates < 0:
+        raise ValueError(f"replicates must be >= 0, got {replicates}")
     data = _load_dataset(args, config)
     ci_level = float(_resolve(args, config, "ci_level", 0.95))
     fit = mle.fit_mle(data, ci_level=ci_level)
@@ -224,9 +227,7 @@ def cmd_fit_mle(args, config: dict) -> int:
         )
     print(f"wrote {out}")
 
-    replicates = _resolve(args, config, "replicates", None)
     if replicates:
-        replicates = int(replicates)
         seed = _resolve_seed(args, config)
         censor_frac = 1.0 - data.n_events / len(data)
         # the fitted law and the rate are the same for every replicate
@@ -238,8 +239,6 @@ def cmd_fit_mle(args, config: dict) -> int:
             sim = survdata.simulate_censored(
                 fit.params, len(data), censor_frac, rep_rng_seed, name=f"replicate-{idx}",
                 upper_bound=bound,
-            ) if censor_frac > 0 else survdata.CensoredDataset.from_arrays(
-                sample(fit.params, len(data), rep_rng_seed), np.ones(len(data), dtype=bool)
             )
             rep_fit = mle.fit_mle(sim)
             rep_rows.append(
@@ -325,13 +324,23 @@ def cmd_km(args, config: dict) -> int:
     return 0
 
 
+def _params_from_report(path: str) -> KumIwParams:
+    """The estimates of a ``fit-mle`` JSON report; a report that cannot be
+    read or lacks valid estimates is a DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            est = json.load(handle)["estimates"]
+        return KumIwParams(b=est["b"], c=est["c"], beta=est["beta"])
+    except KeyError as exc:
+        raise DataError(f"fit report {path} has no {exc} entry") from None
+    except (OSError, ValueError, TypeError) as exc:
+        raise DataError(f"cannot read fit report {path}: {exc}") from None
+
+
 def cmd_compare(args, config: dict) -> int:
     data = _load_dataset(args, config)
     if getattr(args, "fit_report", None):
-        with open(args.fit_report, encoding="utf-8") as handle:
-            report = json.load(handle)
-        est = report["estimates"]
-        p = KumIwParams(b=est["b"], c=est["c"], beta=est["beta"])
+        p = _params_from_report(args.fit_report)
     else:
         p = _params_from(args, config)
     out_dir = _out_dir(args, config)
@@ -461,7 +470,9 @@ def main(argv=None) -> int:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 config = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(config, dict):
+                raise ValueError("config must be a JSON object")
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 2
     try:

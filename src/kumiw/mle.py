@@ -208,7 +208,9 @@ def _default_init(d: CensoredDataset) -> np.ndarray:
     return np.array([1.0, c0, beta0])
 
 
-def _maximize(ll: _Loglik, theta0: np.ndarray, free: np.ndarray):
+def _maximize(
+    d: CensoredDataset, theta0: np.ndarray, free: np.ndarray, ci_level: float = math.nan
+) -> FitResult:
     """Maximize the log-likelihood over the log-parameters of the free coordinates.
 
     scipy's trust-exact on the exact score and Hessian, then up to three
@@ -216,10 +218,12 @@ def _maximize(ll: _Loglik, theta0: np.ndarray, free: np.ndarray):
     trust-exact compares values, which stop resolving near the optimum
     (at ~ulp(|l|)) while the score still can.  A trial point with a
     non-finite value, score or Hessian is a rejected step; a start there
-    stops the fit at once.  Returns (theta, loglik, score, hessian,
-    iterations, grad_sup_norm, converged, message), with the log-scale score
-    and Hessian of the free coordinates at theta.
+    stops the fit at once.  Pinned coordinates keep their ``theta0``
+    values.  When every coordinate is free, the result also carries the
+    observed information, and the covariance and ``ci_level`` Wald
+    intervals of a converged fit; otherwise these are None.
     """
+    ll = _Loglik(d)
     free_idx = np.flatnonzero(free)
     block = np.ix_(free_idx, free_idx)
     last = {}
@@ -267,7 +271,29 @@ def _maximize(ll: _Loglik, theta0: np.ndarray, free: np.ndarray):
         message = "non-finite log-likelihood, score or Hessian at the start"
     elif not converged:
         message = f"score sup-norm {grad_norm:.3e} above {_GRAD_TOL}"
-    return theta, value, score, hess, iterations, grad_norm, converged, message
+    info = cov = ci = None
+    if free.all():
+        # the accepted point's own score and Hessian, not a second evaluation
+        info = _information(theta, score, hess)
+        # the inverse information is a sampling covariance only at a maximum
+        cov = _covariance_from_info(info) if converged else None
+        ci = _wald_from_cov(theta, cov, ci_level) if cov is not None else None
+        if not converged:
+            message += "; covariance withheld: the fit did not converge"
+        elif cov is None:
+            message = (message + "; " if message else "") + "covariance unavailable"
+    return FitResult(
+        params=KumIwParams(*theta),
+        loglik=value,
+        observed_info=info,
+        covariance=cov,
+        ci=ci,
+        ci_level=ci_level,
+        converged=converged,
+        iterations=iterations,
+        grad_norm=grad_norm,
+        message=message,
+    )
 
 
 def _information(theta: np.ndarray, score: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -324,33 +350,8 @@ def fit_mle(
     """
     if d.n_events < 3:
         raise DataError(f"fit_mle requires at least 3 events, got {d.n_events}")
-    ll = _Loglik(d)
     theta0 = init.as_array() if init is not None else _default_init(d)
-    theta, loglik, score, hess, iters, grad_norm, converged, message = _maximize(
-        ll, theta0, np.array([True, True, True])
-    )
-    params = KumIwParams(*theta)
-    # the accepted point's own score and Hessian, not a second evaluation
-    info = _information(theta, score, hess)
-    # the inverse information is a sampling covariance only at a maximum
-    cov = _covariance_from_info(info) if converged else None
-    ci = _wald_from_cov(theta, cov, ci_level) if cov is not None else None
-    if not converged:
-        message += "; covariance withheld: the fit did not converge"
-    elif cov is None:
-        message = (message + "; " if message else "") + "covariance unavailable"
-    return FitResult(
-        params=params,
-        loglik=loglik,
-        observed_info=info,
-        covariance=cov,
-        ci=ci,
-        ci_level=ci_level,
-        converged=converged,
-        iterations=iters,
-        grad_norm=grad_norm,
-        message=message,
-    )
+    return _maximize(d, theta0, np.ones(3, dtype=bool), ci_level)
 
 
 def wald_ci(fit: FitResult, level: float) -> dict:
@@ -367,25 +368,11 @@ def wald_ci(fit: FitResult, level: float) -> dict:
 
 
 def _fit_pinned(d: CensoredDataset, pins: dict) -> FitResult:
-    ll = _Loglik(d)
     theta0 = _default_init(d)
-    free = np.array([name not in pins for name in _PARAM_NAMES])
     for i, name in enumerate(_PARAM_NAMES):
         if name in pins:
             theta0[i] = pins[name]
-    theta, loglik, _, _, iters, grad_norm, converged, message = _maximize(ll, theta0, free)
-    return FitResult(
-        params=KumIwParams(*theta),
-        loglik=loglik,
-        observed_info=None,
-        covariance=None,
-        ci=None,
-        ci_level=math.nan,
-        converged=converged,
-        iterations=iters,
-        grad_norm=grad_norm,
-        message=message,
-    )
+    return _maximize(d, theta0, np.array([name not in pins for name in _PARAM_NAMES]))
 
 
 def lr_test(d: CensoredDataset, null: SubModel, full_fit: FitResult | None = None) -> LrTestResult:

@@ -211,6 +211,22 @@ class TestFitMle:
         assert main(argv) == 0
         assert len(calls) == 1
 
+    def test_negative_replicates_exit_2_before_fitting(self, tmp_path, monkeypatch, capsys):
+        path = make_sample(tmp_path, n=100)
+        monkeypatch.setattr(mle, "fit_mle", lambda *a, **kw: pytest.fail("fit before the check"))
+        out = tmp_path / "fit"
+        argv = ["fit-mle", "--data", str(path), "--replicates", "-3", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "replicates must be >= 0" in capsys.readouterr().err
+        assert not (out / "replicates.csv").exists()
+
+    def test_zero_replicates_write_no_file(self, tmp_path):
+        path = make_sample(tmp_path, n=100)
+        argv = ["fit-mle", "--data", str(path), "--replicates", "0", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert (tmp_path / "fit_mle.json").exists()
+        assert not (tmp_path / "replicates.csv").exists()
+
 
 class TestFitBayes:
     def test_outputs_and_determinism(self, tmp_path):
@@ -313,6 +329,26 @@ class TestKmCompare:
         comp = read_table(tmp_path / "compare.csv")
         assert np.mean(np.abs(comp["km_survival"] - comp["model_survival"])) <= 0.1
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{}", '{"estimates": {"b": null, "c": 1.5, "beta": 3}}', "not json",
+         '{"estimates": {"b": 2, "c": 1.5}}', "[1, 2]", '{"estimates": {"b": -2, "c": 1.5, "beta": 3}}'],
+        ids=["missing", "empty-object", "null-estimate", "not-json", "missing-beta", "array",
+             "negative-estimate"],
+    )
+    def test_bad_fit_report_exit_3(self, tmp_path, content, capsys):
+        path = make_sample(tmp_path, n=50)
+        report = tmp_path / "report.json"
+        if content is not None:
+            report.write_text(content)
+        out = tmp_path / "cmp"
+        argv = ["compare", "--data", str(path), "--fit-report", str(report), "--out-dir", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(report) in err
+        assert err.count("\n") == 1
+        assert not (out / "compare.csv").exists()
+
 
 class TestCsvWriter:
     def test_matches_per_value_formatting(self, tmp_path):
@@ -380,6 +416,18 @@ class TestConfigAndSeeds:
                      "--out-dir", str(out)]) == 0
         expected = sample(KumIwParams(2, 1, 2), 10, DEFAULT_SEED)
         np.testing.assert_allclose(read_table(out / "sample.csv")["time"], expected, rtol=1e-15)
+
+    @pytest.mark.parametrize("content", ["3", "[1, 2]", '"b"', "null"])
+    def test_config_not_an_object_exit_2(self, tmp_path, content, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        out = tmp_path / "o"
+        argv = ["sample", "--config", str(cfg), "--b", "2", "--c", "1", "--beta", "2",
+                "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config {cfg}" in err and "config must be a JSON object" in err
+        assert not (out / "sample.csv").exists()
 
     def test_missing_subcommand_exit_2(self, capsys):
         assert main([]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -362,3 +363,18 @@ class TestLrTest:
             d = simulate_censored(KumIwParams(1.0, 1.5, 3.0), 150, 0.2, 5100 + seed)
             res = lr_test(d, SubModel.IW)
             assert res.statistic >= 0.0
+
+    def test_stale_full_fit_is_refit_from_the_restricted_solution(self):
+        d = simulate_censored(TRUTH, 300, 0.2, 4)
+        full = fit_mle(d)
+        honest = lr_test(d, SubModel.IW, full_fit=full)
+        # a full fit that the restricted fit beats sends lr_test down its refit branch
+        stale = dataclasses.replace(
+            full, params=KumIwParams(0.5, 3.0, 1.0), loglik=full.loglik - 1e3
+        )
+        res = lr_test(d, SubModel.IW, full_fit=stale)
+        assert res.full is not stale and res.full is not full
+        assert res.full.converged
+        assert abs(res.full.loglik - full.loglik) <= 1e-9
+        assert abs(res.statistic - honest.statistic) <= 1e-8
+        assert res.df == honest.df == 1
