@@ -84,6 +84,17 @@ def _resolve(args, config: dict, name: str, default):
     return default
 
 
+def _numbers(value, count: int, name: str) -> tuple:
+    """``value`` (a flag's list, or a config entry) as ``count`` floats;
+    any other shape is a ValueError that names the setting."""
+    try:
+        if not isinstance(value, str) and len(value) == count:
+            return tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a list of {count} numbers, got {value!r}")
+
+
 def _resolve_seed(args, config: dict) -> int:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
@@ -257,7 +268,7 @@ def cmd_fit_bayes(args, config: dict) -> int:
     for pname, flag in (("b", "prior_b"), ("c", "prior_c"), ("beta", "prior_beta")):
         pair = _resolve(args, config, flag, None)
         if pair is not None:
-            shape, rate = (float(pair[0]), float(pair[1]))
+            shape, rate = _numbers(pair, 2, flag)
             prior_kwargs[f"{pname}_shape"] = shape
             prior_kwargs[f"{pname}_rate"] = rate
     prior = bayes.PriorSpec(**prior_kwargs)
@@ -266,9 +277,7 @@ def cmd_fit_bayes(args, config: dict) -> int:
         burn_in=int(_resolve(args, config, "burn_in", 5_000)),
         thin=int(_resolve(args, config, "thin", 5)),
         seed=_resolve_seed(args, config),
-        proposal_scales=tuple(
-            float(s) for s in _resolve(args, config, "scales", (0.5, 0.5, 0.5))
-        ),
+        proposal_scales=_numbers(_resolve(args, config, "scales", (0.5, 0.5, 0.5)), 3, "scales"),
         adapt=not bool(_resolve(args, config, "no_adapt", False)),
     )
     chain = bayes.run_mcmc(data, prior, cfg)

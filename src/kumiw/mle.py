@@ -1,9 +1,9 @@
 """Censored maximum-likelihood estimation.
 
 Log-likelihood with right censoring and its exact score and Hessian in
-(log b, log c, log beta); trust-region maximization on them; observed
-information from the exact Hessian; Wald intervals on the log scale; and
-likelihood-ratio tests against the pinned sub-models.
+(log b, log c, log beta); line-search Newton maximization on them;
+observed information from the exact Hessian; Wald intervals on the log
+scale; and likelihood-ratio tests against the pinned sub-models.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import stats
 
 from .distribution import _SUBMODEL_PINNED, KumIwParams, SubModel, log1m_exp
 from .errors import DataError, NumericError
@@ -30,6 +30,9 @@ __all__ = [
 
 _PARAM_NAMES = ("b", "c", "beta")
 _GRAD_TOL = 1e-6
+_MAX_STEPS, _MAX_HALVINGS = 100, 40  # Newton steps per fit, halvings per step
+_VALUE_ULPS = 16  # a value within this many ulps of ``_Loglik.magnitude`` holds
+_EIG_FLOOR = 1e-8  # Hessian eigenvalues are clamped to <= -_EIG_FLOOR * max(1, max |eigenvalue|)
 
 
 class _Loglik:
@@ -93,6 +96,12 @@ class _Loglik:
         if not (b > 0 and c > 0 and beta > 0):
             return -math.inf
         return self.combine(b, c, beta, self.terms(c, beta))
+
+    def magnitude(self, b: float, c: float, beta: float) -> float:
+        """Size of the largest terms ``combine`` adds; the value's rounding
+        noise is a few ulps of it, however small the value itself."""
+        event_terms = self.r * (math.log(b) + math.log(beta) + beta * math.log(c))
+        return abs(event_terms) + (beta + 1.0) * abs(self.sum_log_tf)
 
     def value_score_hessian(self, b: float, c: float, beta: float):
         """Value at (b, c, beta) with the exact score and Hessian in
@@ -160,7 +169,7 @@ class FitResult:
     ``ci`` holds per-parameter (lower, upper) bounds built on the log
     scale (hence always positive); ``covariance`` is the inverse observed
     information, absent when the fit did not converge or the information
-    matrix is unusable.
+    matrix is unusable.  ``iterations`` counts the accepted Newton steps.
     """
 
     params: KumIwParams
@@ -213,58 +222,54 @@ def _maximize(
 ) -> FitResult:
     """Maximize the log-likelihood over the log-parameters of the free coordinates.
 
-    scipy's trust-exact on the exact score and Hessian, then up to three
-    Newton steps, each kept only while the score's sup-norm shrinks:
-    trust-exact compares values, which stop resolving near the optimum
-    (at ~ulp(|l|)) while the score still can.  A trial point with a
-    non-finite value, score or Hessian is a rejected step; a start there
-    stops the fit at once.  Pinned coordinates keep their ``theta0``
-    values.  When every coordinate is free, the result also carries the
-    observed information, and the covariance and ``ci_level`` Wald
-    intervals of a converged fit; otherwise these are None.
+    Newton steps on the exact score and Hessian with its eigenvalues clamped
+    negative, capped at 1 in sup-norm and halved until the value rises or,
+    as values stop resolving near the optimum, holds within its rounding
+    noise while the score's sup-norm shrinks.  At sup-norm <= ``_GRAD_TOL``
+    one more full step is kept only if it shrinks the score.  A non-finite
+    trial is a rejected step; a non-finite start stops the fit at once.
+    Pinned coordinates keep their ``theta0`` values.  When every coordinate
+    is free, the result also carries the observed information, and the
+    covariance and ``ci_level`` Wald intervals of a converged fit.
     """
     ll = _Loglik(d)
     free_idx = np.flatnonzero(free)
     block = np.ix_(free_idx, free_idx)
-    last = {}
 
     def evaluate(phi):
-        key = phi.tobytes()
-        if key not in last:
-            theta = theta0.copy()
-            theta[free_idx] = np.exp(phi)
-            value, score, hess = ll.value_score_hessian(*theta)
-            finite = math.isfinite(value) and np.all(np.isfinite(score)) and np.all(np.isfinite(hess))
-            last.clear()
-            last[key] = (value, score[free_idx], hess[block], finite)
-        return last[key]
+        theta = theta0.copy()
+        theta[free_idx] = np.exp(phi)
+        value, score, hess = ll.value_score_hessian(*theta)
+        score, hess = score[free_idx], hess[block]
+        finite = math.isfinite(value) and np.all(np.isfinite(score)) and np.all(np.isfinite(hess))
+        return phi, theta, value, score, hess, float(np.max(np.abs(score))) if finite else math.inf
 
-    def negative(phi):
-        value, score, hess, finite = evaluate(phi)
-        if not finite:
-            return math.inf, np.zeros_like(score), np.zeros_like(hess)
-        return -value, -score, -hess
-
-    res = optimize.minimize(
-        lambda phi: negative(phi)[:2], np.log(theta0[free_idx]), method="trust-exact",
-        jac=True, hess=lambda phi: negative(phi)[2],
-    )
-    phi, iterations = res.x, res.nit
-    value, score, hess, finite = evaluate(phi)
-    grad_norm = float(np.max(np.abs(score))) if finite else math.inf
-    for _ in range(3):
+    phi, theta, value, score, hess, grad_norm = evaluate(np.log(theta0[free_idx]))
+    finite = grad_norm < math.inf
+    iterations = 0
+    while finite and iterations < _MAX_STEPS:
+        polish = grad_norm <= _GRAD_TOL
         try:
-            cand = phi - np.linalg.solve(hess, score)
+            w, v = np.linalg.eigh(hess)
         except np.linalg.LinAlgError:
             break
-        cand_value, cand_score, cand_hess, cand_finite = evaluate(cand)
-        cand_norm = float(np.max(np.abs(cand_score)))
-        if not (cand_finite and cand_norm < grad_norm):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            floor = _EIG_FLOOR * max(1.0, float(np.max(np.abs(w))))
+            step = v @ ((v.T @ score) / -np.minimum(w, -floor))
+            step /= max(1.0, float(np.max(np.abs(step))))
+        noise = _VALUE_ULPS * math.ulp(ll.magnitude(*theta))
+        for _ in range(1 if polish else _MAX_HALVINGS):
+            trial = evaluate(phi + step)
+            rises, shrinks, holds = trial[2] > value, trial[5] < grad_norm, trial[2] >= value - noise
+            if shrinks if polish else trial[5] < math.inf and (rises or shrinks and holds):
+                break
+            step = step / 2.0
+        else:
             break
-        phi, value, score, hess, grad_norm = cand, cand_value, cand_score, cand_hess, cand_norm
+        phi, theta, value, score, hess, grad_norm = trial
         iterations += 1
-    theta = theta0.copy()
-    theta[free_idx] = np.exp(phi)
+        if polish:
+            break
     converged = grad_norm <= _GRAD_TOL
     message = ""
     if not finite:
@@ -283,15 +288,8 @@ def _maximize(
         elif cov is None:
             message = (message + "; " if message else "") + "covariance unavailable"
     return FitResult(
-        params=KumIwParams(*theta),
-        loglik=value,
-        observed_info=info,
-        covariance=cov,
-        ci=ci,
-        ci_level=ci_level,
-        converged=converged,
-        iterations=iterations,
-        grad_norm=grad_norm,
+        params=KumIwParams(*theta), loglik=value, observed_info=info, covariance=cov, ci=ci,
+        ci_level=ci_level, converged=converged, iterations=iterations, grad_norm=grad_norm,
         message=message,
     )
 
@@ -325,13 +323,11 @@ def _covariance_from_info(info: np.ndarray):
 
 def _wald_from_cov(theta: np.ndarray, cov: np.ndarray, level: float) -> dict:
     z = stats.norm.ppf(0.5 + level / 2.0)
-    out = {}
-    for i, name in enumerate(_PARAM_NAMES):
-        se_log = math.sqrt(cov[i, i]) / theta[i]
-        lo = theta[i] * math.exp(-z * se_log)
-        hi = theta[i] * math.exp(z * se_log)
-        out[name] = (lo, hi)
-    return out
+    se_log = np.sqrt(np.diag(cov)) / theta
+    return {
+        name: (theta[i] * math.exp(-z * se_log[i]), theta[i] * math.exp(z * se_log[i]))
+        for i, name in enumerate(_PARAM_NAMES)
+    }
 
 
 def fit_mle(
@@ -348,6 +344,8 @@ def fit_mle(
     its observed information but has no covariance or Wald intervals, and
     its message says so.  Requires at least three events.
     """
+    if not 0 < ci_level < 1:
+        raise ValueError(f"confidence level must be in (0, 1), got {ci_level}")
     if d.n_events < 3:
         raise DataError(f"fit_mle requires at least 3 events, got {d.n_events}")
     theta0 = init.as_array() if init is not None else _default_init(d)

@@ -211,6 +211,15 @@ class TestFitMle:
         assert main(argv) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("level", ["1.5", "nan", "-0.2"])
+    def test_ci_level_outside_0_1_exit_2(self, tmp_path, level, capsys):
+        path = make_sample(tmp_path, n=100)
+        out = tmp_path / "fit"
+        argv = ["fit-mle", "--data", str(path), f"--ci-level={level}", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "error: confidence level must be in (0, 1)" in capsys.readouterr().err
+        assert not (out / "fit_mle.json").exists()
+
     def test_negative_replicates_exit_2_before_fitting(self, tmp_path, monkeypatch, capsys):
         path = make_sample(tmp_path, n=100)
         monkeypatch.setattr(mle, "fit_mle", lambda *a, **kw: pytest.fail("fit before the check"))
@@ -275,6 +284,28 @@ class TestFitBayes:
                 "--out-dir", str(out)] + flags
         assert main(argv) == 2
         assert "finite" in capsys.readouterr().err
+        assert not (out / "chain.csv").exists()
+
+
+    @pytest.mark.parametrize("setting", [
+        {"prior_b": 3},
+        {"prior_b": [1]},
+        {"prior_c": [1, None]},
+        {"prior_beta": "12"},
+        {"scales": 0.5},
+        {"scales": [0.5, 0.5]},
+    ], ids=json.dumps)
+    def test_config_of_wrong_shape_exit_2(self, tmp_path, setting, capsys):
+        path = make_sample(tmp_path, n=50, seed=31)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        out = tmp_path / "out"
+        argv = ["fit-bayes", "--data", str(path), "--config", str(cfg), "--iterations", "50",
+                "--burn-in", "10", "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        name = next(iter(setting))
+        assert err.startswith(f"error: {name} must be a list of ") and err.count("\n") == 1
         assert not (out / "chain.csv").exists()
 
 

@@ -19,6 +19,7 @@ from kumiw import (
     survival,
     wald_ci,
 )
+from kumiw.distribution import _SUBMODEL_PINNED
 from kumiw.mle import FitResult, _Loglik
 from kumiw.survdata import CensoredDataset, censoring_upper_bound, simulate_censored
 from oracles import (
@@ -130,6 +131,21 @@ class TestFitMle:
         assert fit.covariance is None and fit.ci is None
         assert fit.observed_info is not None and fit.observed_info.shape == (3, 3)
         assert "did not converge" in fit.message
+
+    def test_heavy_ties_stop_unconverged(self):
+        # four tied events below one censoring: the likelihood grows without
+        # bound as beta does, and the Hessian reaches ~1e308 on the way; the
+        # fit must stop with a message, not an overflow RuntimeWarning
+        d = CensoredDataset.from_arrays([1.0, 1.0, 1.0, 1.0, 2.0], [1, 1, 1, 1, 0])
+        fit = fit_mle(d)
+        assert not fit.converged and fit.message
+        assert fit.covariance is None and fit.ci is None
+
+    @pytest.mark.parametrize("level", [1.5, math.nan, -0.2, 0.0, 1.0])
+    def test_invalid_ci_level_rejected(self, level):
+        d = simulate_censored(TRUTH, 100, 0.0, 29)
+        with pytest.raises(ValueError, match=r"confidence level must be in \(0, 1\)"):
+            fit_mle(d, ci_level=level)
 
     def test_ci_positive_bounds(self):
         d = simulate_censored(TRUTH, 500, 0.2, 13)
@@ -352,6 +368,31 @@ class TestLrTest:
         res = lr_test(d, SubModel.IW)
         assert res.statistic >= 0.0
         assert res.p_value > 0.01
+
+    @pytest.mark.parametrize("null", [m for m in _SUBMODEL_PINNED if m is not SubModel.KUM_IW], ids=str)
+    def test_every_null_pins_and_converges(self, null):
+        # each fit reaches points where values no longer resolve before its
+        # score is below the tolerance; the steps that only shrink the score
+        # finish it, on the 1-D (IE, IR) and the 2-D (IW, KUM-IR, KUM-IE) paths
+        d = simulate_censored(TRUTH, 500, 0.2, 8)
+        res = lr_test(d, null)
+        pins = _SUBMODEL_PINNED[null]
+        assert res.restricted.converged
+        assert {name: getattr(res.restricted.params, name) for name in pins} == pins
+        assert res.df == len(pins)
+        assert res.statistic >= 0.0
+
+    @pytest.mark.parametrize("seed, null", [(34, SubModel.IW), (36, SubModel.KUM_IR)])
+    def test_converges_where_the_loglik_is_near_zero(self, seed, null):
+        # scaling the times shifts each loglik by -r log(scale); here the
+        # restricted one lands near 0, whose ulps are far finer than the
+        # value's rounding noise, and the fit must still certify its score
+        d0 = simulate_censored(TRUTH, 500, 0.2, seed)
+        scale = math.exp(lr_test(d0, null).restricted.loglik / d0.n_events)
+        d = CensoredDataset.from_arrays(d0.times * scale, d0.event_mask)
+        res = lr_test(d, null)
+        assert abs(res.restricted.loglik) < 1e-6
+        assert res.restricted.converged
 
     def test_two_pin_null_df(self):
         d = simulate_censored(TRUTH, 300, 0.0, 47)
