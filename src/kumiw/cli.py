@@ -95,17 +95,25 @@ def _numbers(value, count: int, name: str) -> tuple:
     raise ValueError(f"{name} must be a list of {count} numbers, got {value!r}")
 
 
+def _number(value, kind: type, name: str):
+    """``value`` (a flag's value, a config entry or an environment string)
+    as one ``kind`` (int or float); anything ``kind`` cannot convert is a
+    ValueError that names the setting."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}") from None
+
+
 def _resolve_seed(args, config: dict) -> int:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     if "seed" in config:
-        return int(config["seed"])
+        return _number(config["seed"], int, "seed")
     env = os.environ.get("KUMIW_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"KUMIW_SEED must be an integer, got {env!r}") from None
+        return _number(env, int, "KUMIW_SEED")
     return DEFAULT_SEED
 
 
@@ -121,7 +129,7 @@ def _params_from(args, config: dict) -> KumIwParams:
         raw = _resolve(args, config, name, None)
         if raw is None:
             raise ValueError(f"missing required parameter --{name}")
-        values[name] = float(raw)
+        values[name] = _number(raw, float, name)
     return KumIwParams(**values)
 
 
@@ -133,9 +141,9 @@ def _load_dataset(args, config: dict) -> survdata.CensoredDataset:
 
 def cmd_dist(args, config: dict) -> int:
     p = _params_from(args, config)
-    t_min = float(_resolve(args, config, "t_min", 0.05))
-    t_max = float(_resolve(args, config, "t_max", 5.0))
-    points = int(_resolve(args, config, "points", 200))
+    t_min = _number(_resolve(args, config, "t_min", 0.05), float, "t_min")
+    t_max = _number(_resolve(args, config, "t_max", 5.0), float, "t_max")
+    points = _number(_resolve(args, config, "points", 200), int, "points")
     if not (t_min > 0 and t_max > t_min and points >= 2):
         raise ValueError("grid requires 0 < t-min < t-max and points >= 2")
     grid = np.linspace(t_min, t_max, points)
@@ -148,7 +156,7 @@ def cmd_dist(args, config: dict) -> int:
 
 def cmd_sample(args, config: dict) -> int:
     p = _params_from(args, config)
-    n = int(_resolve(args, config, "n", 100))
+    n = _number(_resolve(args, config, "n", 100), int, "n")
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     seed = _resolve_seed(args, config)
@@ -158,7 +166,7 @@ def cmd_sample(args, config: dict) -> int:
         times = sample(p, n, seed)
         _write_csv(out, ["time"], ((t,) for t in times))
     else:
-        censor_rate = float(censor_rate)
+        censor_rate = _number(censor_rate, float, "censor_rate")
         if n == 0:
             _write_csv(out, ["time", "status"], [])
         else:
@@ -205,11 +213,11 @@ def _fit_report_dict(fit: mle.FitResult, data: survdata.CensoredDataset, lr_resu
 
 
 def cmd_fit_mle(args, config: dict) -> int:
-    replicates = int(_resolve(args, config, "replicates", None) or 0)
+    replicates = _number(_resolve(args, config, "replicates", None) or 0, int, "replicates")
     if replicates < 0:
         raise ValueError(f"replicates must be >= 0, got {replicates}")
     data = _load_dataset(args, config)
-    ci_level = float(_resolve(args, config, "ci_level", 0.95))
+    ci_level = _number(_resolve(args, config, "ci_level", 0.95), float, "ci_level")
     fit = mle.fit_mle(data, ci_level=ci_level)
     lr_results = []
     for null_name in args.lr_null or []:
@@ -273,9 +281,9 @@ def cmd_fit_bayes(args, config: dict) -> int:
             prior_kwargs[f"{pname}_rate"] = rate
     prior = bayes.PriorSpec(**prior_kwargs)
     cfg = bayes.McmcConfig(
-        n_iter=int(_resolve(args, config, "iterations", 25_000)),
-        burn_in=int(_resolve(args, config, "burn_in", 5_000)),
-        thin=int(_resolve(args, config, "thin", 5)),
+        n_iter=_number(_resolve(args, config, "iterations", 25_000), int, "iterations"),
+        burn_in=_number(_resolve(args, config, "burn_in", 5_000), int, "burn_in"),
+        thin=_number(_resolve(args, config, "thin", 5), int, "thin"),
         seed=_resolve_seed(args, config),
         proposal_scales=_numbers(_resolve(args, config, "scales", (0.5, 0.5, 0.5)), 3, "scales"),
         adapt=not bool(_resolve(args, config, "no_adapt", False)),

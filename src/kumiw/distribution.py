@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,17 @@ def _x_of(p: KumIwParams, t):
         return (p.c / t) ** p.beta
 
 
+def _log1m_exp_x(p: KumIwParams, t, x):
+    """log1m_exp(x) at x = (c/t)^beta.  Where x is below the smallest
+    normal float it has lost digits or underflowed to 0, and the value is
+    its limit log x = beta (log c - log t), exact to within x/2."""
+    out = log1m_exp(x)
+    if np.min(x, initial=np.inf) < _TINY:
+        with np.errstate(divide="ignore"):
+            out = np.where(x < _TINY, p.beta * (math.log(p.c) - np.log(t)), out)
+    return out
+
+
 def log_pdf(p: KumIwParams, t):
     """Log-density at time t > 0.
 
@@ -116,7 +128,7 @@ def log_pdf(p: KumIwParams, t):
     )
     if p.b != 1.0:
         with np.errstate(invalid="ignore"):
-            base = base + (p.b - 1.0) * log1m_exp(x)
+            base = base + (p.b - 1.0) * _log1m_exp_x(p, t, x)
     # x may overflow for t near 0: the density underflows to 0 there
     out = np.where(np.isnan(base), -np.inf, base)
     return out if np.ndim(out) else np.float64(out)
@@ -133,7 +145,7 @@ def cdf(p: KumIwParams, t):
     t = _validate_time(t, allow_zero=True)
     x = _x_of(p, t)
     with np.errstate(over="ignore"):
-        out = -np.expm1(p.b * log1m_exp(x))
+        out = -np.expm1(p.b * _log1m_exp_x(p, t, x))
     return out if np.ndim(out) else np.float64(out)
 
 
@@ -141,7 +153,7 @@ def survival(p: KumIwParams, t):
     """Survival function; extended continuously with survival(0) = 1."""
     t = _validate_time(t, allow_zero=True)
     x = _x_of(p, t)
-    out = np.exp(p.b * log1m_exp(x))
+    out = np.exp(p.b * _log1m_exp_x(p, t, x))
     return out if np.ndim(out) else np.float64(out)
 
 
@@ -155,7 +167,7 @@ def hazard(p: KumIwParams, t):
         + p.beta * math.log(p.c)
         - (p.beta + 1.0) * np.log(t)
         - x
-        - log1m_exp(x)
+        - _log1m_exp_x(p, t, x)
     )
     # (c/t)^beta overflows for t near 0 and dominates: the limit is 0
     with np.errstate(over="ignore"):

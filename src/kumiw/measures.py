@@ -175,9 +175,29 @@ def _quad_0inf(fn) -> float:
     return value
 
 
+def _finite(p: KumIwParams, k: int, tail: int = 1) -> bool:
+    # E[X^k] is finite iff k is below the upper-tail index of X: b*beta
+    # for T, b*beta*(n-r+1) for the r-th of n order statistics
+    return k < p.b * p.beta * tail
+
+
+def _moment_power(p: KumIwParams, k: int, tail: int = 1) -> float:
+    """s = k/beta for a positive-integer order k whose moment is finite
+    (``_finite``) and has a series form: that carries Gamma(1 - k/beta),
+    so it also needs k < beta."""
+    if k < 1 or k != int(k):
+        raise ValueError(f"moment order must be a positive integer, got {k}")
+    if k >= p.beta or not _finite(p, k, tail):
+        raise MomentNotDefinedError(
+            f"moment of order {k} requires k < beta = {p.beta} "
+            f"and k < tail index {p.b * p.beta * tail}"
+        )
+    return k / p.beta
+
+
 def moment_exists(p: KumIwParams, k: int) -> bool:
     """Whether E[T^k] is finite: the upper tail has index b*beta."""
-    return k < p.b * p.beta
+    return _finite(p, k)
 
 
 def moment(p: KumIwParams, k: int, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -188,17 +208,7 @@ def moment(p: KumIwParams, k: int, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     requires k < b*beta (for b < 1 the tail is heavier than the beta
     exponent alone suggests).
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"moment order must be a positive integer, got {k}")
-    s = k / p.beta
-    if k >= p.beta:
-        raise MomentNotDefinedError(
-            f"moment of order {k} is not available: requires k < beta (beta={p.beta})"
-        )
-    if s >= p.b:
-        raise MomentNotDefinedError(
-            f"moment of order {k} does not exist: tail index b*beta = {p.b * p.beta}"
-        )
+    s = _moment_power(p, k)
     w_sum = _weight_series(p.b, s, cfg)
     return p.b * p.c**k * math.gamma(1.0 - s) * w_sum
 
@@ -221,8 +231,8 @@ def mgf_truncated(
 ) -> MgfResult:
     """Truncated MGF: sum over admissible k <= n_terms of z^k E[T^k] / k!.
 
-    Orders with k >= beta (series breakdown) or k >= b*beta (divergent
-    moment) are excluded and counted.
+    Orders that ``moment`` refuses (k >= beta, the series breakdown, or
+    k >= b*beta, a divergent moment) are excluded and counted.
     """
     if not abs(z) < 1:
         raise ValueError(f"mgf_truncated requires |z| < 1, got {z}")
@@ -232,7 +242,7 @@ def mgf_truncated(
     excluded = 0
     retained = 0
     for k in range(1, n_terms + 1):
-        if k >= p.beta or k >= p.b * p.beta:
+        if k >= p.beta or not moment_exists(p, k):
             excluded += 1
             continue
         value += z**k * moment(p, k, cfg) / math.factorial(k)
@@ -250,19 +260,10 @@ def cgf_truncated(
     return MgfResult(value=math.log(res.value), excluded_terms=res.excluded_terms, warning=res.warning)
 
 
-def _require_mean(p: KumIwParams) -> None:
-    if p.beta <= 1:
-        raise MomentNotDefinedError(f"mean does not exist: beta = {p.beta} <= 1")
-    if p.b * p.beta <= 1:
-        raise MomentNotDefinedError(
-            f"mean does not exist: tail index b*beta = {p.b * p.beta} <= 1"
-        )
-
-
 @functools.lru_cache(maxsize=8)
 def _mean(p: KumIwParams, cfg: SeriesConfig) -> float:
-    # the mean deviations and Bonferroni/Lorenz curves at several
-    # probabilities share one mean series per (p, cfg)
+    # the mean deviations and Bonferroni/Lorenz curves at several probabilities
+    # share one mean series per (p, cfg); ``moment`` refuses a mean that diverges
     return moment(p, 1, cfg)
 
 
@@ -289,14 +290,12 @@ def _partial_first_moment_series(p: KumIwParams, q: float, cfg: SeriesConfig) ->
 
 def mean_deviation_about_mean(p: KumIwParams, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Mean absolute deviation about the mean, 2 mu F(mu) - 2 int_0^mu t f dt."""
-    _require_mean(p)
     mu = _mean(p, cfg)
     return 2.0 * mu * float(cdf(p, mu)) - 2.0 * _partial_first_moment_series(p, mu, cfg)
 
 
 def mean_deviation_about_median(p: KumIwParams, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Mean absolute deviation about the median, mu - 2 int_0^M t f dt."""
-    _require_mean(p)
     mu = _mean(p, cfg)
     med = float(quantile(p, 0.5))
     return mu - 2.0 * _partial_first_moment_series(p, med, cfg)
@@ -306,7 +305,6 @@ def bonferroni(p: KumIwParams, prob: float, cfg: SeriesConfig = DEFAULT_SERIES) 
     """Bonferroni curve B(prob) = int_0^q t f dt / (prob * mu), q = Q(prob)."""
     if not 0 < prob < 1:
         raise ValueError(f"bonferroni requires prob in (0, 1), got {prob}")
-    _require_mean(p)
     mu = _mean(p, cfg)
     q = float(quantile(p, prob))
     return _partial_first_moment_series(p, q, cfg) / (prob * mu)
@@ -316,7 +314,6 @@ def lorenz(p: KumIwParams, prob: float, cfg: SeriesConfig = DEFAULT_SERIES) -> f
     """Lorenz curve L(prob) = int_0^q t f dt / mu = prob * B(prob)."""
     if not 0 < prob < 1:
         raise ValueError(f"lorenz requires prob in (0, 1), got {prob}")
-    _require_mean(p)
     mu = _mean(p, cfg)
     q = float(quantile(p, prob))
     return _partial_first_moment_series(p, q, cfg) / mu
@@ -354,18 +351,7 @@ def order_stat_moment(
     interface symmetry with the series cross-check.
     """
     _validate_rank(r, n)
-    if k < 1 or k != int(k):
-        raise ValueError(f"moment order must be a positive integer, got {k}")
-    if k >= p.beta:
-        raise MomentNotDefinedError(
-            f"order-statistic moment requires k < beta (beta={p.beta})"
-        )
-    if k >= p.b * p.beta * (n - r + 1):
-        raise MomentNotDefinedError(
-            f"order-statistic moment of order {k} does not exist: "
-            f"tail index b*beta*(n-r+1) = {p.b * p.beta * (n - r + 1)}"
-        )
-    s = k / p.beta
+    s = _moment_power(p, k, n - r + 1)
     coeff = _order_stat_coeff(r, n)
 
     def integrand(x: float) -> float:
@@ -395,18 +381,7 @@ def order_stat_moment_series(
     expansion machinery; ``order_stat_moment`` stays authoritative.
     """
     _validate_rank(r, n)
-    if k < 1 or k != int(k):
-        raise ValueError(f"moment order must be a positive integer, got {k}")
-    s = k / p.beta
-    if k >= p.beta:
-        raise MomentNotDefinedError(
-            f"order-statistic moment series requires k < beta (beta={p.beta})"
-        )
-    if s >= p.b * (n - r + 1):
-        raise MomentNotDefinedError(
-            f"order-statistic moment of order {k} does not exist: "
-            f"tail index b*beta*(n-r+1) = {p.b * p.beta * (n - r + 1)}"
-        )
+    s = _moment_power(p, k, n - r + 1)
     coeff = _order_stat_coeff(r, n)
     total = 0.0
     for j in range(r):

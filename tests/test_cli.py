@@ -76,6 +76,10 @@ class TestSample:
         path = make_sample(tmp_path, n=0, seed=1, censor=None)
         assert path.read_text().strip() == "time"
 
+    def test_zero_rows_censored_header_only(self, tmp_path):
+        path = make_sample(tmp_path, n=0, seed=1, censor="0.2")
+        assert path.read_text() == "time,status\n"
+
     def test_censoring_proportion(self, tmp_path):
         path = make_sample(tmp_path, n=10_000, seed=5)
         table = read_table(path)
@@ -253,6 +257,28 @@ class TestFitBayes:
         assert (tmp_path / "chain.csv").read_bytes() == first_chain
         table = read_table(tmp_path / "chain.csv")
         assert list(table) == ["iter", "b", "c", "beta", "log_post"]
+
+    def test_json_summary(self, tmp_path):
+        path = make_sample(tmp_path, n=100, seed=31)
+        assert main([
+            "fit-bayes", "--data", str(path), "--iterations", "600", "--burn-in", "200",
+            "--seed", "4", "--format", "json", "--out-dir", str(tmp_path),
+        ]) == 0
+        report = json.loads((tmp_path / "bayes_summary.json").read_text())
+        assert report["schema_version"] == 1
+        assert [row["Parameter"] for row in report["summary"]] == ["b", "c", "beta"]
+        assert len(report["acceptance_rates"]) == 3 and report["warnings"] == []
+        assert not (tmp_path / "bayes_summary.csv").exists()
+
+    def test_no_acceptance_warnings_on_stderr(self, tmp_path, capsys):
+        path = make_sample(tmp_path, n=60, seed=3)
+        assert main([
+            "fit-bayes", "--data", str(path), "--scales", "0.5", "1e6", "1e6",
+            "--iterations", "600", "--burn-in", "400", "--seed", "4", "--out-dir", str(tmp_path),
+        ]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 2
+        assert all(line.startswith("warning: ") and "no acceptances" in line for line in warnings)
 
     def test_summary_table_consistent_with_chain(self, tmp_path):
         path = make_sample(tmp_path, n=150, seed=37)
@@ -459,6 +485,28 @@ class TestConfigAndSeeds:
         err = capsys.readouterr().err
         assert f"cannot read config {cfg}" in err and "config must be a JSON object" in err
         assert not (out / "sample.csv").exists()
+
+    @pytest.mark.parametrize("command, setting", [
+        ("fit-bayes", {"iterations": None}),
+        ("fit-mle", {"ci_level": None}),
+        ("sample", {"n": None}),
+        ("sample", {"seed": None}),
+        ("sample", {"n": [5]}),
+        ("fit-bayes", {"thin": {"a": 1}}),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_non_numeric_scalar_config_exit_2(self, tmp_path, command, setting, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        out = tmp_path / "o"
+        if command == "sample":
+            argv = ["sample", "--b", "2", "--c", "1", "--beta", "2"]
+        else:
+            argv = [command, "--data", str(make_sample(tmp_path, n=50, seed=31))]
+        assert main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        name = next(iter(setting))
+        assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
 
     def test_missing_subcommand_exit_2(self, capsys):
         assert main([]) == 2

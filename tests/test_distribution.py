@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kumiw import (
     KumIwParams,
@@ -148,6 +150,34 @@ class TestHazard:
             mode_region = float(hazard(p, float(quantile(p, 0.4))))
             assert float(hazard(p, 1e-3 * p.c)) < mode_region
             assert float(hazard(p, 1e3 * p.c)) < mode_region
+
+
+_LOG_UNIFORM_PARAM = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+class TestEvaluatorProperties:
+    """Parameters log-uniform on [1e-3, 1e3], times log-uniform on
+    [1e-300, 1e300]: x = (c/t)^beta spans from overflow to underflow."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(_LOG_UNIFORM_PARAM, _LOG_UNIFORM_PARAM, _LOG_UNIFORM_PARAM),
+        st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0**e), min_size=1, max_size=40),
+    )
+    @example((2.0, 1.5, 3.0), [1e120])  # x underflows to 0: hazard was inf
+    def test_finite_monotone_and_complementary(self, triple, times):
+        p = KumIwParams(*triple)
+        t = np.sort(np.array(times))
+        values = {f.__name__: f(p, t) for f in (pdf, log_pdf, cdf, survival, hazard)}
+        for name, v in values.items():
+            assert not np.any(np.isnan(v)), name
+        assert np.all(np.isfinite(values["pdf"])) and np.all(np.isfinite(values["hazard"]))
+        assert np.all(np.diff(values["cdf"]) >= 0)
+        assert np.max(np.abs(values["cdf"] + values["survival"] - 1.0)) <= 4 * np.finfo(float).eps
+        # far in the upper tail the hazard is b beta / t to first order in x
+        with np.errstate(over="ignore", under="ignore"):
+            far = (p.c / t) ** p.beta < 1e-12
+        np.testing.assert_allclose(values["hazard"][far], p.b * p.beta / t[far], rtol=1e-6)
 
 
 class TestQuantile:

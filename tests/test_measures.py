@@ -113,6 +113,41 @@ class TestMoment:
                 assert moment(p, 2) >= moment(p, 1) ** 2
 
 
+def _near_tail_index_cases():
+    # b within 3 ulps of k/beta, so that b*beta rounds to either side of k
+    yield KumIwParams(0.9107134307341432, 1.0, 3.2941207395850567), 3
+    for beta in (1.7, 2.3, 3.2941207395850567, 4.9, 7.3):
+        for k in range(1, math.ceil(beta)):
+            b = k / beta
+            for _ in range(3):
+                b = np.nextafter(b, 0.0)
+            for _ in range(7):
+                yield KumIwParams(float(b), 1.0, beta), k
+                b = np.nextafter(b, np.inf)
+
+
+def _moment_outcome(p, k):
+    try:
+        moment(p, k)
+    except MomentNotDefinedError:
+        return "refused"
+    except NumericError:
+        return "diverged"  # the moment exists, but ulps from its tail index the series breaks down
+    return "value"
+
+
+class TestMomentExistenceRule:
+    def test_moment_refuses_exactly_what_moment_exists_rejects(self):
+        for p, k in _near_tail_index_cases():
+            outcome = _moment_outcome(p, k)
+            assert (outcome == "refused") == (not moment_exists(p, k)), (p, k)
+            if outcome != "diverged":
+                res = mgf_truncated(p, 0.5, k)
+                assert res.excluded_terms == (outcome == "refused"), (p, k)
+            if outcome == "refused":
+                assert res.value == mgf_truncated(p, 0.5, k - 1).value
+
+
 class TestMgf:
     def test_z_zero(self):
         res = mgf_truncated(KumIwParams(2, 1, 3), 0.0, 5)
