@@ -75,102 +75,135 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _resolve(args, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
-
-
-def _numbers(value, count: int, name: str) -> tuple:
-    """``value`` (a flag's list, or a config entry) as ``count`` floats;
-    any other shape is a ValueError that names the setting."""
+def _number(value, kind: type, name: str, exact: bool = False):
+    """``value`` (a config entry or an environment string) as one ``kind``
+    (int or float); anything ``kind`` cannot convert is a ValueError that
+    names the setting.  ``exact`` also refuses all but a number that
+    ``kind`` holds exactly: a bool, a string, or 5.7 as an integer."""
     try:
-        if not isinstance(value, str) and len(value) == count:
-            return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"{name} must be a list of {count} numbers, got {value!r}")
-
-
-def _number(value, kind: type, name: str):
-    """``value`` (a flag's value, a config entry or an environment string)
-    as one ``kind`` (int or float); anything ``kind`` cannot convert is a
-    ValueError that names the setting."""
-    try:
-        return kind(value)
+        number = kind(value)
+        if not exact or (
+            not isinstance(value, (bool, str)) and (number == value or number != number)
+        ):
+            return number
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}") from None
+        pass
+    what = "an integer" if kind is int else "a number"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-def _resolve_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if "seed" in config:
-        return _number(config["seed"], int, "seed")
+class _AppendAnew(argparse.Action):
+    """``append`` whose first use on the command line starts a new list, so
+    that repeated flags replace a list from ``--config`` instead of adding
+    to it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
+
+
+def _from_config(action: argparse.Action, value):
+    """A ``--config`` entry as ``action``'s flag would store it; a value
+    the flag could not take is a ValueError that names the setting."""
+    name = action.dest
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        what = "true or false"
+    elif isinstance(action, _AppendAnew):
+        if isinstance(value, list) and all(v in action.choices for v in value):
+            return value
+        what = "a list of " + "/".join(action.choices)
+    elif isinstance(action.nargs, int):
+        if isinstance(value, list) and len(value) == action.nargs:
+            try:
+                return [_number(v, action.type, name, exact=True) for v in value]
+            except ValueError:
+                pass
+        what = f"a list of {action.nargs} numbers"
+    elif action.type in (int, float):
+        return _number(value, action.type, name, exact=True)
+    elif isinstance(value, str) and (action.choices is None or value in action.choices):
+        return value
+    else:
+        what = "one of " + ", ".join(action.choices) if action.choices else "a string"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
+    """Read the ``--config`` file once and make each entry that names an
+    optional setting of the chosen subcommand that subcommand's default,
+    converted by ``_from_config``."""
+    try:
+        with open(args.config, encoding="utf-8") as handle:
+            config = json.load(handle)
+        if not isinstance(config, dict):
+            raise ValueError("config must be a JSON object")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {args.config}: {exc}") from None
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sp = sub.choices[args.command]
+    sp.set_defaults(**{
+        action.dest: _from_config(action, config[action.dest])
+        for action in sp._actions
+        if action.dest in config and action.dest not in ("help", "config") and not action.required
+    })
+
+
+def _resolve_seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("KUMIW_SEED")
     if env is not None:
         return _number(env, int, "KUMIW_SEED")
     return DEFAULT_SEED
 
 
-def _out_dir(args, config: dict) -> Path:
-    out = Path(_resolve(args, config, "out_dir", "."))
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _params_from(args, config: dict) -> KumIwParams:
-    values = {}
+def _params_from(args) -> KumIwParams:
     for name in ("b", "c", "beta"):
-        raw = _resolve(args, config, name, None)
-        if raw is None:
+        if getattr(args, name) is None:
             raise ValueError(f"missing required parameter --{name}")
-        values[name] = _number(raw, float, name)
-    return KumIwParams(**values)
+    return KumIwParams(args.b, args.c, args.beta)
 
 
-def _load_dataset(args, config: dict) -> survdata.CensoredDataset:
-    time_col = _resolve(args, config, "time_col", "time")
-    status_col = _resolve(args, config, "status_col", "status")
-    return survdata.load_csv(args.data, time_col=time_col, status_col=status_col)
+def _load_dataset(args) -> survdata.CensoredDataset:
+    return survdata.load_csv(args.data, time_col=args.time_col, status_col=args.status_col)
 
 
-def cmd_dist(args, config: dict) -> int:
-    p = _params_from(args, config)
-    t_min = _number(_resolve(args, config, "t_min", 0.05), float, "t_min")
-    t_max = _number(_resolve(args, config, "t_max", 5.0), float, "t_max")
-    points = _number(_resolve(args, config, "points", 200), int, "points")
+def cmd_dist(args) -> int:
+    p = _params_from(args)
+    t_min, t_max, points = args.t_min, args.t_max, args.points
     if not (t_min > 0 and t_max > t_min and points >= 2):
         raise ValueError("grid requires 0 < t-min < t-max and points >= 2")
     grid = np.linspace(t_min, t_max, points)
-    out = _out_dir(args, config) / "dist.csv"
+    out = _out_dir(args) / "dist.csv"
     rows = zip(grid, pdf(p, grid), cdf(p, grid), survival(p, grid), hazard(p, grid))
     _write_csv(out, ["t", "pdf", "cdf", "survival", "hazard"], rows)
     print(f"wrote {out} ({points} rows)")
     return 0
 
 
-def cmd_sample(args, config: dict) -> int:
-    p = _params_from(args, config)
-    n = _number(_resolve(args, config, "n", 100), int, "n")
+def cmd_sample(args) -> int:
+    p = _params_from(args)
+    n = args.n
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
-    seed = _resolve_seed(args, config)
-    censor_rate = _resolve(args, config, "censor_rate", None)
-    out = _out_dir(args, config) / "sample.csv"
-    if censor_rate is None:
+    seed = _resolve_seed(args)
+    out = _out_dir(args) / "sample.csv"
+    if args.censor_rate is None:
         times = sample(p, n, seed)
         _write_csv(out, ["time"], ((t,) for t in times))
     else:
-        censor_rate = _number(censor_rate, float, "censor_rate")
         if n == 0:
             _write_csv(out, ["time", "status"], [])
         else:
-            data = survdata.simulate_censored(p, n, censor_rate, seed)
+            data = survdata.simulate_censored(p, n, args.censor_rate, seed)
             _write_csv(
                 out,
                 ["time", "status"],
@@ -212,20 +245,16 @@ def _fit_report_dict(fit: mle.FitResult, data: survdata.CensoredDataset, lr_resu
     }
 
 
-def cmd_fit_mle(args, config: dict) -> int:
-    replicates = _number(_resolve(args, config, "replicates", None) or 0, int, "replicates")
+def cmd_fit_mle(args) -> int:
+    replicates = args.replicates
     if replicates < 0:
         raise ValueError(f"replicates must be >= 0, got {replicates}")
-    data = _load_dataset(args, config)
-    ci_level = _number(_resolve(args, config, "ci_level", 0.95), float, "ci_level")
-    fit = mle.fit_mle(data, ci_level=ci_level)
-    lr_results = []
-    for null_name in args.lr_null or []:
-        lr_results.append(mle.lr_test(data, _LR_NULLS[null_name], full_fit=fit))
-    out_dir = _out_dir(args, config)
-    fmt = _resolve(args, config, "format", "json")
+    data = _load_dataset(args)
+    fit = mle.fit_mle(data, ci_level=args.ci_level)
+    lr_results = [mle.lr_test(data, _LR_NULLS[name], full_fit=fit) for name in args.lr_null]
+    out_dir = _out_dir(args)
     report = _fit_report_dict(fit, data, lr_results)
-    if fmt == "json":
+    if args.format == "json":
         out = out_dir / "fit_mle.json"
         _write_json(out, report)
     else:
@@ -247,7 +276,7 @@ def cmd_fit_mle(args, config: dict) -> int:
     print(f"wrote {out}")
 
     if replicates:
-        seed = _resolve_seed(args, config)
+        seed = _resolve_seed(args)
         censor_frac = 1.0 - data.n_events / len(data)
         # the fitted law and the rate are the same for every replicate
         bound = survdata.censoring_upper_bound(fit.params, censor_frac) if censor_frac > 0 else None
@@ -270,31 +299,28 @@ def cmd_fit_mle(args, config: dict) -> int:
     return 0
 
 
-def cmd_fit_bayes(args, config: dict) -> int:
-    data = _load_dataset(args, config)
+def cmd_fit_bayes(args) -> int:
+    data = _load_dataset(args)
     prior_kwargs = {}
-    for pname, flag in (("b", "prior_b"), ("c", "prior_c"), ("beta", "prior_beta")):
-        pair = _resolve(args, config, flag, None)
+    for pname in ("b", "c", "beta"):
+        pair = getattr(args, f"prior_{pname}")
         if pair is not None:
-            shape, rate = _numbers(pair, 2, flag)
-            prior_kwargs[f"{pname}_shape"] = shape
-            prior_kwargs[f"{pname}_rate"] = rate
+            prior_kwargs[f"{pname}_shape"], prior_kwargs[f"{pname}_rate"] = pair
     prior = bayes.PriorSpec(**prior_kwargs)
     cfg = bayes.McmcConfig(
-        n_iter=_number(_resolve(args, config, "iterations", 25_000), int, "iterations"),
-        burn_in=_number(_resolve(args, config, "burn_in", 5_000), int, "burn_in"),
-        thin=_number(_resolve(args, config, "thin", 5), int, "thin"),
-        seed=_resolve_seed(args, config),
-        proposal_scales=_numbers(_resolve(args, config, "scales", (0.5, 0.5, 0.5)), 3, "scales"),
-        adapt=not bool(_resolve(args, config, "no_adapt", False)),
+        n_iter=args.iterations,
+        burn_in=args.burn_in,
+        thin=args.thin,
+        seed=_resolve_seed(args),
+        proposal_scales=tuple(args.scales),
+        adapt=not args.no_adapt,
     )
     chain = bayes.run_mcmc(data, prior, cfg)
     rows = bayes.summarize(chain)
-    out_dir = _out_dir(args, config)
+    out_dir = _out_dir(args)
     chain_path = out_dir / "chain.csv"
     bayes.write_chain_csv(chain, chain_path)
-    fmt = _resolve(args, config, "format", "csv")
-    if fmt == "json":
+    if args.format == "json":
         summary_path = out_dir / "bayes_summary.json"
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -333,10 +359,10 @@ def _write_km(out_dir: Path, curve: survdata.KmCurve) -> Path:
     return path
 
 
-def cmd_km(args, config: dict) -> int:
-    data = _load_dataset(args, config)
+def cmd_km(args) -> int:
+    data = _load_dataset(args)
     curve = survdata.kaplan_meier(data)
-    path = _write_km(_out_dir(args, config), curve)
+    path = _write_km(_out_dir(args), curve)
     print(f"wrote {path} ({len(curve.times)} event times)")
     return 0
 
@@ -354,13 +380,13 @@ def _params_from_report(path: str) -> KumIwParams:
         raise DataError(f"cannot read fit report {path}: {exc}") from None
 
 
-def cmd_compare(args, config: dict) -> int:
-    data = _load_dataset(args, config)
-    if getattr(args, "fit_report", None):
+def cmd_compare(args) -> int:
+    data = _load_dataset(args)
+    if args.fit_report:
         p = _params_from_report(args.fit_report)
     else:
-        p = _params_from(args, config)
-    out_dir = _out_dir(args, config)
+        p = _params_from(args)
+    out_dir = _out_dir(args)
     comparison = survdata.km_vs_parametric(data, p)
     _write_km(out_dir, comparison.curve)
     _write_csv(
@@ -379,6 +405,8 @@ def cmd_compare(args, config: dict) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one statement of every setting: its type, count, choices and
+    default.  ``--config`` entries become subcommand defaults in ``main``."""
     parser = argparse.ArgumentParser(
         prog="kumiw",
         description="Kumaraswamy inverse Weibull lifetime distribution toolkit",
@@ -386,32 +414,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--out-dir", dest="out_dir", help="output directory (default: .)")
+        sp.add_argument("--out-dir", dest="out_dir", default=".",
+                        help="output directory (default: %(default)s)")
         sp.add_argument("--config", help="JSON config file supplying flag defaults")
         sp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED}; env KUMIW_SEED)")
 
-    def add_params(sp, required=False):
-        sp.add_argument("--b", type=float, required=required, help="shape parameter b > 0")
-        sp.add_argument("--c", type=float, required=required, help="scale parameter c > 0")
-        sp.add_argument("--beta", type=float, required=required, help="shape parameter beta > 0")
+    def add_params(sp):
+        sp.add_argument("--b", type=float, help="shape parameter b > 0")
+        sp.add_argument("--c", type=float, help="scale parameter c > 0")
+        sp.add_argument("--beta", type=float, help="shape parameter beta > 0")
 
     def add_data(sp):
         sp.add_argument("--data", required=True, help="input CSV with censored observations")
-        sp.add_argument("--time-col", dest="time_col", help="time column name (default: time)")
-        sp.add_argument("--status-col", dest="status_col", help="status column name (default: status)")
+        sp.add_argument("--time-col", dest="time_col", default="time",
+                        help="time column name (default: %(default)s)")
+        sp.add_argument("--status-col", dest="status_col", default="status",
+                        help="status column name (default: %(default)s)")
 
     sp = sub.add_parser("dist", help="tabulate pdf/cdf/survival/hazard on a time grid")
     add_common(sp)
     add_params(sp)
-    sp.add_argument("--t-min", dest="t_min", type=float, help="grid start (default 0.05)")
-    sp.add_argument("--t-max", dest="t_max", type=float, help="grid end (default 5.0)")
-    sp.add_argument("--points", type=int, help="grid size (default 200)")
+    sp.add_argument("--t-min", dest="t_min", type=float, default=0.05,
+                    help="grid start (default %(default)s)")
+    sp.add_argument("--t-max", dest="t_max", type=float, default=5.0,
+                    help="grid end (default %(default)s)")
+    sp.add_argument("--points", type=int, default=200, help="grid size (default %(default)s)")
     sp.set_defaults(handler=cmd_dist)
 
     sp = sub.add_parser("sample", help="simulate lifetimes (optionally censored)")
     add_common(sp)
     add_params(sp)
-    sp.add_argument("--n", type=int, help="sample size (default 100)")
+    sp.add_argument("--n", type=int, default=100, help="sample size (default %(default)s)")
     sp.add_argument(
         "--censor-rate", dest="censor_rate", type=float,
         help="target marginal censoring proportion in (0, 1); adds a status column",
@@ -421,14 +454,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fit-mle", help="censored maximum-likelihood fit")
     add_common(sp)
     add_data(sp)
-    sp.add_argument("--ci-level", dest="ci_level", type=float, help="CI level (default 0.95)")
+    sp.add_argument("--ci-level", dest="ci_level", type=float, default=0.95,
+                    help="CI level (default %(default)s)")
     sp.add_argument(
-        "--lr-null", dest="lr_null", action="append", choices=sorted(_LR_NULLS),
+        "--lr-null", dest="lr_null", action=_AppendAnew, default=[], choices=sorted(_LR_NULLS),
         help="run an LR test against this null sub-model (repeatable)",
     )
-    sp.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
+    sp.add_argument("--format", choices=("json", "csv"), default="json",
+                    help="report format (default %(default)s)")
     sp.add_argument(
-        "--replicates", type=int,
+        "--replicates", type=int, default=0,
         help="parametric-bootstrap replicates: simulate from the fit and refit",
     )
     sp.set_defaults(handler=cmd_fit_mle)
@@ -445,17 +480,20 @@ def build_parser() -> argparse.ArgumentParser:
             metavar=("SHAPE", "RATE"),
             help=f"Gamma prior for {pname} (default 1.0 0.001)",
         )
-    sp.add_argument("--iterations", type=int, help="total iterations (default 25000)")
-    sp.add_argument("--burn-in", dest="burn_in", type=int, help="burn-in iterations (default 5000)")
-    sp.add_argument("--thin", type=int, help="thinning stride (default 5)")
+    sp.add_argument("--iterations", type=int, default=25_000,
+                    help="total iterations (default %(default)s)")
+    sp.add_argument("--burn-in", dest="burn_in", type=int, default=5_000,
+                    help="burn-in iterations (default %(default)s)")
+    sp.add_argument("--thin", type=int, default=5, help="thinning stride (default %(default)s)")
     sp.add_argument(
-        "--scales", nargs=3, type=float, metavar=("SB", "SC", "SBETA"),
+        "--scales", nargs=3, type=float, default=[0.5, 0.5, 0.5], metavar=("SB", "SC", "SBETA"),
         help="initial proposal standard deviations of log c and log beta (SC, SBETA; "
         "SB is unused, as b is drawn exactly); all finite and > 0 (default 0.5 0.5 0.5)",
     )
-    sp.add_argument("--no-adapt", dest="no_adapt", action="store_const", const=True,
+    sp.add_argument("--no-adapt", dest="no_adapt", action="store_true",
                     help="disable proposal-covariance adaptation during burn-in")
-    sp.add_argument("--format", choices=("json", "csv"), help="summary format (default csv)")
+    sp.add_argument("--format", choices=("json", "csv"), default="csv",
+                    help="summary format (default %(default)s)")
     sp.set_defaults(handler=cmd_fit_bayes)
 
     sp = sub.add_parser("km", help="Kaplan-Meier survival curve")
@@ -482,18 +520,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                config = json.load(handle)
-            if not isinstance(config, dict):
-                raise ValueError("config must be a JSON object")
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-            return 2
     try:
-        return args.handler(args, config)
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -181,16 +181,16 @@ def _finite(p: KumIwParams, k: int, tail: int = 1) -> bool:
     return k < p.b * p.beta * tail
 
 
-def _moment_power(p: KumIwParams, k: int, tail: int = 1) -> float:
+def _moment_power(p: KumIwParams, k: int, tail: int = 1, series: bool = True) -> float:
     """s = k/beta for a positive-integer order k whose moment is finite
-    (``_finite``) and has a series form: that carries Gamma(1 - k/beta),
-    so it also needs k < beta."""
+    (``_finite``).  The ``series`` form carries Gamma(1 - k/beta), so it
+    also needs k < beta; quadrature does not."""
     if k < 1 or k != int(k):
         raise ValueError(f"moment order must be a positive integer, got {k}")
-    if k >= p.beta or not _finite(p, k, tail):
+    if (series and k >= p.beta) or not _finite(p, k, tail):
+        series_rule = f"k < beta = {p.beta} and " if series else ""
         raise MomentNotDefinedError(
-            f"moment of order {k} requires k < beta = {p.beta} "
-            f"and k < tail index {p.b * p.beta * tail}"
+            f"moment of order {k} requires {series_rule}k < tail index {p.b * p.beta * tail}"
         )
     return k / p.beta
 
@@ -347,11 +347,12 @@ def order_stat_moment(
 ) -> float:
     """k-th moment of the r-th order statistic, by adaptive quadrature.
 
-    Quadrature is the authoritative route here; ``cfg`` is accepted for
-    interface symmetry with the series cross-check.
+    Quadrature is the authoritative route here; it needs only that the
+    moment exist, k < b beta (n - r + 1), not the series' k < beta.
+    ``cfg`` is accepted for interface symmetry with the series cross-check.
     """
     _validate_rank(r, n)
-    s = _moment_power(p, k, n - r + 1)
+    s = _moment_power(p, k, n - r + 1, series=False)
     coeff = _order_stat_coeff(r, n)
 
     def integrand(x: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .distribution import _SUBMODEL_PINNED, KumIwParams, SubModel, log1m_exp
+from .distribution import _SUBMODEL_PINNED, _TINY, KumIwParams, SubModel, log1m_exp
 from .errors import DataError, NumericError
 from .survdata import CensoredDataset
 
@@ -33,6 +33,8 @@ _GRAD_TOL = 1e-6
 _MAX_STEPS, _MAX_HALVINGS = 100, 40  # Newton steps per fit, halvings per step
 _VALUE_ULPS = 16  # a value within this many ulps of ``_Loglik.magnitude`` holds
 _EIG_FLOOR = 1e-8  # Hessian eigenvalues are clamped to <= -_EIG_FLOOR * max(1, max |eigenvalue|)
+# below this log x, some x = (c/t)^beta may be under the smallest normal float
+_LOG_TINY_GATE = math.log(_TINY) + 1.0
 
 
 class _Loglik:
@@ -48,6 +50,11 @@ class _Loglik:
     in scalar arithmetic.  b enters only as r log b + (b - 1) S_f + b S_c,
     so a caller that moves b alone (the sampler's b update) reuses the
     terms of its current (c, beta).
+
+    Where x is below the smallest normal float it has lost digits or
+    underflowed to 0; there L(x) = log(1 - e^-x) takes its limit
+    y = log x = beta (log c - log t).  ``max_log_t`` gates that fix-up on
+    one scalar test, so the common path makes no extra pass.
     """
 
     def __init__(self, d: CensoredDataset):
@@ -57,14 +64,26 @@ class _Loglik:
         self.r = int(events.sum())
         self.n = len(times)
         self.sum_log_tf = float(self.log_t[: self.r].sum())
+        self.max_log_t = float(np.max(self.log_t, initial=-math.inf))
+
+    def _underflow(self, log_c: float, beta: float, x: np.ndarray):
+        """The mask of rows whose x is below the smallest normal float, or
+        None when the smallest x cannot be."""
+        if beta * (log_c - self.max_log_t) < _LOG_TINY_GATE:
+            return x < _TINY
+        return None
 
     def terms(self, c: float, beta: float) -> tuple[float, float, float]:
         """(sum x over events, S_f, S_c) at (c, beta), for c > 0."""
         r = self.r
         s_f = s_c = 0.0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x = np.exp(beta * (math.log(c) - self.log_t))
+            log_c = math.log(c)
+            x = np.exp(beta * (log_c - self.log_t))
             ell = log1m_exp(x)
+            tiny = self._underflow(log_c, beta, x)
+            if tiny is not None:
+                ell[tiny] = beta * (log_c - self.log_t[tiny])
             # an empty group sums to 0.0; skipping it saves a reduction
             if r:
                 s_f = float(ell[:r].sum())
@@ -115,7 +134,8 @@ class _Loglik:
         derivatives beta^2 (s + a), beta m and y m, where a = x d/dx = k q - e x,
         s = x^2 d2/dx2 = -k (q x + q^2) and m = y s + (1 + y) a.
         q = x L'(x) = x / expm1(x) is computed as e^(y - x) / (1 - e^-x), so
-        x -> 0 and x -> inf stay finite.
+        x -> 0 and x -> inf stay finite; where x is below the smallest
+        normal float, L, q and q x + q^2 take their limits y, 1 and 1.
 
         y, x, q, L and q x + q^2 do not depend on b and are computed once
         over all rows; k, a, s, m and the sums are taken per group (the
@@ -126,12 +146,17 @@ class _Loglik:
         sums = np.zeros(8)
         s_ell = [0.0, 0.0]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            y = beta * (math.log(c) - self.log_t)
+            log_c = math.log(c)
+            y = beta * (log_c - self.log_t)
             x = np.exp(y)
             den = -np.expm1(-x)
             q = np.exp(y - x) / den
             curv = np.exp(2.0 * y - x) / den + q * q
             ell = log1m_exp(x)
+            tiny = self._underflow(log_c, beta, x)
+            if tiny is not None:
+                ell[tiny] = y[tiny]
+                q[tiny] = curv[tiny] = 1.0
             for group, (lo, hi, e) in enumerate(((0, r, 1.0), (r, n, 0.0))):
                 if lo == hi:
                     continue

@@ -343,6 +343,41 @@ class TwoGroupLoglik:
         return value, score, hess
 
 
+def underflow_limit_core(d: CensoredDataset, b: float, c: float, beta: float):
+    """(terms, value, score, Hessian) of the censored log-likelihood at
+    (b, c, beta), for data where some x = (c/t)^beta are below the
+    smallest normal float.
+
+    The log-likelihood is a sum over rows.  The rows whose x is a normal
+    float go to ``TwoGroupLoglik``.  Each other row adds its limit as
+    x -> 0, where log(1 - e^-x) -> log x = y = beta (log c - log t): a
+    censoring adds b y, an event log b + log beta + b y - log t - x.  In
+    phi = (log b, log c, log beta), b y has score (b y, b beta, b y) and
+    Hessian [[b y, b beta, b y], [b beta, 0, b beta], [b y, b beta, b y]],
+    and an event adds 1 to the log b and log beta scores.  The -x of an
+    event enters its value and event sum of x only: its derivatives are
+    below the smallest normal float times beta.
+    """
+    log_t, events = np.log(d.times), d.event_mask
+    with np.errstate(over="ignore"):
+        y = beta * (math.log(c) - log_t)
+        x = np.exp(y)
+    tiny = x < np.finfo(float).tiny
+    terms, value, score, hess = np.zeros(3), 0.0, np.zeros(3), np.zeros((3, 3))
+    if not tiny.all():
+        normal = CensoredDataset.from_arrays(d.times[~tiny], events[~tiny])
+        oracle = TwoGroupLoglik(normal)
+        terms += oracle.terms(c, beta)
+        value, score, hess = oracle.value_score_hessian(b, c, beta)
+    ev, cens = tiny & events, tiny & ~events
+    terms += [x[ev].sum(), y[ev].sum(), y[cens].sum()]
+    r, by, bb = int(ev.sum()), b * y[tiny].sum(), b * beta * int(tiny.sum())
+    value += r * (math.log(b) + math.log(beta)) + by - log_t[ev].sum() - x[ev].sum()
+    score = score + [r + by, bb, r + by]
+    hess = hess + [[by, bb, by], [bb, 0.0, bb], [by, bb, by]]
+    return tuple(terms), value, score, hess
+
+
 def kaplan_meier_product_limit(times, events):
     """Kaplan-Meier estimate by a plain loop over the sorted times: the
     (step times, survival, at-risk counts, event counts) of every distinct

@@ -508,6 +508,75 @@ class TestConfigAndSeeds:
         assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, setting", [
+        ("sample", {"out_dir": 5}),
+        ("km", {"time_col": ["a"]}),
+        ("fit-mle", {"format": "JSON"}),
+        ("fit-bayes", {"no_adapt": "false"}),
+        ("fit-mle", {"replicates": None}),
+        ("sample", {"censor_rate": None}),
+        ("sample", {"n": 5.7}),
+        ("fit-bayes", {"thin": True}),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_config_entry_the_flag_could_not_take_exit_2(
+        self, tmp_path, monkeypatch, command, setting, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        if command == "sample":
+            argv = ["sample", "--b", "2", "--c", "1", "--beta", "2"]
+        else:
+            argv = [command, "--data", str(make_sample(tmp_path, n=50, seed=31))]
+        # no --out-dir: a refused out_dir must not fall back to writing here
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        name = next(iter(setting))
+        assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+        assert not any(work.iterdir())
+
+    @pytest.mark.parametrize("command, flags, setting", [
+        ("sample", ["--b", "2", "--c", "1.5", "--beta", "3", "--n", "80", "--seed", "6",
+                    "--censor-rate", "0.3"],
+         {"b": 2, "c": 1.5, "beta": 3, "n": 80, "seed": 6, "censor_rate": 0.3}),
+        ("fit-mle", ["--format", "csv", "--lr-null", "iw", "--ci-level", "0.9"],
+         {"format": "csv", "lr_null": ["iw"], "ci_level": 0.9}),
+        ("fit-bayes", ["--prior-b", "2", "0.01", "--prior-c", "1.5", "0.002",
+                       "--prior-beta", "1", "0.005", "--scales", "0.5", "0.3", "0.4",
+                       "--iterations", "600", "--burn-in", "200", "--thin", "3",
+                       "--no-adapt", "--format", "json", "--seed", "9"],
+         {"prior_b": [2, 0.01], "prior_c": [1.5, 0.002], "prior_beta": [1, 0.005],
+          "scales": [0.5, 0.3, 0.4], "iterations": 600, "burn_in": 200, "thin": 3,
+          "no_adapt": True, "format": "json", "seed": 9}),
+    ], ids=["sample", "fit-mle", "fit-bayes"])
+    def test_config_writes_what_the_flags_write(self, tmp_path, command, flags, setting, capsys):
+        argv = [command]
+        if command != "sample":
+            argv += ["--data", str(make_sample(tmp_path, n=120, seed=31))]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        capsys.readouterr()
+        assert main(argv + flags + ["--out-dir", str(by_flags)]) == 0
+        stdout = capsys.readouterr().out.replace(str(by_flags), "OUT")
+        assert main(argv + ["--config", str(cfg), "--out-dir", str(by_config)]) == 0
+        assert capsys.readouterr().out.replace(str(by_config), "OUT") == stdout
+        names = sorted(path.name for path in by_flags.iterdir())
+        assert names == sorted(path.name for path in by_config.iterdir())
+        for name in names:
+            assert (by_flags / name).read_bytes() == (by_config / name).read_bytes()
+
+    def test_repeated_flag_replaces_the_config_list(self, tmp_path):
+        path = make_sample(tmp_path, n=120, seed=31)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr_null": ["iw", "ir"]}))
+        assert main(["fit-mle", "--data", str(path), "--config", str(cfg),
+                     "--lr-null", "kumie", "--lr-null", "ie", "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "fit_mle.json").read_text())
+        assert [res["null"] for res in report["lr_tests"]] == ["kum-ie", "ie"]
+
     def test_missing_subcommand_exit_2(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

@@ -339,8 +339,12 @@ class TestOrderStatistics:
         )
 
     def test_moment_existence_gates(self):
+        # k = beta = 2 has no series form, but the moment exists (tail index 8)
+        p = KumIwParams(2, 1, 2)
+        expected = quad_t_integral(lambda t: t**2 * float(order_stat_pdf(p, 1, 2, t)))
+        assert order_stat_moment(p, 1, 2, 2, SeriesConfig()) == pytest.approx(expected, rel=1e-9)
         with pytest.raises(MomentNotDefinedError):
-            order_stat_moment(KumIwParams(2, 1, 2), 1, 2, 2, SeriesConfig())
+            order_stat_moment_series(p, 1, 2, 2)
         with pytest.raises(MomentNotDefinedError):
             order_stat_moment(KumIwParams(0.4, 1, 2), 2, 2, 1)  # tail index 0.8
 

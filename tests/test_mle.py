@@ -27,6 +27,7 @@ from oracles import (
     central_gradient,
     finite_difference_hessian,
     fisher_information_uniform_censoring,
+    underflow_limit_core,
 )
 
 TRUTH = KumIwParams(2.0, 1.5, 3.0)
@@ -222,14 +223,46 @@ class TestOnePassCore:
         if unit_b:
             b = 1.0
         d = CORE_DATA[name]
-        ll, oracle = _Loglik(d), TwoGroupLoglik(d)
-        assert ll.sum_log_tf == oracle.sum_log_tf
-        assert np.array_equal(ll.terms(c, beta), oracle.terms(c, beta), equal_nan=True)
+        ll = _Loglik(d)
         value, score, hess = ll.value_score_hessian(b, c, beta)
-        o_value, o_score, o_hess = oracle.value_score_hessian(b, c, beta)
-        assert value == o_value == ll(b, c, beta)
-        assert np.array_equal(score, o_score, equal_nan=True)
-        assert np.array_equal(hess, o_hess, equal_nan=True)
+        assert value == ll(b, c, beta)
+        y = beta * (math.log(c) - np.log(d.times))
+        with np.errstate(over="ignore"):
+            tiny = np.exp(y) < np.finfo(float).tiny
+        if not tiny.any():
+            oracle = TwoGroupLoglik(d)
+            assert ll.sum_log_tf == oracle.sum_log_tf
+            assert np.array_equal(ll.terms(c, beta), oracle.terms(c, beta), equal_nan=True)
+            o_value, o_score, o_hess = oracle.value_score_hessian(b, c, beta)
+            assert value == o_value
+            assert np.array_equal(score, o_score, equal_nan=True)
+            assert np.array_equal(hess, o_hess, equal_nan=True)
+        else:
+            # some x underflow: those rows take their limit, the rest the old bits.
+            # The core's m = y s + (1 + y) a cancels to b - e there, rounding at
+            # eps |y| |b - e| a row, which the log c and log beta entries scale
+            # by beta and |y|
+            o_terms, o_value, o_score, o_hess = underflow_limit_core(d, b, c, beta)
+            y = np.abs(y[tiny])
+            rounding = 8 * np.finfo(float).eps * max(1.0, b) * np.sum(y * (beta + y))
+            for got, want in ((ll.terms(c, beta), o_terms), (value, o_value),
+                              (score, o_score), (hess, o_hess)):
+                want = np.asarray(want)
+                scale = max(1.0, float(np.max(np.abs(want), initial=0.0, where=np.isfinite(want))))
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale + rounding)
+
+    @pytest.mark.parametrize("status, expected", [
+        ([1, 1, 1], -692.5369098956905),  # the sum of log_pdf
+        ([1, 1, 0], -416.6321638445132),  # the same, with log survival for the last row
+    ], ids=["all-events", "last-censored"])
+    def test_value_where_x_underflows(self, status, expected):
+        # x = (1.5 / 1e120)^3 is far below the smallest float
+        d = CensoredDataset.from_arrays([1.0, 2.0, 1e120], status)
+        p = KumIwParams(0.5, 1.5, 3.0)
+        assert censored_loglik(p, d) == pytest.approx(expected, rel=1e-12)
+        value, score, hess = _Loglik(d).value_score_hessian(p.b, p.c, p.beta)
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert np.all(np.isfinite(score)) and np.all(np.isfinite(hess))
 
 
 class TestFitReusesTheCore:
