@@ -32,6 +32,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _TINY = np.finfo(float).tiny
+# from here on e^-x < 2^-1076, below half the smallest subnormal: exp(-x)
+# rounds to +0.0
+_X_DEAD = 746.0
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,12 @@ def log1m_exp(x):
 
 def _validate_time(t, allow_zero: bool = False):
     t = np.asarray(t, dtype=float)
-    # infinite t is allowed for the continuous extensions of cdf/survival
-    bad = (t < 0) | np.isnan(t) if allow_zero else ~(t > 0)
-    if np.any(bad):
+    # infinite t is allowed for the continuous extensions of cdf/survival;
+    # both comparisons are false at nan
+    if not np.all(t >= 0 if allow_zero else t > 0):
         raise ValueError(f"time values must be {'>= 0' if allow_zero else '> 0'}")
-    return t
+    # -0.0 + 0.0 is +0.0: (c/-0.0)^beta would be -inf for odd integer beta
+    return t + 0.0 if allow_zero else t
 
 
 def _x_of(p: KumIwParams, t):
@@ -99,15 +103,65 @@ def _x_of(p: KumIwParams, t):
         return (p.c / t) ** p.beta
 
 
-def _log1m_exp_x(p: KumIwParams, t, x):
-    """log1m_exp(x) at x = (c/t)^beta.  Where x is below the smallest
-    normal float it has lost digits or underflowed to 0, and the value is
-    its limit log x = beta (log c - log t), exact to within x/2."""
-    out = log1m_exp(x)
-    if np.min(x, initial=np.inf) < _TINY:
-        with np.errstate(divide="ignore"):
-            out = np.where(x < _TINY, p.beta * (math.log(p.c) - np.log(t)), out)
-    return out
+def _log1m_exp_x(x, p: KumIwParams | None = None, t=None):
+    """log1m_exp(x), bit for bit, for x >= 0; the evaluators' one helper.
+
+    x is overwritten.  numpy's SIMD exp leaves its fast path on every
+    vector with a lane that underflows, so exp is fed 0 on the lanes
+    where e^-x rounds to +0.0 anyway (x >= _X_DEAD), and each branch is
+    fed a harmless value on the other branch's lanes, where it yields
+    -0.0.  The branches are joined by adding that -0.0, not by np.where,
+    which is slow on an unsorted mask.
+
+    With p and t, x is (c/t)^beta.  Where x is below the smallest normal
+    float it has lost digits or underflowed to 0, and the value is its
+    limit log x = beta (log c - log t), exact to within x/2.
+    """
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    x = x.reshape(-1)  # a scalar becomes one lane that can be written in place
+    small = x < _TINY if p is not None and np.min(x, initial=np.inf) < _TINY else None
+    lo = x < _LN2
+    with np.errstate(divide="ignore"):
+        # x < ln 2: log(-expm1(-x)); the other lanes are fed ln 2
+        out = np.fmin(x, _LN2)
+        np.negative(out, out=out)
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
+        np.log(out, out=out)
+        np.multiply(out, lo, out=out)
+        # ln 2 <= x: log1p(-exp(-x)), with the sign folded into the live
+        # mask: -1.0 on ln 2 <= x < _X_DEAD, -0.0 elsewhere
+        neg_live = np.subtract(-0.0, np.logical_xor(x < _X_DEAD, lo))
+        np.fmin(x, _X_DEAD, out=x)  # inf * 0 would be nan
+        np.multiply(x, neg_live, out=x)
+        np.exp(x, out=x)
+        np.multiply(x, neg_live, out=x)
+        np.log1p(x, out=x)
+        np.add(out, x, out=out)
+        if small is not None:
+            out = np.where(small, p.beta * (math.log(p.c) - np.log(t).reshape(-1)), out)
+    out = out.reshape(shape)
+    return out if out.ndim else out[()]
+
+
+def _exp_live(v):
+    """np.exp(v), bit for bit, with exp fed 0 on the lanes where e^v
+    rounds to +0.0 (v <= -_X_DEAD) and on nan; both give +0.0."""
+    live = v > -_X_DEAD
+    return np.exp(np.fmax(v, -_X_DEAD) * live) * live
+
+
+def _log_head(p: KumIwParams, t, x):
+    """log(beta b c^beta t^-(beta+1) e^-x): log_pdf and the log-hazard
+    before their log1m_exp(x) term."""
+    return (
+        math.log(p.beta)
+        + math.log(p.b)
+        + p.beta * math.log(p.c)
+        - (p.beta + 1.0) * np.log(t)
+        - x
+    )
 
 
 def log_pdf(p: KumIwParams, t):
@@ -119,25 +173,19 @@ def log_pdf(p: KumIwParams, t):
     """
     t = _validate_time(t)
     x = _x_of(p, t)
-    base = (
-        math.log(p.beta)
-        + math.log(p.b)
-        + p.beta * math.log(p.c)
-        - (p.beta + 1.0) * np.log(t)
-        - x
-    )
+    base = _log_head(p, t, x)
     if p.b != 1.0:
         with np.errstate(invalid="ignore"):
-            base = base + (p.b - 1.0) * _log1m_exp_x(p, t, x)
+            base = base + (p.b - 1.0) * _log1m_exp_x(x, p, t)
     # x may overflow for t near 0: the density underflows to 0 there
-    out = np.where(np.isnan(base), -np.inf, base)
+    out = np.fmax(base, -np.inf)  # nan -> -inf
     return out if np.ndim(out) else np.float64(out)
 
 
 def pdf(p: KumIwParams, t):
     """Density at time t > 0 (units 1/time)."""
     with np.errstate(over="ignore"):
-        return np.exp(log_pdf(p, t))
+        return _exp_live(log_pdf(p, t))
 
 
 def cdf(p: KumIwParams, t):
@@ -145,7 +193,7 @@ def cdf(p: KumIwParams, t):
     t = _validate_time(t, allow_zero=True)
     x = _x_of(p, t)
     with np.errstate(over="ignore"):
-        out = -np.expm1(p.b * _log1m_exp_x(p, t, x))
+        out = -np.expm1(p.b * _log1m_exp_x(x, p, t))
     return out if np.ndim(out) else np.float64(out)
 
 
@@ -153,7 +201,7 @@ def survival(p: KumIwParams, t):
     """Survival function; extended continuously with survival(0) = 1."""
     t = _validate_time(t, allow_zero=True)
     x = _x_of(p, t)
-    out = np.exp(p.b * _log1m_exp_x(p, t, x))
+    out = np.exp(p.b * _log1m_exp_x(x, p, t))
     return out if np.ndim(out) else np.float64(out)
 
 
@@ -161,17 +209,11 @@ def hazard(p: KumIwParams, t):
     """Hazard rate pdf/survival at t > 0; finite for every finite t."""
     t = _validate_time(t)
     x = _x_of(p, t)
-    log_h = (
-        math.log(p.beta)
-        + math.log(p.b)
-        + p.beta * math.log(p.c)
-        - (p.beta + 1.0) * np.log(t)
-        - x
-        - _log1m_exp_x(p, t, x)
-    )
-    # (c/t)^beta overflows for t near 0 and dominates: the limit is 0
-    with np.errstate(over="ignore"):
-        out = np.exp(np.where(np.isnan(log_h), -np.inf, log_h))
+    head = _log_head(p, t, x)
+    # (c/t)^beta overflows for t near 0 and dominates, and at t = inf both
+    # terms are -inf: the limit is 0 at both ends
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = _exp_live(head - _log1m_exp_x(x, p, t))
     return out if np.ndim(out) else np.float64(out)
 
 
@@ -183,10 +225,10 @@ def quantile(p: KumIwParams, u):
     it is then inf.
     """
     u = np.asarray(u, dtype=float)
-    if np.any((u <= 0) | (u >= 1) | ~np.isfinite(u)):
+    if not np.all((u > 0) & (u < 1)):  # both comparisons are false at nan
         raise ValueError("quantile requires probabilities strictly inside (0, 1)")
     z = np.log1p(-u) / p.b          # log (1-u)^(1/b), in (-inf, 0)
-    inner = -log1m_exp(-z)          # -log(1 - (1-u)^(1/b)) > 0
+    inner = -_log1m_exp_x(-z)       # -log(1 - (1-u)^(1/b)) > 0
     with np.errstate(over="ignore", divide="ignore"):
         out = p.c * inner ** (-1.0 / p.beta)
     return out if np.ndim(out) else np.float64(out)

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own series/special
 function code paths: brute-force quadrature of the defining integrals,
 the closed-form sub-model densities transcribed directly, central
-finite differences for the likelihood's analytic derivatives, and the
-likelihood core in its earlier two-group layout.
+finite differences for the likelihood's analytic derivatives, the
+likelihood core in its earlier two-group layout, and the evaluators in
+their earlier plain np.where form.
 """
 
 import math
@@ -485,3 +486,97 @@ def collapsed_posterior_moments(d: CensoredDataset, prior, weight: float = 1.0, 
     ])
     edge = float(wts[0].sum() + wts[-1].sum() + wts[1:-1, 0].sum() + wts[1:-1, -1].sum())
     return means, edge
+
+
+# The evaluators as they were before their guarded kernels: np.where picks
+# the log1m_exp branch, and exp sees every lane, underflowing or not.  The
+# formulas are kept verbatim (only the domain checks are left out), so the
+# library must reproduce them bit for bit.
+_LN2 = math.log(2.0)
+_TINY = np.finfo(float).tiny
+
+
+def _plain_log1m_exp(x):
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(
+            x < _LN2,
+            np.log(-np.expm1(-x)),
+            np.log1p(-np.exp(-x)),
+        )
+    return out if out.ndim else out[()]
+
+
+def _plain_x_of(p: KumIwParams, t):
+    with np.errstate(divide="ignore", over="ignore"):
+        return (p.c / t) ** p.beta
+
+
+def _plain_log1m_exp_x(p: KumIwParams, t, x):
+    out = _plain_log1m_exp(x)
+    if np.min(x, initial=np.inf) < _TINY:
+        with np.errstate(divide="ignore"):
+            out = np.where(x < _TINY, p.beta * (math.log(p.c) - np.log(t)), out)
+    return out
+
+
+def plain_log_pdf(p: KumIwParams, t):
+    t = np.asarray(t, dtype=float)
+    x = _plain_x_of(p, t)
+    base = (
+        math.log(p.beta)
+        + math.log(p.b)
+        + p.beta * math.log(p.c)
+        - (p.beta + 1.0) * np.log(t)
+        - x
+    )
+    if p.b != 1.0:
+        with np.errstate(invalid="ignore"):
+            base = base + (p.b - 1.0) * _plain_log1m_exp_x(p, t, x)
+    out = np.where(np.isnan(base), -np.inf, base)
+    return out if np.ndim(out) else np.float64(out)
+
+
+def plain_pdf(p: KumIwParams, t):
+    with np.errstate(over="ignore"):
+        return np.exp(plain_log_pdf(p, t))
+
+
+def plain_cdf(p: KumIwParams, t):
+    t = np.asarray(t, dtype=float)
+    x = _plain_x_of(p, t)
+    with np.errstate(over="ignore"):
+        out = -np.expm1(p.b * _plain_log1m_exp_x(p, t, x))
+    return out if np.ndim(out) else np.float64(out)
+
+
+def plain_survival(p: KumIwParams, t):
+    t = np.asarray(t, dtype=float)
+    x = _plain_x_of(p, t)
+    out = np.exp(p.b * _plain_log1m_exp_x(p, t, x))
+    return out if np.ndim(out) else np.float64(out)
+
+
+def plain_hazard(p: KumIwParams, t):
+    t = np.asarray(t, dtype=float)
+    x = _plain_x_of(p, t)
+    log_h = (
+        math.log(p.beta)
+        + math.log(p.b)
+        + p.beta * math.log(p.c)
+        - (p.beta + 1.0) * np.log(t)
+        - x
+        - _plain_log1m_exp_x(p, t, x)
+    )
+    with np.errstate(over="ignore"):
+        out = np.exp(np.where(np.isnan(log_h), -np.inf, log_h))
+    return out if np.ndim(out) else np.float64(out)
+
+
+def plain_quantile(p: KumIwParams, u):
+    u = np.asarray(u, dtype=float)
+    z = np.log1p(-u) / p.b
+    inner = -_plain_log1m_exp(-z)
+    with np.errstate(over="ignore", divide="ignore"):
+        out = p.c * inner ** (-1.0 / p.beta)
+    return out if np.ndim(out) else np.float64(out)

@@ -20,7 +20,20 @@ from kumiw import (
     survival,
 )
 from kumiw.distribution import log1m_exp
-from oracles import ie_pdf, ir_pdf, iw_cdf, iw_pdf, pdf_normalization, random_params
+from oracles import (
+    ie_pdf,
+    ir_pdf,
+    iw_cdf,
+    iw_pdf,
+    pdf_normalization,
+    plain_cdf,
+    plain_hazard,
+    plain_log_pdf,
+    plain_pdf,
+    plain_quantile,
+    plain_survival,
+    random_params,
+)
 
 
 class TestParams:
@@ -125,6 +138,15 @@ class TestCdfSurvival:
         with pytest.raises(ValueError):
             cdf(KumIwParams(1, 1, 1), -0.1)
 
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0, 2.5])
+    def test_negative_zero_is_zero(self, beta):
+        # (c/-0.0)^beta is -inf for odd integer beta: cdf was -inf there
+        p = KumIwParams(2, 1.5, beta)
+        for f in (cdf, survival):
+            assert_same_bits(f(p, -0.0), f(p, 0.0))
+            assert_same_bits(f(p, np.array([-0.0, 1.0])), f(p, np.array([0.0, 1.0])))
+        assert cdf(p, -0.0) == 0.0 and survival(p, -0.0) == 1.0
+
 
 class TestHazard:
     def test_definitional_identity(self):
@@ -144,6 +166,14 @@ class TestHazard:
         grid = np.concatenate([[1e-8, 1e-4], np.linspace(0.01, 50, 200), [1e6]])
         h = hazard(p, grid)
         assert np.all(np.isfinite(h)) and np.all(h >= 0)
+
+    def test_zero_at_infinity_without_warning(self):
+        # log-head and log1m_exp are both -inf at t = inf
+        p = KumIwParams(2, 1.5, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_bits(hazard(p, np.inf), np.float64(0.0))
+            np.testing.assert_array_equal(hazard(p, np.array([np.inf, 1e300])) == 0.0, [True, False])
 
     def test_vanishes_at_both_ends(self):
         for p in (KumIwParams(2, 1, 2), KumIwParams(1, 1, 3), KumIwParams(0.8, 2, 1.5)):
@@ -178,6 +208,96 @@ class TestEvaluatorProperties:
         with np.errstate(over="ignore", under="ignore"):
             far = (p.c / t) ** p.beta < 1e-12
         np.testing.assert_allclose(values["hazard"][far], p.b * p.beta / t[far], rtol=1e-6)
+
+
+def assert_same_bits(got, want):
+    """Equal as int64 views, so signed zeros and nan payloads count, and
+    of the same type (a scalar stays np.float64)."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+PLAIN = {pdf: plain_pdf, log_pdf: plain_log_pdf, cdf: plain_cdf, survival: plain_survival,
+         hazard: plain_hazard}
+
+
+def assert_matches_plain(p, t=None, u=None):
+    if t is not None:
+        for f, plain in PLAIN.items():
+            assert_same_bits(f(p, t), plain(p, t))
+    if u is not None:
+        assert_same_bits(quantile(p, u), plain_quantile(p, u))
+
+
+class TestMatchesPlainFormulas:
+    """The guarded kernels change how numpy is driven, not the values: they
+    match the plain np.where formulas of ``oracles`` bit for bit."""
+
+    # the dist-measures workload's triple grid and point sets
+    GRID = (
+        (2.0, 1.5, 3.0), (3.0, 1.0, 4.0), (1.0, 2.0, 2.5), (4.0, 1.2, 3.5),
+        (1.25, 0.8, 2.5), (1.3, 1.5, 3.0), (1.4, 1.0, 4.0), (1.1, 2.0, 5.0),
+        (0.7, 1.0, 5.0), (0.5, 2.0, 6.0), (0.8, 1.5, 3.5), (0.6, 1.0, 3.0),
+    )
+
+    def test_dist_measures_grid(self):
+        rng = np.random.default_rng(5)
+        t = np.exp(rng.uniform(math.log(0.02), math.log(50.0), 50_000))
+        u = np.clip(rng.random(50_000), 1e-12, 1.0 - 1e-12)
+        for triple in self.GRID:
+            assert_matches_plain(KumIwParams(*triple), t, u)
+
+    def test_wide_times_and_the_underflow_bands(self):
+        rng = np.random.default_rng(17)
+        triples = list(self.GRID) + [tuple(10.0 ** rng.uniform(-3, 3, 3)) for _ in range(40)]
+        t_wide = 10.0 ** rng.uniform(-300, 300, 5000)
+        x_band = rng.uniform(700.0, 800.0, 2000)
+        for triple in triples:
+            p = KumIwParams(*triple)
+            # x = (c/t)^beta across e^-x subnormal (708 < x < 745) and +0.0
+            with np.errstate(over="ignore", under="ignore"):
+                t_band = p.c * x_band ** (-1.0 / p.beta)
+                t_band = t_band[(t_band > 0) & np.isfinite(t_band)]
+                x = (p.c / t_band) ** p.beta
+            if triple in self.GRID:
+                assert np.any((x > 708) & (x < 745)) and np.any(x > 746)
+            assert_matches_plain(p, np.concatenate([t_wide, t_band]))
+
+    def test_quantile_tails(self):
+        u = np.concatenate([10.0 ** np.linspace(-300, -1, 600), 1.0 - 10.0 ** np.linspace(-16, -1, 300),
+                            [5e-324, 0.5]])
+        rng = np.random.default_rng(23)
+        for triple in list(self.GRID) + [tuple(10.0 ** rng.uniform(-3, 3, 3)) for _ in range(40)]:
+            assert_matches_plain(KumIwParams(*triple), u=u)
+
+    def test_continuous_extension_at_zero_and_inf(self):
+        for triple in self.GRID:
+            p = KumIwParams(*triple)
+            for t in (0.0, np.inf, np.array([0.0, np.inf, 1.0])):
+                assert_same_bits(cdf(p, t), plain_cdf(p, t))
+                assert_same_bits(survival(p, t), plain_survival(p, t))
+
+    @pytest.mark.parametrize("t", [1.3, np.float64(1e200), np.array(1e-5), np.array([]),
+                                   np.array([[0.5, 1e-300], [2.0, 1e300]])])
+    def test_scalars_zero_d_empty_and_two_d(self, t):
+        for triple in ((2.0, 1.5, 3.0), (0.5, 2.0, 6.0), (1.0, 1.0, 1.0)):
+            p = KumIwParams(*triple)
+            u = np.clip(t, 0.1, 0.9) if np.size(t) else t
+            assert_matches_plain(p, t, u)
+            if np.ndim(t) == 0:
+                assert all(type(f(p, t)) is np.float64 for f in PLAIN)
+                assert type(quantile(p, u)) is np.float64
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(_LOG_UNIFORM_PARAM, _LOG_UNIFORM_PARAM, _LOG_UNIFORM_PARAM),
+        st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0**e), min_size=1, max_size=40),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=40),
+    )
+    def test_property(self, triple, times, probs):
+        assert_matches_plain(KumIwParams(*triple), np.array(times), np.array(probs))
 
 
 class TestQuantile:
