@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-from .distribution import _SUBMODEL_PINNED, _TINY, KumIwParams, SubModel, log1m_exp
+from .distribution import _LN2, _SUBMODEL_PINNED, _TINY, KumIwParams, SubModel, log1m_exp
 from .errors import DataError, NumericError
 from .survdata import CensoredDataset
 
@@ -63,6 +63,9 @@ class _Loglik:
         self.log_t = np.log(np.concatenate((times[events], times[~events])))
         self.r = int(events.sum())
         self.n = len(times)
+        # e per row: 1.0 for the r events, then 0.0 for the censorings
+        self.e_row = np.zeros(self.n)
+        self.e_row[: self.r] = 1.0
         self.sum_log_tf = float(self.log_t[: self.r].sum())
         self.max_log_t = float(np.max(self.log_t, initial=-math.inf))
 
@@ -137,36 +140,46 @@ class _Loglik:
         x -> 0 and x -> inf stay finite; where x is below the smallest
         normal float, L, q and q x + q^2 take their limits y, 1 and 1.
 
-        y, x, q, L and q x + q^2 do not depend on b and are computed once
-        over all rows; k, a, s, m and the sums are taken per group (the
-        events ``[:r]``, then the censorings ``[r:]``).  The value is
-        ``combine`` on the event sum of x and the two group sums of L.
+        Every row array is full-length, with e taken per row from
+        ``e_row``, so each step is one ufunc call over all rows.  The 8
+        summed rows are written into one (8, n) buffer, and each group (the
+        events ``[:r]``, then the censorings ``[r:]``) is one reduction
+        over its columns, which sums each row in the pairwise order of a
+        1-D sum of that group's slice.  The value is ``combine`` on the
+        event sum of x and the two group sums of L.
         """
-        r, n = self.r, self.n
+        r, n, e_row = self.r, self.n, self.e_row
         sums = np.zeros(8)
         s_ell = [0.0, 0.0]
+        buf = np.empty((8, n))
+        ell, q, yq, a, ya, sa, m, ym = buf
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             log_c = math.log(c)
             y = beta * (log_c - self.log_t)
             x = np.exp(y)
-            den = -np.expm1(-x)
-            q = np.exp(y - x) / den
-            curv = np.exp(2.0 * y - x) / den + q * q
-            ell = log1m_exp(x)
+            neg_x = -x  # y - x is y + (-x) bit for bit
+            den = -np.expm1(neg_x)
+            np.divide(np.exp(y + neg_x), den, out=q)
+            curv = np.exp(2.0 * y + neg_x) / den + q * q
+            # log1m_exp(x), its expm1 branch taken from den
+            ell[:] = np.where(x < _LN2, np.log(den), np.log1p(-np.exp(neg_x)))
             tiny = self._underflow(log_c, beta, x)
             if tiny is not None:
                 ell[tiny] = y[tiny]
                 q[tiny] = curv[tiny] = 1.0
-            for group, (lo, hi, e) in enumerate(((0, r, 1.0), (r, n, 0.0))):
+            np.multiply(b - e_row, q, out=a)
+            a[:r] -= x[:r]
+            s = (e_row - b) * curv  # e - b is -k exactly
+            np.multiply(y, s, out=m)
+            m += (1.0 + y) * a
+            np.multiply(y, q, out=yq)
+            np.multiply(y, e_row + a, out=ya)
+            np.add(s, a, out=sa)
+            np.multiply(y, e_row + m, out=ym)
+            for group, (lo, hi) in enumerate(((0, r), (r, n))):
                 if lo == hi:
                     continue
-                y_g, q_g = y[lo:hi], q[lo:hi]
-                k = b - e
-                a = k * q_g - x[lo:hi] if e else k * q_g
-                s = -k * curv[lo:hi]
-                m = y_g * s + (1.0 + y_g) * a
-                rows = (ell[lo:hi], q_g, y_g * q_g, a, y_g * (e + a), s + a, m, y_g * (e + m))
-                part = [row.sum() for row in rows]
+                part = buf[:, lo:hi].sum(axis=1)
                 s_ell[group] = float(part[0])
                 sums += part
             value = self.combine(b, c, beta, (float(x[:r].sum()), *s_ell))
@@ -347,7 +360,7 @@ def _covariance_from_info(info: np.ndarray):
 
 
 def _wald_from_cov(theta: np.ndarray, cov: np.ndarray, level: float) -> dict:
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = special.ndtri(0.5 + level / 2.0)
     se_log = np.sqrt(np.diag(cov)) / theta
     return {
         name: (theta[i] * math.exp(-z * se_log[i]), theta[i] * math.exp(z * se_log[i]))
@@ -429,5 +442,5 @@ def lr_test(d: CensoredDataset, null: SubModel, full_fit: FitResult | None = Non
         raise NumericError(f"LR statistic {statistic} below numerical slack")
     statistic = max(statistic, 0.0)
     df = len(pins)
-    p_value = float(stats.chi2.sf(statistic, df))
+    p_value = float(special.chdtrc(df, statistic))
     return LrTestResult(statistic, df, p_value, null, full, restricted)

@@ -20,7 +20,8 @@ from kumiw import (
     wald_ci,
 )
 from kumiw.distribution import _SUBMODEL_PINNED
-from kumiw.mle import FitResult, _Loglik
+from kumiw import mle
+from kumiw.mle import FitResult, _Loglik, _wald_from_cov
 from kumiw.survdata import CensoredDataset, censoring_upper_bound, simulate_censored
 from oracles import (
     TwoGroupLoglik,
@@ -208,6 +209,9 @@ CORE_DATA = {
     "all-censored": CensoredDataset.from_arrays([0.5, 1.0, 2.0, 4.0], [0, 0, 0, 0]),
     "n=1": CensoredDataset.from_arrays([1.7], [1]),
     "20%-censored": simulate_censored(TRUTH, 60, 0.2, 53),
+    # both groups above numpy's 128-element pairwise block, so each group's
+    # reduction takes the blocked summation order
+    "n=1000": simulate_censored(TRUTH, 1000, 0.2, 57),
 }
 
 
@@ -263,6 +267,100 @@ class TestOnePassCore:
         value, score, hess = _Loglik(d).value_score_hessian(p.b, p.c, p.beta)
         assert value == pytest.approx(expected, rel=1e-12)
         assert np.all(np.isfinite(score)) and np.all(np.isfinite(hess))
+
+
+def _criterion8_data():
+    """The criterion-8 data sets of the acceptance study, 10 of each family:
+    truth (2, 1.5, 3) from seed 30000 + i and the b = 1 null from 60000 + i."""
+    rate, null_truth = 0.2, KumIwParams(1.0, 1.5, 3.0)
+    sets = {}
+    for truth, seed0 in ((TRUTH, 30_000), (null_truth, 60_000)):
+        bound = censoring_upper_bound(truth, rate)
+        for i in range(10):
+            sets[f"seed={seed0 + i}"] = simulate_censored(truth, 500, rate, seed0 + i, upper_bound=bound)
+    return sets
+
+
+CRITERION8_DATA = _criterion8_data()
+
+
+class TestWholeFitIdentity:
+    class OracleCore(_Loglik):
+        """The library core with ``value_score_hessian`` taken from the
+        two-group oracle."""
+
+        def __init__(self, d):
+            super().__init__(d)
+            self.oracle = TwoGroupLoglik(d)
+
+        def value_score_hessian(self, b, c, beta):
+            return self.oracle.value_score_hessian(b, c, beta)
+
+    @staticmethod
+    def fit_and_test(d):
+        fit = fit_mle(d)
+        return fit, lr_test(d, SubModel.IW, full_fit=fit)
+
+    @pytest.mark.parametrize("name", list(CRITERION8_DATA))
+    def test_fits_and_lr_test_equal_the_oracle_cores(self, name, monkeypatch):
+        d = CRITERION8_DATA[name]
+        fit, res = self.fit_and_test(d)
+        built = []
+
+        def oracle_core(d):
+            built.append(self.OracleCore(d))
+            return built[-1]
+
+        monkeypatch.setattr(mle, "_Loglik", oracle_core)
+        o_fit, o_res = self.fit_and_test(d)
+        assert len(built) == 2  # the full and the restricted fit
+        for got, want in ((fit, o_fit), (res.full, o_res.full), (res.restricted, o_res.restricted)):
+            assert got.params == want.params
+            assert got.loglik == want.loglik
+            assert got.ci == want.ci
+            assert got.iterations == want.iterations
+            assert got.grad_norm == want.grad_norm
+            assert got.converged == want.converged
+        np.testing.assert_array_equal(fit.observed_info, o_fit.observed_info)
+        np.testing.assert_array_equal(fit.covariance, o_fit.covariance)
+        assert fit.converged and fit.ci is not None
+        assert res.statistic == o_res.statistic
+        assert res.p_value == o_res.p_value
+
+
+class TestSpecialFunctions:
+    # scipy.special in the library, the scipy.stats distributions here
+    def test_wald_bounds_equal_the_norm_ppf_formula(self):
+        theta = np.array([2.0, 1.5, 3.0])
+        cov = np.array([[0.3, 0.05, -0.1], [0.05, 0.02, 0.01], [-0.1, 0.01, 0.2]])
+        se_log = np.sqrt(np.diag(cov)) / theta
+        levels = np.concatenate((
+            np.geomspace(1e-6, 0.5, 400), np.linspace(0.5, 0.99, 400)[1:],
+            1.0 - np.geomspace(1e-2, 1e-6, 400), [0.9, 0.95, 0.99],
+        ))
+        for level in levels:
+            z = stats.norm.ppf(0.5 + level / 2.0)
+            want = {
+                name: (theta[i] * math.exp(-z * se_log[i]), theta[i] * math.exp(z * se_log[i]))
+                for i, name in enumerate(("b", "c", "beta"))
+            }
+            assert _wald_from_cov(theta, cov, float(level)) == want, level
+
+    @pytest.mark.parametrize("null, df", [(SubModel.IW, 1), (SubModel.IE, 2)], ids=["df=1", "df=2"])
+    def test_lr_p_value_equals_chi2_sf(self, null, df, monkeypatch):
+        # 2 (s/2 - 0) is s exactly, so the statistic is the grid value
+        restricted = FitResult(
+            params=TRUTH, loglik=0.0, observed_info=None, covariance=None, ci=None,
+            ci_level=math.nan, converged=True, iterations=0, grad_norm=0.0,
+        )
+        monkeypatch.setattr(mle, "_fit_pinned", lambda d, pins: restricted)
+        d = simulate_censored(TRUTH, 20, 0.0, 1)
+        statistics = np.concatenate(([0.0], np.geomspace(1e-300, 1e3, 3000)))
+        for s in statistics:
+            full = dataclasses.replace(restricted, loglik=float(s) / 2.0)
+            res = lr_test(d, null, full_fit=full)
+            assert res.df == df and res.statistic == s
+            assert res.p_value == float(stats.chi2.sf(s, df)), s
 
 
 class TestFitReusesTheCore:
