@@ -8,6 +8,7 @@ b drawn from its exact Gamma conditional), and posterior summaries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -181,6 +182,18 @@ class McmcConfig:
     adapt: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("n_iter", "burn_in", "thin", "seed"):
+            value = getattr(self, name)
+            try:
+                number = operator.index(value)
+            except TypeError:
+                number = None
+            if number is None or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # numpy integers are held as Python ints
+            object.__setattr__(self, name, number)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_iter < 1:
             raise ValueError(f"n_iter must be >= 1, got {self.n_iter}")
         if not 0 <= self.burn_in < self.n_iter:
@@ -282,6 +295,13 @@ def _collapsed(prior: PriorSpec, ll: _Loglik, weight: float, c: float, beta: flo
     return (value if math.isfinite(value) else -math.inf), shape, rate
 
 
+def _depth(n: int) -> int:
+    """Proposals per likelihood pass over n rows.  While a pass is bound
+    by its per-call overhead, a (k, n) block costs little more than one
+    row; past about 1200 values each extra row costs its full price."""
+    return max(1, min(4, 1200 // n))
+
+
 def run_mcmc(
     d: CensoredDataset,
     prior: PriorSpec,
@@ -307,19 +327,35 @@ def run_mcmc(
     when the window has fewer than 2 acceptances or a singular covariance,
     the standard deviations shrink by 0.7 instead.  They are kept in
     [1e-3, 25], and the covariance is frozen after burn-in.
-    Deterministic for a fixed seed.
 
-    A proposal makes one pass over the data, ``_Loglik.terms(c', beta')``,
-    and everything else is scalar arithmetic on those sums: a run makes
-    1 + n_iter passes (none with ``likelihood_weight`` 0).  Stored
-    ``log_post_trace`` values are the full log-posterior of each draw.
+    The randomness is drawn a segment at a time: the 200-iteration
+    windows of burn-in (the last one cut at ``cfg.burn_in``), then
+    200-iteration segments after it.  A segment of m iterations draws, in
+    this order, m standard normal pairs z, m uniforms u and m standard
+    Gamma(a_b + w r) variates g; iteration j proposes
+    (log c', log beta') = (log c, log beta) + L z_j with the segment's
+    Cholesky factor L, accepts when u_j is below the acceptance
+    probability, and takes b' = g_j / rate(c', beta').  The chain is a
+    function of the seed alone, and it differs from the one drawn an
+    iteration at a time before this scheme.
+
+    The likelihood enters through ``_Loglik.terms_rows``.  Rejection is
+    the likelier outcome, so one pass evaluates the next k proposals as
+    if each were rejected, all from the current state (pre-fetching:
+    Brockwell 2006; Angelino, Kohler, Waterland, Seltzer & Adams 2014).
+    They are then decided in order; the first acceptance drops the rows
+    after it, and the next pass starts from the new state.  A pass never
+    crosses a segment end.  k = max(1, min(4, 1200 // n)) by n rows, and
+    the chain is the same for every k.  With ``likelihood_weight`` 0 no
+    pass is made.  Stored ``log_post_trace`` values are the full
+    log-posterior of each draw.
     """
     ll = _Loglik(d)
     weight = likelihood_weight
-
-    def propose(c: float, beta: float):
-        terms = ll.terms(c, beta) if weight != 0.0 and c > 0.0 else None
-        return _collapsed(prior, ll, weight, c, beta, terms), terms
+    weighted = weight != 0.0
+    depth = _depth(ll.n) if weighted else 1
+    # b | c, beta is Gamma(shape, rate(c, beta)), as in _collapsed
+    shape = prior.b_shape + weight * ll.r
 
     if init is not None:
         theta = init.as_array()
@@ -327,63 +363,83 @@ def run_mcmc(
         theta = np.array([1.0, float(np.exp(np.mean(np.log(d.times)))), 1.0])
     b, c, beta = theta.tolist()
     u_c, u_beta = math.log(c), math.log(beta)
-    (lt_cur, _, _), terms = propose(c, beta)
+    terms = ll.terms(c, beta) if weighted else None
+    lt_cur = _collapsed(prior, ll, weight, c, beta, terms)[0]
     lp_cur = _log_post(prior, ll, weight, b, c, beta, terms)
 
     rng = np.random.default_rng(cfg.seed)
     # lower Cholesky factor [[l00, 0], [l10, l11]] of the proposal covariance
     chol = np.diag(np.array(cfg.proposal_scales[1:], dtype=float))
-    (l00, _), (l10, l11) = chol.tolist()
-    keep = range(cfg.burn_in, cfg.n_iter, cfg.thin)
-    n_keep = len(keep)
-    draws = np.empty((n_keep, 3))
-    trace = np.empty(n_keep)
-    kept_iters = np.fromiter(keep, dtype=int)
+    burn_in, n_iter, thin = cfg.burn_in, cfg.n_iter, cfg.thin
+    draws: list[tuple[float, float, float]] = []
+    trace: list[float] = []
+    next_keep = burn_in
     accepted_post = 0
-    window_accepted = 0
-    window = np.empty((_ADAPT_WINDOW, 2))
     warn_list: list[str] = []
-    stored = 0
+    edges = [*range(0, burn_in, _ADAPT_WINDOW), *range(burn_in, n_iter, _ADAPT_WINDOW), n_iter]
 
-    for i in range(cfg.n_iter):
-        z0, z1 = rng.standard_normal(2).tolist()
-        u_c_prop = u_c + l00 * z0
-        u_beta_prop = u_beta + l10 * z0 + l11 * z1
-        c_prop, beta_prop = _exp(u_c_prop), _exp(u_beta_prop)
-        (lt_prop, shape, rate), terms_prop = propose(c_prop, beta_prop)
-        accept_p = rw_accept_probability(lt_cur, lt_prop, u_c + u_beta, u_c_prop + u_beta_prop)
-        if rng.random() < accept_p:
-            b_prop = float(rng.gamma(shape, 1.0 / rate))
-            if b_prop > 0.0:
-                b, c, beta, u_c, u_beta = b_prop, c_prop, beta_prop, u_c_prop, u_beta_prop
-                lt_cur, terms = lt_prop, terms_prop
-                lp_cur = _log_post(prior, ll, weight, b, c, beta, terms)
-                if i >= cfg.burn_in:
-                    accepted_post += 1
-                else:
-                    window_accepted += 1
-        if cfg.adapt and i < cfg.burn_in:
-            window[i % _ADAPT_WINDOW] = (u_c, u_beta)
-            if (i + 1) % _ADAPT_WINDOW == 0:
-                if window_accepted == 0:
-                    warn_list.append(
-                        f"(b, c, beta): no acceptances in adaptation window "
-                        f"ending at iteration {i + 1}"
-                    )
-                chol = _adapted_cholesky(chol, window, window_accepted)
-                (l00, _), (l10, l11) = chol.tolist()
-                window_accepted = 0
-        if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == 0:
-            draws[stored] = (b, c, beta)
-            trace[stored] = lp_cur
-            stored += 1
+    for lo, hi in zip(edges, edges[1:]):
+        m = hi - lo
+        z = rng.standard_normal((m, 2))
+        unif = rng.random(m).tolist()
+        gam = rng.standard_gamma(shape, m).tolist()
+        (l00, _), (l10, l11) = chol.tolist()
+        moves = list(zip((l00 * z[:, 0]).tolist(), (l10 * z[:, 0] + l11 * z[:, 1]).tolist(), unif, gam))
+        burning = hi <= burn_in
+        recording = cfg.adapt and burning
+        window: list[tuple[float, float]] = []
+        window_accepted = 0
+        i = lo
+        while i < hi:
+            run, cs, betas = [], [], []
+            for step_c, step_beta, u, g in moves[i - lo : i - lo + depth]:
+                u_c_prop, u_beta_prop = u_c + step_c, u_beta + step_beta
+                c_prop, beta_prop = _exp(u_c_prop), _exp(u_beta_prop)
+                # c or beta at 0 or inf has prior -inf and needs no pass
+                live = weighted and 0.0 < c_prop < math.inf and 0.0 < beta_prop < math.inf
+                run.append((u_c_prop, u_beta_prop, c_prop, beta_prop, live, u, g))
+                if live:
+                    cs.append(c_prop)
+                    betas.append(beta_prop)
+            rows = iter(ll.terms_rows(cs, betas) if cs else ())
+            for u_c_prop, u_beta_prop, c_prop, beta_prop, live, u, g in run:
+                terms_prop = next(rows) if live else None
+                lt_prop, _, rate = _collapsed(prior, ll, weight, c_prop, beta_prop, terms_prop)
+                accept_p = rw_accept_probability(lt_cur, lt_prop, u_c + u_beta, u_c_prop + u_beta_prop)
+                moved = False
+                if u < accept_p:
+                    b_prop = g / rate
+                    moved = b_prop > 0.0
+                if moved:
+                    b, c, beta = b_prop, c_prop, beta_prop
+                    u_c, u_beta, lt_cur = u_c_prop, u_beta_prop, lt_prop
+                    lp_cur = _log_post(prior, ll, weight, b, c, beta, terms_prop)
+                    if burning:
+                        window_accepted += 1
+                    else:
+                        accepted_post += 1
+                if recording:
+                    window.append((u_c, u_beta))
+                if i == next_keep:
+                    draws.append((b, c, beta))
+                    trace.append(lp_cur)
+                    next_keep += thin
+                i += 1
+                if moved:
+                    break
+        if recording and hi % _ADAPT_WINDOW == 0:
+            if window_accepted == 0:
+                warn_list.append(
+                    f"(b, c, beta): no acceptances in adaptation window ending at iteration {hi}"
+                )
+            chol = _adapted_cholesky(chol, np.array(window), window_accepted)
 
-    n_post = cfg.n_iter - cfg.burn_in
+    (l00, _), (l10, l11) = chol.tolist()
     return McmcChain(
-        draws=draws,
-        log_post_trace=trace,
-        iterations=kept_iters,
-        acceptance_rates=np.full(3, accepted_post / n_post),
+        draws=np.array(draws),
+        log_post_trace=np.array(trace),
+        iterations=np.arange(burn_in, n_iter, thin),
+        acceptance_rates=np.full(3, accepted_post / (n_iter - burn_in)),
         proposal_scales=np.array([math.nan, l00, math.hypot(l10, l11)]),
         warnings=warn_list,
     )

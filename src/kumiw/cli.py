@@ -151,12 +151,14 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("KUMIW_SEED")
-    if env is not None:
-        return _number(env, int, "KUMIW_SEED")
-    return DEFAULT_SEED
+    """--seed (or its --config entry), else KUMIW_SEED, else the default."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("KUMIW_SEED")
+        seed = DEFAULT_SEED if env is None else _number(env, int, "KUMIW_SEED")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _out_dir(args) -> Path:
@@ -249,6 +251,8 @@ def cmd_fit_mle(args) -> int:
     replicates = args.replicates
     if replicates < 0:
         raise ValueError(f"replicates must be >= 0, got {replicates}")
+    # a bad seed exits before anything is written
+    seed = _resolve_seed(args) if replicates else None
     data = _load_dataset(args)
     fit = mle.fit_mle(data, ci_level=args.ci_level)
     lr_results = [mle.lr_test(data, _LR_NULLS[name], full_fit=fit) for name in args.lr_null]
@@ -276,7 +280,6 @@ def cmd_fit_mle(args) -> int:
     print(f"wrote {out}")
 
     if replicates:
-        seed = _resolve_seed(args)
         censor_frac = 1.0 - data.n_events / len(data)
         # the fitted law and the rate are the same for every replicate
         bound = survdata.censoring_upper_bound(fit.params, censor_frac) if censor_frac > 0 else None

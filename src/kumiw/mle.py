@@ -46,10 +46,11 @@ class _Loglik:
     ``[:r]`` and ``[r:]``.  ``terms(c, beta)`` is the only O(n) work of a
     value: with x = (c/t)^beta it returns (sum of x over events,
     S_f = sum of log(1 - e^-x) over events, S_c = the same sum over
-    censorings).  ``combine(b, c, beta, terms)`` turns them into the value
-    in scalar arithmetic.  b enters only as r log b + (b - 1) S_f + b S_c,
-    so a caller that moves b alone (the sampler's b update) reuses the
-    terms of its current (c, beta).
+    censorings); ``terms_rows`` returns them at k points in one pass.
+    ``combine(b, c, beta, terms)`` turns them into the value in scalar
+    arithmetic.  b enters only as r log b + (b - 1) S_f + b S_c, so a
+    caller that moves b alone (the sampler's b update) reuses the terms
+    of its current (c, beta).
 
     Where x is below the smallest normal float it has lost digits or
     underflowed to 0; there L(x) = log(1 - e^-x) takes its limit
@@ -77,22 +78,38 @@ class _Loglik:
         return None
 
     def terms(self, c: float, beta: float) -> tuple[float, float, float]:
-        """(sum x over events, S_f, S_c) at (c, beta), for c > 0."""
-        r = self.r
-        s_f = s_c = 0.0
+        """(sum x over events, S_f, S_c) at (c, beta), for c > 0: the
+        one-point case of ``terms_rows``."""
+        return self.terms_rows((c,), (beta,))[0]
+
+    def terms_rows(self, cs, betas) -> list[tuple[float, float, float]]:
+        """``terms`` at k points (c_j, beta_j), all c_j > 0, in one pass.
+
+        The rows form one (k, n) block, so each step is one ufunc call for
+        all k points; only log c, the underflow fix-up and its gate run per
+        row.  Each row's group sums are a reduction over its own columns
+        ``[:r]`` or ``[r:]``, in the pairwise order of a 1-D sum of that
+        slice, so every row is bit for bit the one-point pass.
+        """
+        r, n = self.r, self.n
+        log_c = [math.log(c) for c in cs]
+        k = len(log_c)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            log_c = math.log(c)
-            x = np.exp(beta * (log_c - self.log_t))
+            # y = beta (log c - log t), then x = e^y in place
+            x = np.subtract.outer(log_c, self.log_t)
+            x *= np.array(betas)[:, None]
+            np.exp(x, out=x)
             ell = log1m_exp(x)
-            tiny = self._underflow(log_c, beta, x)
-            if tiny is not None:
-                ell[tiny] = beta * (log_c - self.log_t[tiny])
+            for row, (lc, beta) in enumerate(zip(log_c, betas)):
+                tiny = self._underflow(lc, beta, x[row])
+                if tiny is not None:
+                    ell[row, tiny] = beta * (lc - self.log_t[tiny])
             # an empty group sums to 0.0; skipping it saves a reduction
-            if r:
-                s_f = float(ell[:r].sum())
-            if r < self.n:
-                s_c = float(ell[r:].sum())
-        return float(x[:r].sum()), s_f, s_c
+            s_f = ell[:, :r].sum(axis=1).tolist() if r else [0.0] * k
+            s_c = ell[:, r:].sum(axis=1).tolist() if r < n else [0.0] * k
+            # the sum of x overflows to inf at extreme (c, beta)
+            sum_x_f = x[:, :r].sum(axis=1).tolist()
+        return list(zip(sum_x_f, s_f, s_c))
 
     def combine(self, b: float, c: float, beta: float, terms: tuple[float, float, float]) -> float:
         """The log-likelihood at (b, c, beta) from ``terms(c, beta)``."""

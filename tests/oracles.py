@@ -276,7 +276,7 @@ class TwoGroupLoglik:
                 s_f = float(np.sum(log1m_exp(x_f)))
             if len(self.log_tc):
                 s_c = float(np.sum(log1m_exp(np.exp(beta * (log_c - self.log_tc)))))
-        return float(x_f.sum()), s_f, s_c
+            return float(x_f.sum()), s_f, s_c
 
     def combine(self, b: float, c: float, beta: float, terms: tuple[float, float, float]) -> float:
         """The log-likelihood at (b, c, beta) from ``terms(c, beta)``."""

@@ -17,6 +17,7 @@ from kumiw import (
     run_mcmc,
     summarize,
 )
+from kumiw import bayes
 from kumiw.bayes import (
     SUMMARY_COLUMNS,
     _collapsed,
@@ -189,22 +190,26 @@ class TestRunMcmc:
         np.testing.assert_allclose(chain.log_post_trace, expected, rtol=0, atol=1e-9)
 
     def test_b_moves_reuse_cached_terms(self, data, monkeypatch):
-        calls = []
-        terms = _Loglik.terms
+        passes = []
+        terms_rows = _Loglik.terms_rows
 
-        def counted(self, c, beta):
-            calls.append((c, beta))
-            return terms(self, c, beta)
+        def counted(self, cs, betas):
+            passes.append(len(cs))
+            return terms_rows(self, cs, betas)
 
-        monkeypatch.setattr(_Loglik, "terms", counted)
+        monkeypatch.setattr(_Loglik, "terms_rows", counted)
         cfg = McmcConfig(n_iter=300, burn_in=100, thin=1, seed=19)
         run_mcmc(data, PRIOR, cfg)
-        # one pass over the data at the start and one per joint proposal;
-        # b is drawn from the proposal's own terms
-        assert len(calls) == 1 + cfg.n_iter
-        calls.clear()
+        # one pass over the data at the start; then every proposal is a row
+        # of a pass that evaluates up to 4 of them, and b is drawn from the
+        # proposal's own row
+        rows = sum(passes)
+        assert rows >= 1 + cfg.n_iter
+        assert len(passes) < rows
+        assert max(passes) == bayes._depth(len(data)) == 4
+        passes.clear()
         run_mcmc(data, PRIOR, cfg, likelihood_weight=0.0)
-        assert calls == []
+        assert passes == []
 
     def test_proposals_beyond_float_range_are_rejected(self, data):
         # steps of e^(1e6) overflow c or beta to inf or underflow them to 0;
@@ -232,6 +237,24 @@ class TestRunMcmc:
             McmcConfig(thin=0)
         with pytest.raises(ValueError):
             McmcConfig(proposal_scales=(0.1, 0.1))
+
+    @pytest.mark.parametrize("name, bad", [
+        ("n_iter", 100.0), ("burn_in", 10.5), ("thin", 2.0), ("seed", 1.5),
+        ("n_iter", True), ("seed", False), ("thin", np.float64(3.0)), ("seed", "7"),
+    ])
+    def test_counts_and_seed_must_be_integers(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            McmcConfig(**{name: bad})
+
+    def test_numpy_integers_accepted_as_ints(self):
+        cfg = McmcConfig(n_iter=np.int64(300), burn_in=np.int32(100), thin=np.uint8(3),
+                         seed=np.int64(4))
+        assert cfg == McmcConfig(n_iter=300, burn_in=100, thin=3, seed=4)
+        assert all(type(v) is int for v in (cfg.n_iter, cfg.burn_in, cfg.thin, cfg.seed))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            McmcConfig(seed=-1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.0])
     @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -261,6 +284,29 @@ class TestRunMcmc:
         # crude stationarity gate: split means within 3 naive standard errors,
         # inflated for autocorrelation
         assert abs(np.mean(first) - np.mean(second)) < 3 * pooled_se * 10
+
+
+class TestSpeculationDepth:
+    """A pass evaluates the next k proposals as if each were rejected; the
+    chain must be bit for bit the one that evaluates them one at a time."""
+
+    @pytest.mark.parametrize("censored", [False, True], ids=["n=80", "n=60-censored"])
+    @pytest.mark.parametrize("weight", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("adapt", [True, False])
+    def test_chain_does_not_depend_on_depth(self, data, censored, weight, adapt, monkeypatch):
+        d = simulate_censored(TRUTH, 60, 0.3, 23) if censored else data
+        # burn-in ends inside an adaptation window, and the 653 iterations
+        # after it are no multiple of the depth
+        cfg = McmcConfig(n_iter=1003, burn_in=350, thin=3, seed=41, adapt=adapt)
+        assert bayes._depth(len(d)) == 4
+        deep = run_mcmc(d, PRIOR, cfg, likelihood_weight=weight)
+        monkeypatch.setattr(bayes, "_depth", lambda n: 1)
+        single = run_mcmc(d, PRIOR, cfg, likelihood_weight=weight)
+        for name in ("draws", "log_post_trace", "iterations", "acceptance_rates",
+                     "proposal_scales"):
+            assert np.array_equal(getattr(deep, name), getattr(single, name), equal_nan=True), name
+        assert deep.warnings == single.warnings
+        assert 0.0 < deep.acceptance_rates[0] < 1.0
 
 
 class TestCollapsedTarget:

@@ -474,6 +474,33 @@ class TestConfigAndSeeds:
         expected = sample(KumIwParams(2, 1, 2), 10, DEFAULT_SEED)
         np.testing.assert_allclose(read_table(out / "sample.csv")["time"], expected, rtol=1e-15)
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("command", ["sample", "fit-mle", "fit-bayes"])
+    def test_negative_seed_exit_2_before_writing(self, tmp_path, monkeypatch, capsys, command, source):
+        path = make_sample(tmp_path, n=60)
+        capsys.readouterr()
+        argv = {
+            "sample": ["sample", "--b", "2", "--c", "1", "--beta", "2", "--n", "10"],
+            "fit-mle": ["fit-mle", "--data", str(path), "--replicates", "2"],
+            "fit-bayes": ["fit-bayes", "--data", str(path), "--iterations", "50", "--burn-in", "10"],
+        }[command]
+        monkeypatch.delenv("KUMIW_SEED", raising=False)
+        if source == "flag":
+            argv += ["--seed", "-4"]
+        elif source == "env":
+            monkeypatch.setenv("KUMIW_SEED", "-4")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -4}))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -4\n"
+        # fit-mle checks the seed before it prints or writes its fit
+        assert captured.out == ""
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("content", ["3", "[1, 2]", '"b"', "null"])
     def test_config_not_an_object_exit_2(self, tmp_path, content, capsys):
         cfg = tmp_path / "cfg.json"

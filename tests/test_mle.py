@@ -269,6 +269,28 @@ class TestOnePassCore:
         assert np.all(np.isfinite(score)) and np.all(np.isfinite(hess))
 
 
+class TestKPointPass:
+    """``terms_rows`` takes k points in one (k, n) pass.  Each row must be
+    bit for bit the one-point pass ``terms``, which TestOnePassCore holds
+    to the two-group oracle."""
+
+    DATA = {
+        **CORE_DATA,
+        # x = (c / 1e120)^beta underflows for beta above about 2.6
+        "x-underflow": CensoredDataset.from_arrays([1.0, 2.0, 1e120], [1, 1, 0]),
+    }
+
+    @pytest.mark.parametrize("name", list(DATA))
+    def test_rows_equal_the_one_point_pass(self, name):
+        ll = _Loglik(self.DATA[name])
+        rng = np.random.default_rng(len(name))
+        # an underflowing row beside one that does not, then random blocks
+        blocks = [([1.5, 1.5], [3.0, 0.01])]
+        blocks += [np.exp(rng.uniform(-7.0, 7.0, (2, k))).tolist() for k in range(1, 6) for _ in range(10)]
+        for cs, betas in blocks:
+            assert ll.terms_rows(cs, betas) == [ll.terms(c, beta) for c, beta in zip(cs, betas)]
+
+
 def _criterion8_data():
     """The criterion-8 data sets of the acceptance study, 10 of each family:
     truth (2, 1.5, 3) from seed 30000 + i and the b = 1 null from 60000 + i."""
