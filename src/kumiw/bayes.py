@@ -326,7 +326,9 @@ def run_mcmc(
     (log c, log beta) over the window (Haario, Saksman & Tamminen 2001);
     when the window has fewer than 2 acceptances or a singular covariance,
     the standard deviations shrink by 0.7 instead.  They are kept in
-    [1e-3, 25], and the covariance is frozen after burn-in.
+    [1e-3, 25], and the covariance is frozen after burn-in.  A burn-in
+    of 1-199 iterations holds no full window, so the proposal is never
+    adapted, and ``warnings`` says so.
 
     The randomness is drawn a segment at a time: the 200-iteration
     windows of burn-in (the last one cut at ``cfg.burn_in``), then
@@ -376,6 +378,11 @@ def run_mcmc(
     next_keep = burn_in
     accepted_post = 0
     warn_list: list[str] = []
+    if cfg.adapt and 0 < burn_in < _ADAPT_WINDOW:
+        warn_list.append(
+            f"burn-in of {burn_in} iterations is shorter than one {_ADAPT_WINDOW}-iteration "
+            "adaptation window: the proposal was not adapted"
+        )
     edges = [*range(0, burn_in, _ADAPT_WINDOW), *range(burn_in, n_iter, _ADAPT_WINDOW), n_iter]
 
     for lo, hi in zip(edges, edges[1:]):

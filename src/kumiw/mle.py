@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+# log1m_exp is unused here (_Loglik._rows states L); perfbench/tracing.py wraps it
 from .distribution import _LN2, _SUBMODEL_PINNED, _TINY, KumIwParams, SubModel, log1m_exp
 from .errors import DataError, NumericError
 from .survdata import CensoredDataset
@@ -43,19 +44,15 @@ class _Loglik:
     The data are one array ``log_t`` of log-times, the r events first and
     then the n - r censorings, so every O(n) pass is one ufunc call per
     step over all rows; only the sums are taken per group, over
-    ``[:r]`` and ``[r:]``.  ``terms(c, beta)`` is the only O(n) work of a
-    value: with x = (c/t)^beta it returns (sum of x over events,
+    ``[:r]`` and ``[r:]``.  ``_rows`` states the b-free rows once, for
+    the value pass ``terms_rows`` and the fit pass ``value_score_hessian``.
+    With x = (c/t)^beta, ``terms(c, beta)`` returns (sum of x over events,
     S_f = sum of log(1 - e^-x) over events, S_c = the same sum over
     censorings); ``terms_rows`` returns them at k points in one pass.
     ``combine(b, c, beta, terms)`` turns them into the value in scalar
     arithmetic.  b enters only as r log b + (b - 1) S_f + b S_c, so a
     caller that moves b alone (the sampler's b update) reuses the terms
     of its current (c, beta).
-
-    Where x is below the smallest normal float it has lost digits or
-    underflowed to 0; there L(x) = log(1 - e^-x) takes its limit
-    y = log x = beta (log c - log t).  ``max_log_t`` gates that fix-up on
-    one scalar test, so the common path makes no extra pass.
     """
 
     def __init__(self, d: CensoredDataset):
@@ -70,12 +67,28 @@ class _Loglik:
         self.sum_log_tf = float(self.log_t[: self.r].sum())
         self.max_log_t = float(np.max(self.log_t, initial=-math.inf))
 
-    def _underflow(self, log_c: float, beta: float, x: np.ndarray):
-        """The mask of rows whose x is below the smallest normal float, or
-        None when the smallest x cannot be."""
-        if beta * (log_c - self.max_log_t) < _LOG_TINY_GATE:
-            return x < _TINY
-        return None
+    def _rows(self, log_c, beta):
+        """The b-free rows (y, x, -x, den, L, tiny): 1-D at a float point,
+        (k, n) at (k, 1) columns; run under the caller's ``errstate``.
+
+        y = beta (log c - log t), x = e^y, den = 1 - e^-x and
+        L = log(1 - e^-x), its expm1 branch taken from den.  ``tiny`` marks
+        the lanes where x is below the smallest normal float (lost digits or
+        0), whose L takes its limit y; it is None when ``max_log_t`` shows
+        that no lane can be.
+        """
+        y = beta * (log_c - self.log_t)
+        x = np.exp(y)
+        neg_x = -x  # y - x is y + (-x) bit for bit
+        den = -np.expm1(neg_x)
+        ell = np.where(x < _LN2, np.log(den), np.log1p(-np.exp(neg_x)))
+        # a Python bool at a float point, cheaper than any numpy test; an array at columns
+        low = beta * (log_c - self.max_log_t) < _LOG_TINY_GATE
+        tiny = None
+        if low is True or low is not False and low.any():
+            tiny = x < _TINY
+            ell[tiny] = y[tiny]
+        return y, x, neg_x, den, ell, tiny
 
     def terms(self, c: float, beta: float) -> tuple[float, float, float]:
         """(sum x over events, S_f, S_c) at (c, beta), for c > 0: the
@@ -86,24 +99,16 @@ class _Loglik:
         """``terms`` at k points (c_j, beta_j), all c_j > 0, in one pass.
 
         The rows form one (k, n) block, so each step is one ufunc call for
-        all k points; only log c, the underflow fix-up and its gate run per
-        row.  Each row's group sums are a reduction over its own columns
-        ``[:r]`` or ``[r:]``, in the pairwise order of a 1-D sum of that
-        slice, so every row is bit for bit the one-point pass.
+        all k points; only log c runs per row.  Each row's group sums are a
+        reduction over its own columns ``[:r]`` or ``[r:]``, in the pairwise
+        order of a 1-D sum of that slice, so every row is bit for bit the
+        one-point pass.
         """
         r, n = self.r, self.n
-        log_c = [math.log(c) for c in cs]
-        k = len(log_c)
+        k = len(cs)
+        log_c = np.array([math.log(c) for c in cs])[:, None]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # y = beta (log c - log t), then x = e^y in place
-            x = np.subtract.outer(log_c, self.log_t)
-            x *= np.array(betas)[:, None]
-            np.exp(x, out=x)
-            ell = log1m_exp(x)
-            for row, (lc, beta) in enumerate(zip(log_c, betas)):
-                tiny = self._underflow(lc, beta, x[row])
-                if tiny is not None:
-                    ell[row, tiny] = beta * (lc - self.log_t[tiny])
+            _, x, _, _, ell, _ = self._rows(log_c, np.array(betas)[:, None])
             # an empty group sums to 0.0; skipping it saves a reduction
             s_f = ell[:, :r].sum(axis=1).tolist() if r else [0.0] * k
             s_c = ell[:, r:].sum(axis=1).tolist() if r < n else [0.0] * k
@@ -153,9 +158,9 @@ class _Loglik:
         first derivatives beta a and y a in (log c, log beta) and second
         derivatives beta^2 (s + a), beta m and y m, where a = x d/dx = k q - e x,
         s = x^2 d2/dx2 = -k (q x + q^2) and m = y s + (1 + y) a.
-        q = x L'(x) = x / expm1(x) is computed as e^(y - x) / (1 - e^-x), so
-        x -> 0 and x -> inf stay finite; where x is below the smallest
-        normal float, L, q and q x + q^2 take their limits y, 1 and 1.
+        q = x L'(x) = x / expm1(x) is computed as e^(y - x) / den from the
+        1-D ``_rows``, so x -> 0 and x -> inf stay finite; on their ``tiny``
+        lanes L is y, and q and q x + q^2 take their limits 1 and 1.
 
         Every row array is full-length, with e taken per row from
         ``e_row``, so each step is one ufunc call over all rows.  The 8
@@ -171,18 +176,11 @@ class _Loglik:
         buf = np.empty((8, n))
         ell, q, yq, a, ya, sa, m, ym = buf
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            log_c = math.log(c)
-            y = beta * (log_c - self.log_t)
-            x = np.exp(y)
-            neg_x = -x  # y - x is y + (-x) bit for bit
-            den = -np.expm1(neg_x)
+            # Python floats: 1-D rows, and a gate that is a Python bool
+            y, x, neg_x, den, ell[:], tiny = self._rows(math.log(c), float(beta))
             np.divide(np.exp(y + neg_x), den, out=q)
             curv = np.exp(2.0 * y + neg_x) / den + q * q
-            # log1m_exp(x), its expm1 branch taken from den
-            ell[:] = np.where(x < _LN2, np.log(den), np.log1p(-np.exp(neg_x)))
-            tiny = self._underflow(log_c, beta, x)
             if tiny is not None:
-                ell[tiny] = y[tiny]
                 q[tiny] = curv[tiny] = 1.0
             np.multiply(b - e_row, q, out=a)
             a[:r] -= x[:r]

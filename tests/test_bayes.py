@@ -211,6 +211,25 @@ class TestRunMcmc:
         run_mcmc(data, PRIOR, cfg, likelihood_weight=0.0)
         assert passes == []
 
+    def test_short_burn_in_warns_and_changes_no_draw(self, data):
+        # a burn-in below one 200-iteration window holds no window to adapt
+        # on: the chain is the unadapted one, and warnings says so
+        cfg = McmcConfig(n_iter=400, burn_in=100, thin=1, seed=19)
+        chain = run_mcmc(data, PRIOR, cfg)
+        fixed = run_mcmc(data, PRIOR, McmcConfig(n_iter=400, burn_in=100, thin=1, seed=19, adapt=False))
+        assert chain.warnings == [
+            "burn-in of 100 iterations is shorter than one 200-iteration adaptation window: "
+            "the proposal was not adapted"
+        ]
+        assert fixed.warnings == []
+        for name in ("draws", "log_post_trace", "acceptance_rates", "proposal_scales"):
+            assert np.array_equal(getattr(chain, name), getattr(fixed, name), equal_nan=True), name
+
+    @pytest.mark.parametrize("burn_in", [0, 200])
+    def test_no_short_burn_in_warning(self, data, burn_in):
+        chain = run_mcmc(data, PRIOR, McmcConfig(n_iter=400, burn_in=burn_in, thin=1, seed=19))
+        assert not any("burn-in" in warning for warning in chain.warnings)
+
     def test_proposals_beyond_float_range_are_rejected(self, data):
         # steps of e^(1e6) overflow c or beta to inf or underflow them to 0;
         # such proposals have prior -inf and are rejected without a warning
@@ -286,6 +305,7 @@ class TestRunMcmc:
         assert abs(np.mean(first) - np.mean(second)) < 3 * pooled_se * 10
 
 
+@pytest.mark.dispatch
 class TestSpeculationDepth:
     """A pass evaluates the next k proposals as if each were rejected; the
     chain must be bit for bit the one that evaluates them one at a time."""

@@ -280,6 +280,27 @@ class TestFitBayes:
         assert len(warnings) == 2
         assert all(line.startswith("warning: ") and "no acceptances" in line for line in warnings)
 
+    def test_short_burn_in_warns_on_stderr_only(self, tmp_path, capsys):
+        # burn-in 100 holds no 200-iteration window, so the chain and its files
+        # are those of --no-adapt, with one warning line added on stderr
+        path = make_sample(tmp_path, n=100, seed=31)
+        argv = ["fit-bayes", "--data", str(path), "--iterations", "300", "--burn-in", "100",
+                "--seed", "4", "--out-dir", str(tmp_path)]
+        outputs = []
+        for extra in ([], ["--no-adapt"]):
+            capsys.readouterr()
+            assert main(argv + extra) == 0
+            captured = capsys.readouterr()
+            outputs.append((captured.out, captured.err, (tmp_path / "chain.csv").read_bytes(),
+                            (tmp_path / "bayes_summary.csv").read_bytes()))
+        (out, err, *files), (fixed_out, fixed_err, *fixed_files) = outputs
+        assert err == (
+            "warning: burn-in of 100 iterations is shorter than one 200-iteration "
+            "adaptation window: the proposal was not adapted\n"
+        )
+        assert fixed_err == ""
+        assert out == fixed_out and files == fixed_files
+
     def test_summary_table_consistent_with_chain(self, tmp_path):
         path = make_sample(tmp_path, n=150, seed=37)
         assert main([

@@ -98,14 +98,29 @@ class TestFitMle:
         assert float(np.max(np.abs(score))) <= 1e-4
 
     def test_scale_equivariance(self):
-        d = simulate_censored(TRUTH, 500, 0.2, 11)
-        fit1 = fit_mle(d)
-        scale = 3.7
-        d2 = CensoredDataset.from_arrays(d.times * scale, d.event_mask)
-        fit2 = fit_mle(d2)
-        assert fit2.params.c / fit1.params.c == pytest.approx(scale, rel=1e-3)
-        assert fit2.params.b == pytest.approx(fit1.params.b, rel=1e-3)
-        assert fit2.params.beta == pytest.approx(fit1.params.beta, rel=1e-3)
+        # t -> s t multiplies c by s and leaves b and beta; log c moves by
+        # log s, and the score and Hessian in (log b, log c, log beta) do not
+        # change, so the fit is the same up to rounding.  Worst relative
+        # changes over seeds 500-529 at these s: 1.5e-14 (b), 5.1e-15 (c),
+        # 8.3e-15 (beta), 4e-14 (the log-likelihood, of |l|), 1.4e-14 (c's
+        # Wald bounds) and 6.7e-14 (the LR statistic, of |l|); 1e-12 is
+        # that with a margin of 15x or more
+        for seed in range(500, 510):
+            d = simulate_censored(TRUTH, 300, 0.2, seed)
+            fit = fit_mle(d)
+            stat = lr_test(d, SubModel.IW, full_fit=fit).statistic
+            for s in (1e-3, 7.0, 1e4):
+                d_s = CensoredDataset.from_arrays(d.times * s, d.event_mask)
+                fit_s = fit_mle(d_s)
+                assert fit.converged and fit_s.converged
+                assert fit_s.params.b == pytest.approx(fit.params.b, rel=1e-12, abs=0)
+                assert fit_s.params.c == pytest.approx(s * fit.params.c, rel=1e-12, abs=0)
+                assert fit_s.params.beta == pytest.approx(fit.params.beta, rel=1e-12, abs=0)
+                shift = fit.loglik - d.n_events * math.log(s)
+                assert abs(fit_s.loglik - shift) <= 1e-12 * abs(fit.loglik)
+                assert fit_s.ci["c"] == pytest.approx(tuple(s * v for v in fit.ci["c"]), rel=1e-12, abs=0)
+                stat_s = lr_test(d_s, SubModel.IW, full_fit=fit_s).statistic
+                assert abs(stat_s - stat) <= 1e-12 * abs(fit.loglik)
 
     def test_too_few_events(self):
         d = CensoredDataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 0])
@@ -215,6 +230,7 @@ CORE_DATA = {
 }
 
 
+@pytest.mark.dispatch
 class TestOnePassCore:
     @pytest.mark.parametrize("name", list(CORE_DATA))
     @settings(max_examples=200, deadline=None)
@@ -269,6 +285,7 @@ class TestOnePassCore:
         assert np.all(np.isfinite(score)) and np.all(np.isfinite(hess))
 
 
+@pytest.mark.dispatch
 class TestKPointPass:
     """``terms_rows`` takes k points in one (k, n) pass.  Each row must be
     bit for bit the one-point pass ``terms``, which TestOnePassCore holds
@@ -306,6 +323,7 @@ def _criterion8_data():
 CRITERION8_DATA = _criterion8_data()
 
 
+@pytest.mark.dispatch
 class TestWholeFitIdentity:
     class OracleCore(_Loglik):
         """The library core with ``value_score_hessian`` taken from the

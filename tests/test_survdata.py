@@ -193,6 +193,17 @@ class TestKaplanMeier:
         np.testing.assert_array_equal(km1.times, km2.times)
         np.testing.assert_allclose(km1.survival, km2.survival, atol=1e-15)
 
+    @pytest.mark.parametrize("s", [1e-3, 7.0, 1e4])
+    def test_scale_equivariance(self, s):
+        # t -> s t keeps the order of the times: the same curve at the scaled times
+        for seed in range(500, 510):
+            d = simulate_censored(KumIwParams(2.0, 1.5, 3.0), 300, 0.2, seed)
+            curve = kaplan_meier(d)
+            scaled = kaplan_meier(CensoredDataset.from_arrays(d.times * s, d.event_mask))
+            np.testing.assert_array_equal(scaled.times, curve.times * s)
+            for name in ("survival", "at_risk", "events"):
+                np.testing.assert_array_equal(getattr(scaled, name), getattr(curve, name))
+
     def test_late_censoring_adds_no_step(self):
         # a censored subject beyond the last event enlarges every risk set
         # (standard product-limit behaviour) but introduces no new step
