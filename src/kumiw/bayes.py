@@ -328,7 +328,8 @@ def run_mcmc(
     the standard deviations shrink by 0.7 instead.  They are kept in
     [1e-3, 25], and the covariance is frozen after burn-in.  A burn-in
     of 1-199 iterations holds no full window, so the proposal is never
-    adapted, and ``warnings`` says so.
+    adapted; one that is not a multiple of 200 ends in a cut window that
+    is not adapted on.  ``warnings`` says so in both cases.
 
     The randomness is drawn a segment at a time: the 200-iteration
     windows of burn-in (the last one cut at ``cfg.burn_in``), then
@@ -378,10 +379,16 @@ def run_mcmc(
     next_keep = burn_in
     accepted_post = 0
     warn_list: list[str] = []
-    if cfg.adapt and 0 < burn_in < _ADAPT_WINDOW:
+    cut = burn_in % _ADAPT_WINDOW if cfg.adapt else 0
+    if cut and cut == burn_in:
         warn_list.append(
             f"burn-in of {burn_in} iterations is shorter than one {_ADAPT_WINDOW}-iteration "
             "adaptation window: the proposal was not adapted"
+        )
+    elif cut:
+        warn_list.append(
+            f"the last {cut} burn-in iterations ({burn_in - cut}-{burn_in - 1}) are shorter than one "
+            f"{_ADAPT_WINDOW}-iteration adaptation window: the proposal was not adapted on them"
         )
     edges = [*range(0, burn_in, _ADAPT_WINDOW), *range(burn_in, n_iter, _ADAPT_WINDOW), n_iter]
 

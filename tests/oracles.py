@@ -47,6 +47,48 @@ def quad_moment(p: KumIwParams, k: int) -> float:
     return quad_0inf(fn)
 
 
+def quad_shannon_entropy(p: KumIwParams) -> float:
+    """-E[log f(T)] by adaptive quadrature in x = (c/t)^beta, whose
+    density is b e^-x (1 - e^-x)^(b-1); log f adds log(beta/c) and
+    (1 + 1/beta) log x to its log."""
+    log_scale = math.log(p.beta / p.c)
+
+    def fn(x):
+        log_dens = math.log(p.b) - x + (p.b - 1.0) * math.log(-math.expm1(-x))
+        return -math.exp(log_dens) * (log_scale + (1.0 + 1.0 / p.beta) * math.log(x) + log_dens)
+
+    return quad_0inf(fn)
+
+
+def quad_renyi_entropy(p: KumIwParams, rho: float) -> float:
+    """Renyi entropy of order rho by adaptive quadrature of f^rho in x-space."""
+    s_exp = rho * (1.0 + 1.0 / p.beta) - 1.0 / p.beta
+
+    def fn(x):
+        lom = math.log(-math.expm1(-x))
+        return math.exp((s_exp - 1.0) * math.log(x) - rho * x + rho * (p.b - 1.0) * lom)
+
+    log_a = (
+        (rho - 1.0) * math.log(p.beta) + rho * math.log(p.b) + (1.0 - rho) * math.log(p.c)
+        + math.log(quad_0inf(fn))
+    )
+    return log_a / (1.0 - rho)
+
+
+def quad_order_stat_moment(p: KumIwParams, r: int, n: int, k: int) -> float:
+    """E[T_(r:n)^k] by adaptive quadrature in x-space, with the order
+    statistic's density n!/((r-1)!(n-r)!) F^(r-1) S^(n-r) f, S = (1 - e^-x)^b."""
+    coeff = r * math.comb(n, r)
+
+    def fn(x):
+        lom = math.log(-math.expm1(-x))
+        surv = math.exp(p.b * lom)
+        log_g = k * math.log(p.c) - k / p.beta * math.log(x) - x + (p.b * (n - r + 1) - 1.0) * lom
+        return coeff * p.b * math.exp(log_g) * (1.0 - surv) ** (r - 1)
+
+    return quad_0inf(fn)
+
+
 def quad_partial_first_moment(p: KumIwParams, q: float) -> float:
     """Integral of t f(t) over (0, q), directly in t-space."""
     val, _ = integrate.quad(

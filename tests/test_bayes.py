@@ -225,9 +225,22 @@ class TestRunMcmc:
         for name in ("draws", "log_post_trace", "acceptance_rates", "proposal_scales"):
             assert np.array_equal(getattr(chain, name), getattr(fixed, name), equal_nan=True), name
 
-    @pytest.mark.parametrize("burn_in", [0, 200])
+    def test_cut_burn_in_window_warns_and_is_not_adapted_on(self):
+        # at burn-in 350 the last window, iterations 200-349, is cut: the
+        # proposal adapts at 200 only, as it does at burn-in 200
+        d = simulate_censored(TRUTH, 300, 0.2, 31)
+        chain = run_mcmc(d, PRIOR, McmcConfig(n_iter=600, burn_in=350, thin=1, seed=5))
+        whole = run_mcmc(d, PRIOR, McmcConfig(n_iter=600, burn_in=200, thin=1, seed=5))
+        assert [w for w in chain.warnings if "burn-in" in w] == [
+            "the last 150 burn-in iterations (200-349) are shorter than one 200-iteration "
+            "adaptation window: the proposal was not adapted on them"
+        ]
+        assert np.array_equal(chain.proposal_scales, whole.proposal_scales, equal_nan=True)
+
+    @pytest.mark.parametrize("burn_in", [0, 200, 400])
     def test_no_short_burn_in_warning(self, data, burn_in):
-        chain = run_mcmc(data, PRIOR, McmcConfig(n_iter=400, burn_in=burn_in, thin=1, seed=19))
+        cfg = McmcConfig(n_iter=max(400, burn_in + 200), burn_in=burn_in, thin=1, seed=19)
+        chain = run_mcmc(data, PRIOR, cfg)
         assert not any("burn-in" in warning for warning in chain.warnings)
 
     def test_proposals_beyond_float_range_are_rejected(self, data):
