@@ -342,6 +342,11 @@ def run_mcmc(
     function of the seed alone, and it differs from the one drawn an
     iteration at a time before this scheme.
 
+    Each iteration appends one state (b, c, beta, log-posterior, log c,
+    log beta) to its segment's list.  A full burn-in window adapts on the
+    list's last two columns; a later segment from iteration lo keeps the
+    slice ``[(burn_in - lo) % thin :: thin]``, iterations burn_in + j thin.
+
     The likelihood enters through ``_Loglik.terms_rows``.  Rejection is
     the likelier outcome, so one pass evaluates the next k proposals as
     if each were rejected, all from the current state (pre-fetching:
@@ -376,7 +381,6 @@ def run_mcmc(
     burn_in, n_iter, thin = cfg.burn_in, cfg.n_iter, cfg.thin
     draws: list[tuple[float, float, float]] = []
     trace: list[float] = []
-    next_keep = burn_in
     accepted_post = 0
     warn_list: list[str] = []
     cut = burn_in % _ADAPT_WINDOW if cfg.adapt else 0
@@ -399,14 +403,11 @@ def run_mcmc(
         gam = rng.standard_gamma(shape, m).tolist()
         (l00, _), (l10, l11) = chol.tolist()
         moves = list(zip((l00 * z[:, 0]).tolist(), (l10 * z[:, 0] + l11 * z[:, 1]).tolist(), unif, gam))
-        burning = hi <= burn_in
-        recording = cfg.adapt and burning
-        window: list[tuple[float, float]] = []
-        window_accepted = 0
-        i = lo
-        while i < hi:
+        seg: list[tuple[float, ...]] = []
+        accepted = 0
+        while len(seg) < m:
             run, cs, betas = [], [], []
-            for step_c, step_beta, u, g in moves[i - lo : i - lo + depth]:
+            for step_c, step_beta, u, g in moves[len(seg) : len(seg) + depth]:
                 u_c_prop, u_beta_prop = u_c + step_c, u_beta + step_beta
                 c_prop, beta_prop = _exp(u_c_prop), _exp(u_beta_prop)
                 # c or beta at 0 or inf has prior -inf and needs no pass
@@ -420,33 +421,26 @@ def run_mcmc(
                 terms_prop = next(rows) if live else None
                 lt_prop, _, rate = _collapsed(prior, ll, weight, c_prop, beta_prop, terms_prop)
                 accept_p = rw_accept_probability(lt_cur, lt_prop, u_c + u_beta, u_c_prop + u_beta_prop)
-                moved = False
-                if u < accept_p:
-                    b_prop = g / rate
-                    moved = b_prop > 0.0
-                if moved:
+                b_prop = g / rate if u < accept_p else 0.0
+                if b_prop > 0.0:
                     b, c, beta = b_prop, c_prop, beta_prop
                     u_c, u_beta, lt_cur = u_c_prop, u_beta_prop, lt_prop
                     lp_cur = _log_post(prior, ll, weight, b, c, beta, terms_prop)
-                    if burning:
-                        window_accepted += 1
-                    else:
-                        accepted_post += 1
-                if recording:
-                    window.append((u_c, u_beta))
-                if i == next_keep:
-                    draws.append((b, c, beta))
-                    trace.append(lp_cur)
-                    next_keep += thin
-                i += 1
-                if moved:
+                    accepted += 1
+                seg.append((b, c, beta, lp_cur, u_c, u_beta))
+                if b_prop > 0.0:
                     break
-        if recording and hi % _ADAPT_WINDOW == 0:
-            if window_accepted == 0:
+        if hi > burn_in:
+            kept = seg[(burn_in - lo) % thin :: thin]
+            draws.extend(state[:3] for state in kept)
+            trace.extend(state[3] for state in kept)
+            accepted_post += accepted
+        elif cfg.adapt and m == _ADAPT_WINDOW:
+            if accepted == 0:
                 warn_list.append(
                     f"(b, c, beta): no acceptances in adaptation window ending at iteration {hi}"
                 )
-            chol = _adapted_cholesky(chol, np.array(window), window_accepted)
+            chol = _adapted_cholesky(chol, np.array(seg)[:, 4:], accepted)
 
     (l00, _), (l10, l11) = chol.tolist()
     return McmcChain(

@@ -305,14 +305,12 @@ def mgf_truncated(
         raise ValueError(f"n_terms must be >= 0, got {n_terms}")
     value = 1.0
     excluded = 0
-    retained = 0
     for k in range(1, n_terms + 1):
-        if k >= p.beta or not moment_exists(p, k):
+        try:
+            value += z**k * moment(p, k, cfg) / math.factorial(k)
+        except MomentNotDefinedError:
             excluded += 1
-            continue
-        value += z**k * moment(p, k, cfg) / math.factorial(k)
-        retained += 1
-    return MgfResult(value=value, excluded_terms=excluded, warning=(n_terms >= 1 and retained == 0))
+    return MgfResult(value=value, excluded_terms=excluded, warning=(n_terms >= 1 and excluded == n_terms))
 
 
 def cgf_truncated(
@@ -473,15 +471,15 @@ def shannon_entropy(p: KumIwParams) -> float:
 
 
 def renyi_entropy(p: KumIwParams, rho: float) -> float:
-    """Renyi entropy of order rho (rho > 0, rho != 1), by DE quadrature.
+    """Renyi entropy of order rho (finite rho > 0, rho != 1), by DE quadrature.
 
     The integral of f^rho is summed by the exp-sinh rule in
     x = (c/t)^beta, from its log; near x = 0 the integrand is
     x^(a-1) with a = rho (b + 1/beta) - 1/beta, and ``NumericError`` is
     raised where the rule does not resolve it (a below about 2.5e-4).
     """
-    if rho <= 0 or rho == 1.0:
-        raise ValueError(f"renyi_entropy requires rho > 0 and rho != 1, got {rho}")
+    if not 0 < rho < math.inf or rho == 1.0:
+        raise ValueError(f"renyi_entropy requires a finite rho > 0 and rho != 1, got {rho}")
     if rho * (p.b + 1.0 / p.beta) <= 1.0 / p.beta:
         raise ValueError(
             f"renyi_entropy diverges for rho={rho} with b={p.b}, beta={p.beta}"
@@ -510,8 +508,8 @@ def renyi_entropy_series(
     shape rho*(b-1)+1 and shift rho.  Valid only where the term-wise
     integrals exist; ``renyi_entropy`` stays authoritative.
     """
-    if rho <= 0 or rho == 1.0:
-        raise ValueError(f"renyi_entropy_series requires rho > 0 and rho != 1, got {rho}")
+    if not 0 < rho < math.inf or rho == 1.0:
+        raise ValueError(f"renyi_entropy_series requires a finite rho > 0 and rho != 1, got {rho}")
     s_exp = rho * (1.0 + 1.0 / p.beta) - 1.0 / p.beta
     shape = rho * (p.b - 1.0) + 1.0
     if s_exp <= 0 or (1.0 - s_exp) >= shape:

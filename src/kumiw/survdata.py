@@ -186,12 +186,12 @@ def load_csv(path, time_col: str = "time", status_col: str = "status") -> Censor
 
     Status coding is 1 = event, 0 = censored.  A file without the status
     column is read as fully observed (every row an event), so time-only
-    sample files round-trip.  Blank lines are skipped.  The first malformed
-    row is reported with its file line number (the header is line 1, and
-    blank lines count).
+    sample files round-trip.  A leading UTF-8 byte-order mark and blank
+    lines are skipped.  The first malformed row is reported with its file
+    line number (the header is line 1, and blank lines count).
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:

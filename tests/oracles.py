@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own series/special
 function code paths: brute-force quadrature of the defining integrals,
 the closed-form sub-model densities transcribed directly, central
 finite differences for the likelihood's analytic derivatives, the
-likelihood core in its earlier two-group layout, and the evaluators in
-their earlier plain np.where form.
+likelihood core in its earlier two-group layout, the evaluators in
+their earlier plain np.where form, and the sampler's loop in its earlier
+thinning-cursor form.
 """
 
 import math
@@ -14,7 +15,18 @@ import numpy as np
 from scipy import integrate
 
 from kumiw import KumIwParams, pdf
+from kumiw.bayes import (
+    _ADAPT_WINDOW,
+    McmcChain,
+    _adapted_cholesky,
+    _collapsed,
+    _depth,
+    _exp,
+    _log_post,
+    rw_accept_probability,
+)
 from kumiw.distribution import log1m_exp
+from kumiw.mle import _Loglik
 from kumiw.survdata import CensoredDataset
 
 
@@ -622,3 +634,114 @@ def plain_quantile(p: KumIwParams, u):
     with np.errstate(over="ignore", divide="ignore"):
         out = p.c * inner ** (-1.0 / p.beta)
     return out if np.ndim(out) else np.float64(out)
+
+
+# The sampler's loop as it was with a thinning cursor, a burn-in window list
+# and acceptance counters split by a burning flag.  The body is kept word for
+# word, so the library's run_mcmc, which keeps one state list per segment,
+# must return the same chain bit for bit.
+def reference_run_mcmc(d, prior, cfg, likelihood_weight=1.0, init=None):
+    ll = _Loglik(d)
+    weight = likelihood_weight
+    weighted = weight != 0.0
+    depth = _depth(ll.n) if weighted else 1
+    # b | c, beta is Gamma(shape, rate(c, beta)), as in _collapsed
+    shape = prior.b_shape + weight * ll.r
+
+    if init is not None:
+        theta = init.as_array()
+    else:
+        theta = np.array([1.0, float(np.exp(np.mean(np.log(d.times)))), 1.0])
+    b, c, beta = theta.tolist()
+    u_c, u_beta = math.log(c), math.log(beta)
+    terms = ll.terms(c, beta) if weighted else None
+    lt_cur = _collapsed(prior, ll, weight, c, beta, terms)[0]
+    lp_cur = _log_post(prior, ll, weight, b, c, beta, terms)
+
+    rng = np.random.default_rng(cfg.seed)
+    # lower Cholesky factor [[l00, 0], [l10, l11]] of the proposal covariance
+    chol = np.diag(np.array(cfg.proposal_scales[1:], dtype=float))
+    burn_in, n_iter, thin = cfg.burn_in, cfg.n_iter, cfg.thin
+    draws: list[tuple[float, float, float]] = []
+    trace: list[float] = []
+    next_keep = burn_in
+    accepted_post = 0
+    warn_list: list[str] = []
+    cut = burn_in % _ADAPT_WINDOW if cfg.adapt else 0
+    if cut and cut == burn_in:
+        warn_list.append(
+            f"burn-in of {burn_in} iterations is shorter than one {_ADAPT_WINDOW}-iteration "
+            "adaptation window: the proposal was not adapted"
+        )
+    elif cut:
+        warn_list.append(
+            f"the last {cut} burn-in iterations ({burn_in - cut}-{burn_in - 1}) are shorter than one "
+            f"{_ADAPT_WINDOW}-iteration adaptation window: the proposal was not adapted on them"
+        )
+    edges = [*range(0, burn_in, _ADAPT_WINDOW), *range(burn_in, n_iter, _ADAPT_WINDOW), n_iter]
+
+    for lo, hi in zip(edges, edges[1:]):
+        m = hi - lo
+        z = rng.standard_normal((m, 2))
+        unif = rng.random(m).tolist()
+        gam = rng.standard_gamma(shape, m).tolist()
+        (l00, _), (l10, l11) = chol.tolist()
+        moves = list(zip((l00 * z[:, 0]).tolist(), (l10 * z[:, 0] + l11 * z[:, 1]).tolist(), unif, gam))
+        burning = hi <= burn_in
+        recording = cfg.adapt and burning
+        window: list[tuple[float, float]] = []
+        window_accepted = 0
+        i = lo
+        while i < hi:
+            run, cs, betas = [], [], []
+            for step_c, step_beta, u, g in moves[i - lo : i - lo + depth]:
+                u_c_prop, u_beta_prop = u_c + step_c, u_beta + step_beta
+                c_prop, beta_prop = _exp(u_c_prop), _exp(u_beta_prop)
+                # c or beta at 0 or inf has prior -inf and needs no pass
+                live = weighted and 0.0 < c_prop < math.inf and 0.0 < beta_prop < math.inf
+                run.append((u_c_prop, u_beta_prop, c_prop, beta_prop, live, u, g))
+                if live:
+                    cs.append(c_prop)
+                    betas.append(beta_prop)
+            rows = iter(ll.terms_rows(cs, betas) if cs else ())
+            for u_c_prop, u_beta_prop, c_prop, beta_prop, live, u, g in run:
+                terms_prop = next(rows) if live else None
+                lt_prop, _, rate = _collapsed(prior, ll, weight, c_prop, beta_prop, terms_prop)
+                accept_p = rw_accept_probability(lt_cur, lt_prop, u_c + u_beta, u_c_prop + u_beta_prop)
+                moved = False
+                if u < accept_p:
+                    b_prop = g / rate
+                    moved = b_prop > 0.0
+                if moved:
+                    b, c, beta = b_prop, c_prop, beta_prop
+                    u_c, u_beta, lt_cur = u_c_prop, u_beta_prop, lt_prop
+                    lp_cur = _log_post(prior, ll, weight, b, c, beta, terms_prop)
+                    if burning:
+                        window_accepted += 1
+                    else:
+                        accepted_post += 1
+                if recording:
+                    window.append((u_c, u_beta))
+                if i == next_keep:
+                    draws.append((b, c, beta))
+                    trace.append(lp_cur)
+                    next_keep += thin
+                i += 1
+                if moved:
+                    break
+        if recording and hi % _ADAPT_WINDOW == 0:
+            if window_accepted == 0:
+                warn_list.append(
+                    f"(b, c, beta): no acceptances in adaptation window ending at iteration {hi}"
+                )
+            chol = _adapted_cholesky(chol, np.array(window), window_accepted)
+
+    (l00, _), (l10, l11) = chol.tolist()
+    return McmcChain(
+        draws=np.array(draws),
+        log_post_trace=np.array(trace),
+        iterations=np.arange(burn_in, n_iter, thin),
+        acceptance_rates=np.full(3, accepted_post / (n_iter - burn_in)),
+        proposal_scales=np.array([math.nan, l00, math.hypot(l10, l11)]),
+        warnings=warn_list,
+    )

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +29,7 @@ from kumiw.bayes import (
 )
 from kumiw.mle import _Loglik
 from kumiw.survdata import CensoredDataset, simulate_censored
-from oracles import collapsed_posterior_moments
+from oracles import collapsed_posterior_moments, reference_run_mcmc
 
 TRUTH = KumIwParams(2.0, 1.5, 3.0)
 PRIOR = PriorSpec(1.2, 0.5, 2.0, 0.8, 1.5, 0.3)
@@ -316,6 +318,57 @@ class TestRunMcmc:
         # crude stationarity gate: split means within 3 naive standard errors,
         # inflated for autocorrelation
         assert abs(np.mean(first) - np.mean(second)) < 3 * pooled_se * 10
+
+
+    @pytest.mark.parametrize("s", [1e-3, 7.0, 1e4])
+    def test_scale_equivariance(self, s):
+        # times times s with the c prior's rate over s: the sampler sees c / t
+        # and c_rate * c only, so the seeded chain's c draws scale by s, its b
+        # and beta draws and acceptances do not move, and the log-posterior
+        # shifts by -(r + 1) log s (the densities' and the c prior's Jacobians).
+        # Measured worst gaps on this set: 6.2e-14 relative (draws) and
+        # 3.2e-12 absolute (log-posterior, values about -500); the bounds are
+        # 16x and 30x that.  Rounding could flip an accept decision, so the
+        # data and seeds stay fixed.
+        d = simulate_censored(TRUTH, 300, 0.2, 31)
+        scaled = CensoredDataset.from_arrays(d.times * s, d.event_mask)
+        cfg = McmcConfig(n_iter=3000, burn_in=1000, thin=1, seed=5)
+        base = run_mcmc(d, PRIOR, cfg)
+        chain = run_mcmc(scaled, dataclasses.replace(PRIOR, c_rate=PRIOR.c_rate / s), cfg)
+        np.testing.assert_allclose(chain.draws, base.draws * [1.0, s, 1.0], rtol=1e-12, atol=0)
+        r = int(d.event_mask.sum())
+        np.testing.assert_allclose(
+            chain.log_post_trace, base.log_post_trace - (r + 1) * math.log(s), rtol=0, atol=1e-10
+        )
+        assert np.array_equal(chain.acceptance_rates, base.acceptance_rates)
+        assert 0.0 < base.acceptance_rates[0] < 1.0
+
+
+class TestReferenceLoop:
+    """The loop keeps one state list per segment; the chain must be bit for
+    bit the one of the earlier loop with a thinning cursor, a window list
+    and split acceptance counters (``oracles.reference_run_mcmc``)."""
+
+    # burn-in with no window, a short one, one whole window, a cut last
+    # window and two whole windows; 203 iterations after burn-in leave a
+    # last segment of 3, shorter than a thin of 7
+    GRID = list(itertools.product([0, 100, 200, 350, 400], [1, 3, 7], [True, False]))
+
+    @pytest.mark.parametrize("censor_rate", [0.0, 0.3])
+    @pytest.mark.parametrize("weight", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("n", [5, 300, 2000])
+    def test_chain_matches_reference(self, n, weight, censor_rate):
+        d = simulate_censored(TRUTH, n, censor_rate, 3)
+        assert bayes._depth(n) == {5: 4, 300: 4, 2000: 1}[n]
+        for burn_in, thin, adapt in self.GRID:
+            cfg = McmcConfig(n_iter=burn_in + 203, burn_in=burn_in, thin=thin, seed=11, adapt=adapt)
+            chain = run_mcmc(d, PRIOR, cfg, likelihood_weight=weight)
+            ref = reference_run_mcmc(d, PRIOR, cfg, likelihood_weight=weight)
+            for name in ("draws", "log_post_trace", "iterations", "acceptance_rates",
+                         "proposal_scales"):
+                assert np.array_equal(getattr(chain, name), getattr(ref, name), equal_nan=True), (
+                    name, burn_in, thin, adapt)
+            assert chain.warnings == ref.warnings, (burn_in, thin, adapt)
 
 
 @pytest.mark.dispatch

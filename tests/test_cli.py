@@ -364,6 +364,14 @@ class TestKmCompare:
         assert list(table) == ["time", "survival", "at_risk", "events"]
         assert np.all(np.diff(table["survival"]) <= 1e-15)
 
+    def test_km_reads_a_byte_order_mark(self, tmp_path):
+        path = make_sample(tmp_path, n=100, seed=41)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["km", "--data", str(bom), "--out-dir", str(tmp_path / "bom")]) == 0
+        assert main(["km", "--data", str(path), "--out-dir", str(tmp_path / "plain")]) == 0
+        assert (tmp_path / "bom" / "km.csv").read_bytes() == (tmp_path / "plain" / "km.csv").read_bytes()
+
     def test_compare_outputs(self, tmp_path):
         path = make_sample(tmp_path, n=500, seed=43)
         assert main([

@@ -409,6 +409,15 @@ class TestEntropies:
         with pytest.raises(ValueError):
             renyi_entropy(p, -0.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [renyi_entropy, renyi_entropy_series])
+    def test_renyi_non_finite_order(self, fn, rho):
+        # nan compares false with everything, so a test of rho <= 0 lets it
+        # through to the quadrature; inf would reach it too
+        with pytest.raises(ValueError, match="requires a finite rho > 0 and rho != 1"):
+            fn(KumIwParams(2, 1, 2), rho)
+
 
 class TestExpandedPdf:
     def test_b_one_single_term(self):

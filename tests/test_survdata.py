@@ -83,6 +83,16 @@ class TestLoadCsv:
         assert len(d) == 3 and d.n_events == 2
         np.testing.assert_array_equal(d.times, [100.0, 150.0, 200.0])
 
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet programs save UTF-8 CSV with a leading byte-order mark
+        text = "time,status\n100,1\n150,0\n200,1\n"
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbftime")
+        d, plain = load_csv(path), load_csv(write(tmp_path, text))
+        np.testing.assert_array_equal(d.times, plain.times)
+        np.testing.assert_array_equal(d.event_mask, plain.event_mask)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv")
