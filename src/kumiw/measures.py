@@ -249,8 +249,9 @@ def _finite(p: KumIwParams, k: int, tail: int = 1) -> bool:
 def _moment_power(p: KumIwParams, k: int, tail: int = 1, series: bool = True) -> float:
     """s = k/beta for a positive-integer order k whose moment is finite
     (``_finite``).  The ``series`` form carries Gamma(1 - k/beta), so it
-    also needs k < beta; quadrature does not."""
-    if k < 1 or k != int(k):
+    also needs k < beta; quadrature does not.  The range test comes first:
+    nan fails it, and int() of nan or inf would raise its own error."""
+    if not 1 <= k < math.inf or k != int(k):
         raise ValueError(f"moment order must be a positive integer, got {k}")
     if (series and k >= p.beta) or not _finite(p, k, tail):
         series_rule = f"k < beta = {p.beta} and " if series else ""
@@ -261,7 +262,10 @@ def _moment_power(p: KumIwParams, k: int, tail: int = 1, series: bool = True) ->
 
 
 def moment_exists(p: KumIwParams, k: int) -> bool:
-    """Whether E[T^k] is finite: the upper tail has index b*beta."""
+    """Whether E[T^k] is finite: the upper tail has index b*beta.  The
+    order k must be finite; nan or +-inf raises ``ValueError``."""
+    if not -math.inf < k < math.inf:
+        raise ValueError(f"moment order must be finite, got {k}")
     return _finite(p, k)
 
 
@@ -388,9 +392,10 @@ def _order_stat_coeff(r: int, n: int) -> float:
 
 
 def _validate_rank(r: int, n: int) -> None:
-    if n < 1 or n != int(n):
+    # range tests first, which nan fails, so int() never sees nan or inf
+    if not 1 <= n < math.inf or n != int(n):
         raise ValueError(f"sample size must be a positive integer, got {n}")
-    if r < 1 or r > n or r != int(r):
+    if not 1 <= r <= n or r != int(r):
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
 
 

@@ -256,15 +256,20 @@ def _default_init(d: CensoredDataset) -> np.ndarray:
     """
     te = np.sort(d.times[d.event_mask])
     m = len(te)
-    c0 = float(np.exp(np.mean(np.log(te))))
+    lt = np.log(te)
+    c0 = float(np.exp(lt.sum() / m))
     beta0 = 1.0
     if m >= 3:
         p_hat = (np.arange(1, m + 1) - 0.5) / m
-        y = np.log(-np.log(p_hat))
-        lt = np.log(te)
-        var = float(np.var(lt))
+        # np.var(lt) and np.cov(lt, y, bias=True) without their wrappers, in
+        # their own operations: the row sums over m centre both rows, and the
+        # covariance is their dot product times 1/m
+        xy = np.array([lt, np.log(-np.log(p_hat))])
+        xy -= (xy.sum(axis=1) / m)[:, None]
+        dev = xy[0]
+        var = float((dev * dev).sum() / m)
         if var > 1e-12:
-            slope = float(np.cov(lt, y, bias=True)[0, 1]) / var
+            slope = float(np.dot(xy, xy.T.conj())[0, 1] * (1.0 / m)) / var
             if math.isfinite(slope) and slope < 0:
                 beta0 = min(max(-slope, 0.05), 50.0)
     return np.array([1.0, c0, beta0])
@@ -284,8 +289,14 @@ def _maximize(
     Pinned coordinates keep their ``theta0`` values.  When every coordinate
     is free, the result also carries the observed information, and the
     covariance and ``ci_level`` Wald intervals of a converged fit.
+
+    The per-step checks (finiteness, the score's sup-norm, the eigenvalue
+    floor and the step cap) are exact operations, taken on Python floats
+    from ``tolist()``, which costs less than a numpy call on a 3-vector;
+    ``eigh`` and the step's matrix products stay numpy, for their bits.
     """
     ll = _Loglik(d)
+    all_free = bool(free.all())
     free_idx = np.flatnonzero(free)
     block = np.ix_(free_idx, free_idx)
 
@@ -293,9 +304,14 @@ def _maximize(
         theta = theta0.copy()
         theta[free_idx] = np.exp(phi)
         value, score, hess = ll.value_score_hessian(*theta)
-        score, hess = score[free_idx], hess[block]
-        finite = math.isfinite(value) and np.all(np.isfinite(score)) and np.all(np.isfinite(hess))
-        return phi, theta, value, score, hess, float(np.max(np.abs(score))) if finite else math.inf
+        if not all_free:
+            score, hess = score[free_idx], hess[block]
+        g = score.tolist()
+        finite = (
+            math.isfinite(value) and all(map(math.isfinite, g))
+            and all(map(math.isfinite, hess.ravel().tolist()))
+        )
+        return phi, theta, value, score, hess, max(map(abs, g)) if finite else math.inf
 
     phi, theta, value, score, hess, grad_norm = evaluate(np.log(theta0[free_idx]))
     finite = grad_norm < math.inf
@@ -306,10 +322,12 @@ def _maximize(
             w, v = np.linalg.eigh(hess)
         except np.linalg.LinAlgError:
             break
+        # a nan in w or step makes every trial non-finite, so that Python's
+        # max, which unlike np.max does not propagate a nan, cannot change the fit
+        floor = _EIG_FLOOR * max(1.0, max(map(abs, w.tolist())))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            floor = _EIG_FLOOR * max(1.0, float(np.max(np.abs(w))))
             step = v @ ((v.T @ score) / -np.minimum(w, -floor))
-            step /= max(1.0, float(np.max(np.abs(step))))
+            step /= max(1.0, max(map(abs, step.tolist())))
         noise = _VALUE_ULPS * math.ulp(ll.magnitude(*theta))
         for _ in range(1 if polish else _MAX_HALVINGS):
             trial = evaluate(phi + step)
@@ -330,7 +348,7 @@ def _maximize(
     elif not converged:
         message = f"score sup-norm {grad_norm:.3e} above {_GRAD_TOL}"
     info = cov = ci = None
-    if free.all():
+    if all_free:
         # the accepted point's own score and Hessian, not a second evaluation
         info = _information(theta, score, hess)
         # the inverse information is a sampling covariance only at a maximum

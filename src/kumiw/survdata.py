@@ -162,8 +162,12 @@ class KmCurve:
             raise ValueError("KmCurve requires increasing times and nonincreasing survival")
 
     def survival_at(self, t):
-        """Step-function evaluation; value before the first event time is 1."""
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
+        """Step-function evaluation; value before the first event time is 1.
+        A nan time raises ``ValueError``: it has no place among the steps."""
+        t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            raise ValueError("survival_at requires times that are not nan")
+        idx = np.searchsorted(self.times, t, side="right")
         padded = np.concatenate(([1.0], self.survival))
         out = padded[idx]
         return out if np.ndim(out) else float(out)

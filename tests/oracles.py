@@ -5,8 +5,9 @@ function code paths: brute-force quadrature of the defining integrals,
 the closed-form sub-model densities transcribed directly, central
 finite differences for the likelihood's analytic derivatives, the
 likelihood core in its earlier two-group layout, the evaluators in
-their earlier plain np.where form, and the sampler's loop in its earlier
-thinning-cursor form.
+their earlier plain np.where form, the sampler's loop in its earlier
+thinning-cursor form, and the Newton fit's loop and initial guess in
+their earlier numpy-reduction form.
 """
 
 import math
@@ -26,7 +27,18 @@ from kumiw.bayes import (
     rw_accept_probability,
 )
 from kumiw.distribution import log1m_exp
-from kumiw.mle import _Loglik
+from kumiw.mle import (
+    _EIG_FLOOR,
+    _GRAD_TOL,
+    _MAX_HALVINGS,
+    _MAX_STEPS,
+    _VALUE_ULPS,
+    FitResult,
+    _covariance_from_info,
+    _information,
+    _Loglik,
+    _wald_from_cov,
+)
 from kumiw.survdata import CensoredDataset
 
 
@@ -744,4 +756,109 @@ def reference_run_mcmc(d, prior, cfg, likelihood_weight=1.0, init=None):
         acceptance_rates=np.full(3, accepted_post / (n_iter - burn_in)),
         proposal_scales=np.array([math.nan, l00, math.hypot(l10, l11)]),
         warnings=warn_list,
+    )
+
+
+# The Newton fit's initial guess and loop as they were, with numpy's mean,
+# var and cov and numpy reductions on the 3-vector for the per-step checks.
+# The bodies are kept word for word, so the library's fit_mle and lr_test,
+# which take those checks on Python floats, must return the same fits bit
+# for bit.
+def reference_default_init(d: CensoredDataset) -> np.ndarray:
+    """b = 1 with (c, beta) from an inverse-Weibull probability plot.
+
+    On event times with empirical cdf p_i, log(-log p_i) is linear in
+    log t_i with slope -beta under the b = 1 sub-model, which is a safe
+    interior start.
+    """
+    te = np.sort(d.times[d.event_mask])
+    m = len(te)
+    c0 = float(np.exp(np.mean(np.log(te))))
+    beta0 = 1.0
+    if m >= 3:
+        p_hat = (np.arange(1, m + 1) - 0.5) / m
+        y = np.log(-np.log(p_hat))
+        lt = np.log(te)
+        var = float(np.var(lt))
+        if var > 1e-12:
+            slope = float(np.cov(lt, y, bias=True)[0, 1]) / var
+            if math.isfinite(slope) and slope < 0:
+                beta0 = min(max(-slope, 0.05), 50.0)
+    return np.array([1.0, c0, beta0])
+
+
+def reference_maximize(
+    d: CensoredDataset, theta0: np.ndarray, free: np.ndarray, ci_level: float = math.nan
+) -> FitResult:
+    """Maximize the log-likelihood over the log-parameters of the free coordinates.
+
+    Newton steps on the exact score and Hessian with its eigenvalues clamped
+    negative, capped at 1 in sup-norm and halved until the value rises or,
+    as values stop resolving near the optimum, holds within its rounding
+    noise while the score's sup-norm shrinks.  At sup-norm <= ``_GRAD_TOL``
+    one more full step is kept only if it shrinks the score.  A non-finite
+    trial is a rejected step; a non-finite start stops the fit at once.
+    Pinned coordinates keep their ``theta0`` values.  When every coordinate
+    is free, the result also carries the observed information, and the
+    covariance and ``ci_level`` Wald intervals of a converged fit.
+    """
+    ll = _Loglik(d)
+    free_idx = np.flatnonzero(free)
+    block = np.ix_(free_idx, free_idx)
+
+    def evaluate(phi):
+        theta = theta0.copy()
+        theta[free_idx] = np.exp(phi)
+        value, score, hess = ll.value_score_hessian(*theta)
+        score, hess = score[free_idx], hess[block]
+        finite = math.isfinite(value) and np.all(np.isfinite(score)) and np.all(np.isfinite(hess))
+        return phi, theta, value, score, hess, float(np.max(np.abs(score))) if finite else math.inf
+
+    phi, theta, value, score, hess, grad_norm = evaluate(np.log(theta0[free_idx]))
+    finite = grad_norm < math.inf
+    iterations = 0
+    while finite and iterations < _MAX_STEPS:
+        polish = grad_norm <= _GRAD_TOL
+        try:
+            w, v = np.linalg.eigh(hess)
+        except np.linalg.LinAlgError:
+            break
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            floor = _EIG_FLOOR * max(1.0, float(np.max(np.abs(w))))
+            step = v @ ((v.T @ score) / -np.minimum(w, -floor))
+            step /= max(1.0, float(np.max(np.abs(step))))
+        noise = _VALUE_ULPS * math.ulp(ll.magnitude(*theta))
+        for _ in range(1 if polish else _MAX_HALVINGS):
+            trial = evaluate(phi + step)
+            rises, shrinks, holds = trial[2] > value, trial[5] < grad_norm, trial[2] >= value - noise
+            if shrinks if polish else trial[5] < math.inf and (rises or shrinks and holds):
+                break
+            step = step / 2.0
+        else:
+            break
+        phi, theta, value, score, hess, grad_norm = trial
+        iterations += 1
+        if polish:
+            break
+    converged = grad_norm <= _GRAD_TOL
+    message = ""
+    if not finite:
+        message = "non-finite log-likelihood, score or Hessian at the start"
+    elif not converged:
+        message = f"score sup-norm {grad_norm:.3e} above {_GRAD_TOL}"
+    info = cov = ci = None
+    if free.all():
+        # the accepted point's own score and Hessian, not a second evaluation
+        info = _information(theta, score, hess)
+        # the inverse information is a sampling covariance only at a maximum
+        cov = _covariance_from_info(info) if converged else None
+        ci = _wald_from_cov(theta, cov, ci_level) if cov is not None else None
+        if not converged:
+            message += "; covariance withheld: the fit did not converge"
+        elif cov is None:
+            message = (message + "; " if message else "") + "covariance unavailable"
+    return FitResult(
+        params=KumIwParams(*theta), loglik=value, observed_info=info, covariance=cov, ci=ci,
+        ci_level=ci_level, converged=converged, iterations=iterations, grad_norm=grad_norm,
+        message=message,
     )

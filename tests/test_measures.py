@@ -114,6 +114,24 @@ class TestMoment:
         assert moment_exists(KumIwParams(2, 1, 2), 3)
         assert not moment_exists(KumIwParams(0.5, 1, 1.5), 1)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_moment_exists_non_finite_order(self, k):
+        # -inf compared below every tail index (True) and nan above none (False)
+        with pytest.raises(ValueError, match="moment order must be finite"):
+            moment_exists(KumIwParams(2, 1.5, 3), k)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        moment,
+        partial(order_stat_moment, r=1, n=3),
+        partial(order_stat_moment_series, r=1, n=3),
+    ], ids=["moment", "order_stat_moment", "order_stat_moment_series"])
+    def test_non_finite_order(self, call, k):
+        # int() of nan or inf raised its own ValueError or OverflowError
+        with pytest.raises(ValueError, match="moment order must be a positive integer"):
+            call(KumIwParams(2, 1.5, 3), k=k)
+
     def test_non_convergence_reports_partial_sum(self):
         with pytest.raises(NumericError):
             moment(KumIwParams(2.5, 1.0, 3.0), 1, SeriesConfig(tol=1e-30, max_terms=4))
@@ -290,6 +308,16 @@ class TestBonferroniLorenz:
 
 
 class TestOrderStatistics:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [order_stat_moment, order_stat_moment_series])
+    def test_non_finite_rank_and_size(self, fn, bad):
+        p = KumIwParams(2, 1.5, 3)
+        with pytest.raises(ValueError, match="rank must satisfy"):
+            fn(p, bad, 3, 1)
+        with pytest.raises(ValueError, match="sample size must be a positive integer"):
+            fn(p, 1, bad, 1)
+
     def test_single_observation(self):
         p = KumIwParams(2, 1, 2)
         t = 1.3

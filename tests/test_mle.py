@@ -10,6 +10,7 @@ from scipy import stats
 from kumiw import (
     DataError,
     KumIwParams,
+    NumericError,
     SubModel,
     censored_loglik,
     fit_mle,
@@ -28,6 +29,8 @@ from oracles import (
     central_gradient,
     finite_difference_hessian,
     fisher_information_uniform_censoring,
+    reference_default_init,
+    reference_maximize,
     underflow_limit_core,
 )
 
@@ -366,6 +369,81 @@ class TestWholeFitIdentity:
         assert fit.converged and fit.ci is not None
         assert res.statistic == o_res.statistic
         assert res.p_value == o_res.p_value
+
+
+@pytest.mark.dispatch
+class TestReferenceFit:
+    """The fit loop takes its per-step checks on Python floats and its initial
+    guess without numpy's mean, var and cov wrappers; every fit and LR test
+    must be bit for bit the one of the earlier loop and guess
+    (``oracles.reference_maximize`` and ``oracles.reference_default_init``)."""
+
+    NULLS = [m for m in _SUBMODEL_PINNED if m is not SubModel.KUM_IW]
+    HEAVY_TIES = CensoredDataset.from_arrays([1.0, 1.0, 1.0, 1.0, 2.0], [1, 1, 1, 1, 0])
+    THREE_EVENTS = CensoredDataset.from_arrays([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 0, 0])
+    CENSORED_60 = [simulate_censored(TRUTH, 60, 0.5, seed) for seed in range(12)]
+
+    def outcomes(self, d, init=None):
+        """The full fit, then each pinned null's LR test against it: its
+        statistic, p-value and two fits, or the error it raised."""
+        fit = fit_mle(d, init=init)
+        out = [fit]
+        for null in self.NULLS:
+            try:
+                res = lr_test(d, null, full_fit=fit)
+            except NumericError as err:
+                out.append(str(err))
+            else:
+                out.append((res.statistic, res.p_value, res.df, res.full, res.restricted))
+        return out
+
+    def assert_matches_reference(self, monkeypatch, d, init=None):
+        got = self.outcomes(d, init)
+        with monkeypatch.context() as m:
+            m.setattr(mle, "_maximize", reference_maximize)
+            m.setattr(mle, "_default_init", reference_default_init)
+            want = self.outcomes(d, init)
+        for g, w in zip(got, want, strict=True):
+            if isinstance(g, FitResult):
+                self.assert_same_fit(g, w)
+            elif isinstance(g, tuple):
+                assert g[:3] == w[:3]
+                self.assert_same_fit(g[3], w[3])
+                self.assert_same_fit(g[4], w[4])
+            else:
+                assert g == w
+        return got
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        for f in dataclasses.fields(FitResult):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+            else:  # a pinned fit's ci_level is nan
+                assert a == b or a != a and b != b, f.name
+
+    @pytest.mark.parametrize("name", list(CRITERION8_DATA))
+    def test_criterion8_sets(self, name, monkeypatch):
+        self.assert_matches_reference(monkeypatch, CRITERION8_DATA[name])
+
+    def test_censored_n60_with_unconverged_fits(self, monkeypatch):
+        fits = [self.assert_matches_reference(monkeypatch, d)[0] for d in self.CENSORED_60]
+        assert any(not fit.converged for fit in fits)
+
+    @pytest.mark.parametrize("d", [HEAVY_TIES, THREE_EVENTS], ids=["heavy-ties", "three-events"])
+    def test_unbounded_likelihoods(self, d, monkeypatch):
+        fit = self.assert_matches_reference(monkeypatch, d)[0]
+        assert not fit.converged and fit.iterations == mle._MAX_STEPS
+
+    def test_explicit_init(self, monkeypatch):
+        fit = self.assert_matches_reference(monkeypatch, CRITERION8_DATA["seed=30000"], TRUTH)[0]
+        assert fit.converged
+
+    def test_non_finite_start(self, monkeypatch):
+        d = CRITERION8_DATA["seed=30000"]
+        fit = self.assert_matches_reference(monkeypatch, d, KumIwParams(1.0, 1e6, 1e3))[0]
+        assert fit.iterations == 0 and fit.message.startswith("non-finite")
 
 
 class TestSpecialFunctions:

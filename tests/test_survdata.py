@@ -262,6 +262,13 @@ class TestKaplanMeier:
         assert km.survival_at(1.7) == pytest.approx(2 / 3)
         np.testing.assert_allclose(km.survival_at(np.array([2.0, 2.9])), [1 / 3, 1 / 3])
 
+    @pytest.mark.parametrize("t", [math.nan, [1.0, math.nan]], ids=["scalar", "array"])
+    def test_nan_time_rejected(self, t):
+        # searchsorted puts nan past the last step, which read as its survival
+        km = kaplan_meier(CensoredDataset.from_arrays([1.0, 2.0, 3.0], [1, 1, 0]))
+        with pytest.raises(ValueError, match="not nan"):
+            km.survival_at(t)
+
 
 class TestComparison:
     def test_values_are_composed_evaluations(self):
