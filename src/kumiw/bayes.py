@@ -98,6 +98,12 @@ def _log_post(prior: PriorSpec, ll: _Loglik, weight: float, b: float, c: float, 
     return lp if math.isfinite(lp) else -math.inf
 
 
+def _checked_weight(weight: float) -> float:
+    if not 0.0 <= weight < math.inf:
+        raise ValueError(f"likelihood_weight must be finite and >= 0, got {weight}")
+    return weight
+
+
 def log_posterior(
     p: KumIwParams,
     d: CensoredDataset,
@@ -108,8 +114,10 @@ def log_posterior(
     plus the Gamma prior log-densities.
 
     ``likelihood_weight`` is a test hook: 0 switches the likelihood off,
-    leaving the prior as the target.
+    leaving the prior as the target.  It must be finite and >= 0
+    (``ValueError`` otherwise).
     """
+    _checked_weight(likelihood_weight)
     ll = _Loglik(d)
     terms = ll.terms(p.c, p.beta) if likelihood_weight != 0.0 else None
     return _log_post(prior, ll, likelihood_weight, p.b, p.c, p.beta, terms)
@@ -243,11 +251,13 @@ def rw_accept_probability(
     random walk on the log scale.
 
     The Jacobian term ``log_proposal - log_current`` accounts for the
-    exp transform back to the positive parameter.
+    exp transform back to the positive parameter.  A nan log target counts
+    as -inf: a nan proposal gives 0 and a nan current target 1.
     """
-    if log_target_proposal == -math.inf:
+    # `not x > -inf` is true for -inf and nan alike
+    if not log_target_proposal > -math.inf:
         return 0.0
-    if log_target_current == -math.inf:
+    if not log_target_current > -math.inf:
         return 1.0
     delta = (log_target_proposal - log_target_current) + (log_proposal - log_current)
     if delta >= 0:
@@ -355,11 +365,12 @@ def run_mcmc(
     after it, and the next pass starts from the new state.  A pass never
     crosses a segment end.  k = max(1, min(4, 1200 // n)) by n rows, and
     the chain is the same for every k.  With ``likelihood_weight`` 0 no
-    pass is made.  Stored ``log_post_trace`` values are the full
-    log-posterior of each draw.
+    pass is made; it must be finite and >= 0 (``ValueError`` otherwise).
+    Stored ``log_post_trace`` values are the full log-posterior of each
+    draw.
     """
+    weight = _checked_weight(likelihood_weight)
     ll = _Loglik(d)
-    weight = likelihood_weight
     weighted = weight != 0.0
     depth = _depth(ll.n) if weighted else 1
     # b | c, beta is Gamma(shape, rate(c, beta)), as in _collapsed

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -329,19 +330,87 @@ def _survival_integral(p: KumIwParams, y_m: float) -> float:
     return t_cut + half / p.beta * float(np.sum(weights * t * survival(p, t)))
 
 
+# scipy's brentq defaults: rtol = 4 eps, at most 100 iterations
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, what: str) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy's brentq loop (its C source, ``Zeros/brentq.c``) on
+    Python floats, each operation in the same order, so every iterate and
+    the root are scipy's.  A nan value of f, f(xa) and f(xb) of one sign,
+    or no convergence in 100 iterations raises ``NumericError`` naming
+    ``what``.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise NumericError(f"cannot find {what}: the function is nan at {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericError(f"cannot find {what}: no sign change on [{xa!r}, {xb!r}]")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's inf or nan step fails the test below and bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NumericError(f"cannot find {what}: no convergence in {_BRENT_MAXITER} iterations")
+
+
 def censoring_upper_bound(p: KumIwParams, rate: float) -> float:
     """Upper bound M of a U(0, M) censoring law hitting a target censoring rate.
 
     Solves E[min(T, M)] / M = rate; the left side decreases from 1 to 0
     as M grows, so the root is unique.  It exceeds S(M), so the root lies
-    above the (1 - rate) quantile.  brentq works in y = log x at t = M,
-    from a bracket widened toward larger M in doubling steps; each
-    evaluation is one vectorised ``survival`` call (``_survival_integral``).
+    above the (1 - rate) quantile.  Brent's method (``_brentq``, scipy's
+    brentq iterates) works in y = log x at t = M, from a bracket widened
+    toward larger M in doubling steps; each evaluation is one vectorised
+    ``survival`` call (``_survival_integral``).
     """
     if not 0 < rate < 1:
         raise ValueError(f"censoring rate must be in (0, 1), got {rate}")
-    from scipy import optimize
-
     log_c = math.log(p.c)
 
     def excess(y: float) -> float:
@@ -363,7 +432,7 @@ def censoring_upper_bound(p: KumIwParams, rate: float) -> float:
                 "it lies beyond the range of the survival function"
             )
         hi, step = lo, 2.0 * step
-    y = optimize.brentq(excess, lo, hi, xtol=1e-15 * p.beta)
+    y = _brentq(excess, lo, hi, 1e-15 * p.beta, f"the censoring bound for {p} at rate {rate}")
     return math.exp(log_c - y / p.beta)
 
 

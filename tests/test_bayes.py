@@ -161,6 +161,23 @@ class TestAcceptProbability:
         assert rw_accept_probability(-10.0, -math.inf, 0.0, 1.0) == 0.0
         assert rw_accept_probability(-math.inf, -10.0, 0.0, 1.0) == 1.0
 
+    def test_nan_target_counts_as_minus_inf(self):
+        assert rw_accept_probability(0.0, math.nan, 0.0, 0.0) == 0.0
+        assert rw_accept_probability(math.nan, 0.0, 0.0, 0.0) == 1.0
+        assert rw_accept_probability(math.nan, math.nan, 0.0, 0.0) == 0.0
+        assert rw_accept_probability(-math.inf, math.nan, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+class TestLikelihoodWeightValidated:
+    def test_log_posterior(self, data, weight):
+        with pytest.raises(ValueError, match="likelihood_weight"):
+            log_posterior(TRUTH, data, PRIOR, likelihood_weight=weight)
+
+    def test_run_mcmc(self, data, weight):
+        with pytest.raises(ValueError, match="likelihood_weight"):
+            run_mcmc(data, PRIOR, McmcConfig(n_iter=20, burn_in=10), likelihood_weight=weight)
+
 
 class TestRunMcmc:
     def test_chain_length_one(self, data):

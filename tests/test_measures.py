@@ -482,17 +482,28 @@ class TestExpandedPdf:
             expanded_pdf(KumIwParams(1, 1, 1), 0.0)
 
 
-def test_import_loads_no_scipy_integrate_or_optimize():
+def test_import_loads_no_scipy_integrate_or_optimize(tmp_path):
     # `import kumiw` pays for scipy.special only; the measures' quadrature is
-    # the package's own double-exponential rule
+    # the package's own double-exponential rule, and the censoring
+    # calibration its own Brent loop, in the library and through the CLI
     code = (
         "import sys, kumiw\n"
+        "from kumiw import cli, survdata\n"
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
         "print(kumiw.measures.integrate.quad is kumiw.measures._de_quad)\n"
+        "survdata.censoring_upper_bound(kumiw.KumIwParams(2.0, 1.5, 3.0), 0.2)\n"
+        "assert cli.main(['sample', '--b', '2', '--c', '1.5', '--beta', '3', '--n', '50', '--seed', '1',\n"
+        "                 '--censor-rate', '0.2', '--out-dir', sys.argv[1]]) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(measures.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    # the CLI prints its own lines between the second and the last
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["[]", "True"] and lines[-1] == "False"
+    assert (tmp_path / "sample.csv").is_file()
 
 
 def _de_calls(triples):

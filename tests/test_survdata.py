@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from kumiw import DataError, KumIwParams, NumericError, survdata, survival
 from kumiw.survdata import (
@@ -381,3 +382,92 @@ class TestCensoringUpperBound:
         for rate in (0.0, 1.0, -0.1, math.nan):
             with pytest.raises(ValueError, match="censoring rate"):
                 censoring_upper_bound(KumIwParams(2.0, 1.5, 3.0), rate)
+
+
+def _random_bound_cases(count, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.log([0.2, 0.01, 0.5]), np.log([50.0, 100.0, 100.0])
+    return [
+        (tuple(np.exp(rng.uniform(lo, hi)).tolist()), float(rng.uniform(0.01, 0.99)))
+        for _ in range(count)
+    ]
+
+
+def _recorded(f, xs):
+    """f, appending each point it is evaluated at to xs."""
+    return lambda y: (xs.append(y), f(y))[1]
+
+
+@pytest.mark.dispatch
+class TestBrentPort:
+    """``_brentq`` is scipy's brentq loop on Python floats: on the same
+    ``excess`` it must evaluate the same points and return the same root,
+    bit for bit."""
+
+    CASES = (
+        _random_bound_cases(240, 2208)
+        # the criterion-8 truth and null truth at their 20 % censoring
+        + [((2.0, 1.5, 3.0), 0.2), ((1.0, 1.5, 3.0), 0.2)]
+        # small rates at large beta, where the bracket widens and the
+        # quadrature takes more panels
+        + [((0.2, 10.0, 100.0), 0.01), ((3.0, 0.5, 100.0), 0.001), ((50.0, 0.1, 100.0), 0.005)]
+    )
+
+    def test_root_and_iterates_match_scipy(self, monkeypatch):
+        port = survdata._brentq
+        runs = []
+
+        def both(f, xa, xb, xtol, what):
+            ours, theirs = [], []
+            root = port(_recorded(f, ours), xa, xb, xtol, what)
+            runs.append((root, ours, optimize.brentq(_recorded(f, theirs), xa, xb, xtol=xtol), theirs))
+            return root
+
+        monkeypatch.setattr(survdata, "_brentq", both)
+        for triple, rate in self.CASES:
+            censoring_upper_bound(KumIwParams(*triple), rate)
+            root, ours, scipy_root, theirs = runs[-1]
+            assert root.hex() == scipy_root.hex(), (triple, rate)
+            assert [y.hex() for y in ours] == [y.hex() for y in theirs], (triple, rate)
+        assert len(runs) == len(self.CASES)
+
+    def test_zero_division_bisects_as_scipy(self):
+        # f near 1e-300 over a bracket of width 2e6: the extrapolation's
+        # divided differences underflow to 0, where C divides by 0 and
+        # bisects; the port must bisect at the same iterations
+        def f(y):
+            return 1e-300 * ((y - 0.3) ** 3 + 1.5 * (y - 0.3))
+
+        ours, theirs = [], []
+        root = survdata._brentq(_recorded(f, ours), -1e6, 1e6, 1e-12, "the root")
+        scipy_root = optimize.brentq(_recorded(f, theirs), -1e6, 1e6, xtol=1e-12)
+        assert root.hex() == scipy_root.hex()
+        assert [y.hex() for y in ours] == [y.hex() for y in theirs]
+
+    def test_nan_is_a_numeric_error_naming_p_and_rate(self, monkeypatch):
+        # the bracket is found on the true integral; Brent's loop sees nan
+        p, port, integral = KumIwParams(2.0, 1.5, 3.0), survdata._brentq, survdata._survival_integral
+        started = []
+
+        def flagged(*args):
+            started.append(True)
+            return port(*args)
+
+        monkeypatch.setattr(survdata, "_brentq", flagged)
+        monkeypatch.setattr(survdata, "_survival_integral", lambda p, y: math.nan if started else integral(p, y))
+        with pytest.raises(NumericError, match=r"censoring bound for .*2\.0.* at rate 0\.2: .*nan"):
+            censoring_upper_bound(p, 0.2)
+
+    def test_no_sign_change(self):
+        with pytest.raises(NumericError, match="the root: no sign change"):
+            survdata._brentq(lambda y: 1.0 + y * y, -1.0, 1.0, 1e-15, "the root")
+
+    def test_no_convergence(self):
+        # a jump at 0 with a tolerance near the smallest float: bisection
+        # alone needs about 2000 halvings of [-1e300, 1e300]
+        with pytest.raises(NumericError, match="the root: no convergence in 100 iterations"):
+            survdata._brentq(lambda y: -1.0 if y < 0.0 else 1.0, -1e300, 1e300, 5e-324, "the root")
+
+    def test_endpoint_roots_returned(self):
+        assert survdata._brentq(lambda y: y, 0.0, 1.0, 1e-15, "the root") == 0.0
+        assert survdata._brentq(lambda y: y - 1.0, 0.0, 1.0, 1e-15, "the root") == 1.0
