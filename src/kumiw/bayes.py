@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 # log1m_exp is unused here (the sums come from _Loglik.terms); perfbench/tracing.py wraps it
-from .distribution import KumIwParams, log1m_exp
-from .survdata import CensoredDataset
+from .distribution import _PARAM_NAMES, KumIwParams, log1m_exp
+from .survdata import CensoredDataset, _write_csv
 from .mle import _Loglik
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "SUMMARY_COLUMNS",
     "write_chain_csv",
 ]
-
-_PARAM_NAMES = ("b", "c", "beta")
 
 #: Column layout of the posterior summary table.
 SUMMARY_COLUMNS = ("Parameter", "Mean", "SD", "2.5%", "Median", "97.5%")
@@ -252,7 +250,8 @@ def rw_accept_probability(
 
     The Jacobian term ``log_proposal - log_current`` accounts for the
     exp transform back to the positive parameter.  A nan log target counts
-    as -inf: a nan proposal gives 0 and a nan current target 1.
+    as -inf (a nan proposal gives 0, a nan current target 1), and any other
+    nan log ratio, such as inf - inf, gives 0.
     """
     # `not x > -inf` is true for -inf and nan alike
     if not log_target_proposal > -math.inf:
@@ -260,9 +259,9 @@ def rw_accept_probability(
     if not log_target_current > -math.inf:
         return 1.0
     delta = (log_target_proposal - log_target_current) + (log_proposal - log_current)
-    if delta >= 0:
-        return 1.0
-    return math.exp(delta)
+    if delta < 0:
+        return math.exp(delta)
+    return 1.0 if delta >= 0 else 0.0
 
 
 _ADAPT_WINDOW = 200
@@ -499,22 +498,12 @@ def summarize(chain: McmcChain) -> list[dict]:
     for j, name in enumerate(_PARAM_NAMES):
         col = chain.draws[:, j]
         sd = float(np.std(col, ddof=1)) if len(col) > 1 else 0.0
-        rows.append(
-            {
-                "Parameter": name,
-                "Mean": float(np.mean(col)),
-                "SD": sd,
-                "2.5%": float(np.quantile(col, 0.025)),
-                "Median": float(np.quantile(col, 0.5)),
-                "97.5%": float(np.quantile(col, 0.975)),
-            }
-        )
+        quantiles = np.quantile(col, (0.025, 0.5, 0.975)).tolist()
+        rows.append(dict(zip(SUMMARY_COLUMNS, (name, float(np.mean(col)), sd, *quantiles))))
     return rows
 
 
 def write_chain_csv(chain: McmcChain, path) -> None:
     """Export the chain as CSV with columns iter,b,c,beta,log_post."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("iter,b,c,beta,log_post\n")
-        for it, (b, c, beta), lp in zip(chain.iterations, chain.draws, chain.log_post_trace):
-            handle.write(f"{it},{b:.17g},{c:.17g},{beta:.17g},{lp:.17g}\n")
+    columns = (chain.iterations.tolist(), *chain.draws.T.tolist(), chain.log_post_trace.tolist())
+    _write_csv(path, ["iter", *_PARAM_NAMES, "log_post"], zip(*columns))

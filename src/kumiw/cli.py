@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bayes, mle, survdata
-from .distribution import KumIwParams, SubModel, cdf, hazard, pdf, sample, survival
+from .distribution import _PARAM_NAMES, KumIwParams, SubModel, cdf, hazard, pdf, sample, survival
 from .errors import DataError, NumericError
+from .survdata import _write_csv
 
 #: Fixed default seed (never time-based); overridable via KUMIW_SEED or --seed.
 DEFAULT_SEED = 20260810
@@ -32,30 +33,6 @@ _LR_NULLS = {
     "ir": SubModel.IR,
     "ie": SubModel.IE,
 }
-
-
-def _column_format(value) -> str:
-    """The ``%`` format of a CSV column, from its first value: a string as
-    it is, an integer with ``%d``, anything else as a float with ``%.17g``."""
-    if isinstance(value, str):
-        return "%s"
-    if isinstance(value, (int, np.integer)):
-        return "%d"
-    return "%.17g"
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    """Write a headered CSV; ``rows`` are tuples whose columns keep the
-    types of the first row, so that one ``%`` template formats each row."""
-    rows = iter(rows)
-    first = next(rows, None)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        if first is None:
-            return
-        template = ",".join(_column_format(v) for v in first) + "\n"
-        handle.write(template % first)
-        handle.writelines(template % row for row in rows)
 
 
 def _finite_or_null(value):
@@ -168,7 +145,7 @@ def _out_dir(args) -> Path:
 
 
 def _params_from(args) -> KumIwParams:
-    for name in ("b", "c", "beta"):
+    for name in _PARAM_NAMES:
         if getattr(args, name) is None:
             raise ValueError(f"missing required parameter --{name}")
     return KumIwParams(args.b, args.c, args.beta)
@@ -220,7 +197,7 @@ def _fit_report_dict(fit: mle.FitResult, data: survdata.CensoredDataset, lr_resu
     if fit.covariance is not None:
         se = {
             name: float(np.sqrt(fit.covariance[i, i]))
-            for i, name in enumerate(("b", "c", "beta"))
+            for i, name in enumerate(_PARAM_NAMES)
         }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -264,7 +241,7 @@ def cmd_fit_mle(args) -> int:
     else:
         out = out_dir / "fit_mle.csv"
         rows = []
-        for name in ("b", "c", "beta"):
+        for name in _PARAM_NAMES:
             est = getattr(fit.params, name)
             se = report["se"][name] if report["se"] else ""
             lo, hi = fit.ci[name] if fit.ci else ("", "")
@@ -297,7 +274,7 @@ def cmd_fit_mle(args) -> int:
                  rep_fit.loglik, int(rep_fit.converged))
             )
         rep_out = out_dir / "replicates.csv"
-        _write_csv(rep_out, ["replicate", "b", "c", "beta", "loglik", "converged"], rep_rows)
+        _write_csv(rep_out, ["replicate", *_PARAM_NAMES, "loglik", "converged"], rep_rows)
         print(f"wrote {rep_out} ({replicates} replicates)")
     return 0
 
@@ -305,7 +282,7 @@ def cmd_fit_mle(args) -> int:
 def cmd_fit_bayes(args) -> int:
     data = _load_dataset(args)
     prior_kwargs = {}
-    for pname in ("b", "c", "beta"):
+    for pname in _PARAM_NAMES:
         pair = getattr(args, f"prior_{pname}")
         if pair is not None:
             prior_kwargs[f"{pname}_shape"], prior_kwargs[f"{pname}_rate"] = pair
@@ -477,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(sp)
     add_data(sp)
-    for pname in ("b", "c", "beta"):
+    for pname in _PARAM_NAMES:
         sp.add_argument(
             f"--prior-{pname}", dest=f"prior_{pname}", nargs=2, type=float,
             metavar=("SHAPE", "RATE"),

@@ -35,6 +35,8 @@ _TINY = np.finfo(float).tiny
 # from here on e^-x < 2^-1076, below half the smallest subnormal: exp(-x)
 # rounds to +0.0
 _X_DEAD = 746.0
+#: The parameter order of every triple, array and table: (b, c, beta).
+_PARAM_NAMES = ("b", "c", "beta")
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class KumIwParams:
     beta: float
 
     def __post_init__(self) -> None:
-        for name in ("b", "c", "beta"):
+        for name in _PARAM_NAMES:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"parameter {name} must be finite and > 0, got {value}")
@@ -72,19 +74,14 @@ class SubModel(enum.Enum):
 
 
 def log1m_exp(x):
-    """log(1 - exp(-x)) for x >= 0, branch-wise to avoid cancellation.
+    """log(1 - exp(-x)) for x >= 0 by the evaluators' kernel, on a copy of x.
 
-    For x < ln 2 the expm1 form is exact near zero; beyond ln 2 the log1p
-    form is. Returns -inf at x = 0 (the correct limit).
+    The expm1 form below ln 2 and the log1p form above (Maechler 2012)
+    avoid cancellation.  -inf at x = 0, nan at nan and below 0; a scalar
+    gives a ``np.float64``.
     """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            x < _LN2,
-            np.log(-np.expm1(-x)),
-            np.log1p(-np.exp(-x)),
-        )
-    return out if out.ndim else out[()]
+    with np.errstate(invalid="ignore"):
+        return _log1m_exp_x(np.array(x, dtype=float))
 
 
 def _validate_time(t, allow_zero: bool = False):
@@ -104,7 +101,8 @@ def _x_of(p: KumIwParams, t):
 
 
 def _log1m_exp_x(x, p: KumIwParams | None = None, t=None):
-    """log1m_exp(x), bit for bit, for x >= 0; the evaluators' one helper.
+    """log(1 - e^-x) for x >= 0, nan at nan; the one kernel behind
+    ``log1m_exp`` and the evaluators.
 
     x is overwritten.  numpy's SIMD exp leaves its fast path on every
     vector with a lane that underflows, so exp is fed 0 on the lanes
@@ -133,7 +131,7 @@ def _log1m_exp_x(x, p: KumIwParams | None = None, t=None):
         # ln 2 <= x: log1p(-exp(-x)), with the sign folded into the live
         # mask: -1.0 on ln 2 <= x < _X_DEAD, -0.0 elsewhere
         neg_live = np.subtract(-0.0, np.logical_xor(x < _X_DEAD, lo))
-        np.fmin(x, _X_DEAD, out=x)  # inf * 0 would be nan
+        np.minimum(x, _X_DEAD, out=x)  # inf * 0 would be nan; nan stays nan
         np.multiply(x, neg_live, out=x)
         np.exp(x, out=x)
         np.multiply(x, neg_live, out=x)
@@ -267,7 +265,7 @@ _SUBMODEL_PINNED = {
 }
 
 _SUBMODEL_FREE = {
-    tag: tuple(name for name in ("b", "c", "beta") if name not in pins)
+    tag: tuple(name for name in _PARAM_NAMES if name not in pins)
     for tag, pins in _SUBMODEL_PINNED.items()
 }
 

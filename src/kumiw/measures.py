@@ -481,7 +481,8 @@ def renyi_entropy(p: KumIwParams, rho: float) -> float:
     The integral of f^rho is summed by the exp-sinh rule in
     x = (c/t)^beta, from its log; near x = 0 the integrand is
     x^(a-1) with a = rho (b + 1/beta) - 1/beta, and ``NumericError`` is
-    raised where the rule does not resolve it (a below about 2.5e-4).
+    raised where the rule does not resolve it (a below about 2.5e-4) or
+    where the integral underflows to 0 (a large rho).
     """
     if not 0 < rho < math.inf or rho == 1.0:
         raise ValueError(f"renyi_entropy requires a finite rho > 0 and rho != 1, got {rho}")
@@ -495,11 +496,15 @@ def renyi_entropy(p: KumIwParams, rho: float) -> float:
         log_g = (s_exp - 1.0) * nodes.log_x - rho * nodes.x + rho * (p.b - 1.0) * nodes.log_om
         return np.exp(log_g + nodes.log_w)
 
+    with np.errstate(over="ignore", invalid="ignore"):  # rho x may overflow; e^-inf is 0
+        integral = integrate.quad(terms, _EXP_SINH)
+    if not integral > 0.0:  # every term underflowed: the rule's checks held on a zero scale
+        raise NumericError(f"renyi_entropy: the integral of f^rho underflows to 0 at rho={rho}, {p}")
     log_a = (
         (rho - 1.0) * math.log(p.beta)
         + rho * math.log(p.b)
         + (1.0 - rho) * math.log(p.c)
-        + math.log(integrate.quad(terms, _EXP_SINH))
+        + math.log(integral)
     )
     return log_a / (1.0 - rho)
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 # log1m_exp is unused here (_Loglik._rows states L); perfbench/tracing.py wraps it
-from .distribution import _LN2, _SUBMODEL_PINNED, _TINY, KumIwParams, SubModel, log1m_exp
+from .distribution import _LN2, _PARAM_NAMES, _SUBMODEL_PINNED, _TINY, KumIwParams, SubModel, log1m_exp
 from .errors import DataError, NumericError
 from .survdata import CensoredDataset
 
@@ -29,7 +29,6 @@ __all__ = [
     "lr_test",
 ]
 
-_PARAM_NAMES = ("b", "c", "beta")
 _GRAD_TOL = 1e-6
 _MAX_STEPS, _MAX_HALVINGS = 100, 40  # Newton steps per fit, halvings per step
 _VALUE_ULPS = 16  # a value within this many ulps of ``_Loglik.magnitude`` holds
@@ -81,6 +80,8 @@ class _Loglik:
         x = np.exp(y)
         neg_x = -x  # y - x is y + (-x) bit for bit
         den = -np.expm1(neg_x)
+        # distribution._log1m_exp_x gives the same bits, but slower here: 21.9
+        # against 10.7 us at n = 300 (numpy 2.4, 2-vCPU x86 VM)
         ell = np.where(x < _LN2, np.log(den), np.log1p(-np.exp(neg_x)))
         # a Python bool at a float point, cheaper than any numpy test; an array at columns
         low = beta * (log_c - self.max_log_t) < _LOG_TINY_GATE

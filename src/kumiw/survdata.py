@@ -248,6 +248,30 @@ def load_csv(path, time_col: str = "time", status_col: str = "status") -> Censor
     return CensoredDataset.from_arrays(times, events, name=str(path))
 
 
+def _column_format(value) -> str:
+    """The ``%`` format of a CSV column, from its first value: a string as
+    it is, an integer with ``%d``, anything else as a float with ``%.17g``."""
+    if isinstance(value, str):
+        return "%s"
+    if isinstance(value, (int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a headered CSV; ``rows`` are tuples whose columns keep the
+    types of the first row, so that one ``%`` template formats each row."""
+    rows = iter(rows)
+    first = next(rows, None)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        if first is None:
+            return
+        template = ",".join(_column_format(v) for v in first) + "\n"
+        handle.write(template % first)
+        handle.writelines(template % row for row in rows)
+
+
 def kaplan_meier(d: CensoredDataset) -> KmCurve:
     """Product-limit estimate over the distinct event times.
 

@@ -26,7 +26,6 @@ from kumiw.bayes import (
     _log_post,
     rw_accept_probability,
 )
-from kumiw.distribution import log1m_exp
 from kumiw.mle import (
     _EIG_FLOOR,
     _GRAD_TOL,
@@ -339,9 +338,9 @@ class TwoGroupLoglik:
             x_f = np.exp(beta * (log_c - self.log_tf))
             # an empty group sums to 0.0; skipping it saves about ten ufunc calls
             if self.r:
-                s_f = float(np.sum(log1m_exp(x_f)))
+                s_f = float(np.sum(_plain_log1m_exp(x_f)))
             if len(self.log_tc):
-                s_c = float(np.sum(log1m_exp(np.exp(beta * (log_c - self.log_tc)))))
+                s_c = float(np.sum(_plain_log1m_exp(np.exp(beta * (log_c - self.log_tc)))))
             return float(x_f.sum()), s_f, s_c
 
     def combine(self, b: float, c: float, beta: float, terms: tuple[float, float, float]) -> float:
@@ -396,7 +395,7 @@ class TwoGroupLoglik:
                 a = k * q - x if e else k * q
                 s = -k * (np.exp(2.0 * y - x) / den + q * q)
                 m = y * s + (1.0 + y) * a
-                rows = (log1m_exp(x), q, y * q, a, y * (e + a), s + a, m, y * (e + m))
+                rows = (_plain_log1m_exp(x), q, y * q, a, y * (e + a), s + a, m, y * (e + m))
                 sums += [np.sum(row) for row in rows]
             sum_l, sum_q, sum_yq, sum_a, g_w, h_vv, h_vw, h_ww = sums
             r = self.r

@@ -167,6 +167,16 @@ class TestAcceptProbability:
         assert rw_accept_probability(math.nan, math.nan, 0.0, 0.0) == 0.0
         assert rw_accept_probability(-math.inf, math.nan, 0.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("args", [
+        (math.inf, math.inf, 0.0, 0.0),
+        (0.0, 0.0, math.inf, math.inf),
+        (0.0, 0.0, 0.0, math.nan),
+        (0.0, 0.0, math.nan, 0.0),
+    ])
+    def test_nan_log_ratio_rejects(self, args):
+        # inf - inf or a nan position: the log ratio is nan
+        assert rw_accept_probability(*args) == 0.0
+
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
 class TestLikelihoodWeightValidated:
@@ -518,6 +528,25 @@ class TestSummarize:
         loaded = np.genfromtxt(path, delimiter=",", names=True)
         np.testing.assert_allclose(loaded["b"], chain.draws[:, 0], rtol=1e-15)
         np.testing.assert_allclose(loaded["log_post"], chain.log_post_trace, rtol=1e-15)
+
+    def test_chain_csv_bytes(self, tmp_path, data):
+        special = McmcChain(
+            draws=np.array([[math.nan, math.inf, -math.inf], [-0.0, 1e16, 5e-324], [0.1, 2.0, 1 / 3]]),
+            log_post_trace=np.array([-math.inf, -0.0, -1234.5678901234567]),
+            iterations=np.arange(7, 10),
+            acceptance_rates=np.zeros(3),
+            proposal_scales=np.ones(3),
+        )
+        seeded = run_mcmc(data, PRIOR, McmcConfig(n_iter=3000, burn_in=1000, thin=1, seed=31))
+        for i, chain in enumerate((seeded, special)):
+            path = tmp_path / f"chain{i}.csv"
+            write_chain_csv(chain, path)
+            # the iteration, then each value as %.17g
+            want = "iter,b,c,beta,log_post\n" + "".join(
+                f"{it},{b:.17g},{c:.17g},{beta:.17g},{lp:.17g}\n"
+                for it, (b, c, beta), lp in zip(chain.iterations, chain.draws, chain.log_post_trace)
+            )
+            assert path.read_bytes() == want.encode()
 
 
 class TestRecovery:

@@ -21,6 +21,7 @@ from kumiw import (
 )
 from kumiw.distribution import log1m_exp
 from oracles import (
+    _plain_log1m_exp,
     ie_pdf,
     ir_pdf,
     iw_cdf,
@@ -57,6 +58,42 @@ class TestLog1mExp:
         assert log1m_exp(0.0) == -math.inf
         assert log1m_exp(1e-300) == pytest.approx(math.log(1e-300), rel=1e-12)
         assert log1m_exp(800.0) == 0.0
+
+
+@pytest.mark.dispatch
+class TestLog1mExpIsTheKernel:
+    """``log1m_exp`` runs the evaluators' guarded kernel on a copy of its
+    input; it must match the plain np.where statement bit for bit."""
+
+    def test_matches_plain_statement(self):
+        rng = np.random.default_rng(41)
+        ln2 = math.log(2.0)
+        special = np.concatenate([
+            [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, np.inf, np.nan],
+            ln2 + np.spacing(ln2) * np.arange(-8.0, 9.0),
+            np.linspace(745.0, 746.0, 1001),
+            746.0 + np.spacing(746.0) * np.arange(-8.0, 9.0),
+        ])
+        x = np.concatenate([10.0 ** rng.uniform(-320.0, 308.0, 300_000), special])
+        rng.shuffle(x)
+        kept = x.copy()
+        assert_same_bits(log1m_exp(x), _plain_log1m_exp(x))
+        assert_same_bits(x, kept)
+        strided = x[:300_000].reshape(-1, 6)[:, ::2]  # a 2-D view that is not contiguous
+        assert_same_bits(log1m_exp(strided), _plain_log1m_exp(strided))
+
+    def test_below_the_domain_is_nan(self):
+        # the sign bit of the nan from an invalid log differs between numpy's
+        # SIMD loops (at -inf, with AVX2 disabled), so only nan is checked
+        x = np.array([-1.0, -1e-300, -np.inf])
+        assert np.isnan(log1m_exp(x)).all() and np.isnan(_plain_log1m_exp(x)).all()
+
+    @pytest.mark.parametrize("x", [0.3, 2.0, 800.0, math.nan, np.float64(1e-300), np.array(0.5), [0.5, 3.0]])
+    def test_scalars_and_lists(self, x):
+        got = log1m_exp(x)
+        assert_same_bits(got, _plain_log1m_exp(x))
+        if np.ndim(x) == 0:
+            assert type(got) is np.float64
 
 
 class TestPdf:

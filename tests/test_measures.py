@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -445,6 +446,20 @@ class TestEntropies:
         # through to the quadrature; inf would reach it too
         with pytest.raises(ValueError, match="requires a finite rho > 0 and rho != 1"):
             fn(KumIwParams(2, 1, 2), rho)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rho", [700.0, 1000.0, 1e300])
+    def test_renyi_underflowing_integral(self, rho):
+        # every term of f^rho underflows to 0, so the rule's checks hold on
+        # a zero scale; at 1e300, rho x also overflows
+        with pytest.raises(NumericError, match=re.escape(f"underflows to 0 at rho={rho},")):
+            renyi_entropy(KumIwParams(2, 1.5, 3), rho)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_renyi_order_beyond_float_range_of_the_integrand(self):
+        # rho (1 + 1/beta) log x overflows on both sides of a node: nan terms
+        with pytest.raises(NumericError):
+            renyi_entropy(KumIwParams(2, 1.5, 3), 1.7e308)
 
 
 class TestExpandedPdf:
