@@ -80,86 +80,141 @@ def log1m_exp(x):
     avoid cancellation.  -inf at x = 0, nan at nan and below 0; a scalar
     gives a ``np.float64``.
     """
-    with np.errstate(invalid="ignore"):
-        return _log1m_exp_x(np.array(x, dtype=float))
+    x = np.array(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _shaped(_log1m_exp_x(x.reshape(-1)), x.shape)
 
 
-def _validate_time(t, allow_zero: bool = False):
-    t = np.asarray(t, dtype=float)
-    # infinite t is allowed for the continuous extensions of cdf/survival;
-    # both comparisons are false at nan
-    if not np.all(t >= 0 if allow_zero else t > 0):
-        raise ValueError(f"time values must be {'>= 0' if allow_zero else '> 0'}")
-    # -0.0 + 0.0 is +0.0: (c/-0.0)^beta would be -inf for odd integer beta
-    return t + 0.0 if allow_zero else t
+# Every evaluator allocates its n-length buffers itself and writes only to
+# them, never to its argument.  Each runs under one np.errstate that
+# silences what its helpers produce on purpose: divide (c/0 and log 0 are
+# inf and -inf), over ((c/t)^beta and exp overflow to inf) and, in the
+# log-density and log-hazard, invalid (inf - inf, read as -inf).
 
 
-def _x_of(p: KumIwParams, t):
-    # (c / t) ** beta; t may contain 0 or inf under the continuous extension
-    with np.errstate(divide="ignore", over="ignore"):
-        return (p.c / t) ** p.beta
+def _flat(a):
+    # a as a flat float array, a view of a itself when it already is one,
+    # and its shape; a scalar becomes one lane
+    a = np.asarray(a, dtype=float)
+    return a.reshape(-1), a.shape
 
 
-def _log1m_exp_x(x, p: KumIwParams | None = None, t=None):
-    """log(1 - e^-x) for x >= 0, nan at nan; the one kernel behind
-    ``log1m_exp`` and the evaluators.
-
-    x is overwritten.  numpy's SIMD exp leaves its fast path on every
-    vector with a lane that underflows, so exp is fed 0 on the lanes
-    where e^-x rounds to +0.0 anyway (x >= _X_DEAD), and each branch is
-    fed a harmless value on the other branch's lanes, where it yields
-    -0.0.  The branches are joined by adding that -0.0, not by np.where,
-    which is slow on an unsorted mask.
-
-    With p and t, x is (c/t)^beta.  Where x is below the smallest normal
-    float it has lost digits or underflowed to 0, and the value is its
-    limit log x = beta (log c - log t), exact to within x/2.
-    """
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = x.reshape(-1)  # a scalar becomes one lane that can be written in place
-    small = x < _TINY if p is not None and np.min(x, initial=np.inf) < _TINY else None
-    lo = x < _LN2
-    with np.errstate(divide="ignore"):
-        # x < ln 2: log(-expm1(-x)); the other lanes are fed ln 2
-        out = np.fmin(x, _LN2)
-        np.negative(out, out=out)
-        np.expm1(out, out=out)
-        np.negative(out, out=out)
-        np.log(out, out=out)
-        np.multiply(out, lo, out=out)
-        # ln 2 <= x: log1p(-exp(-x)), with the sign folded into the live
-        # mask: -1.0 on ln 2 <= x < _X_DEAD, -0.0 elsewhere
-        neg_live = np.subtract(-0.0, np.logical_xor(x < _X_DEAD, lo))
-        np.minimum(x, _X_DEAD, out=x)  # inf * 0 would be nan; nan stays nan
-        np.multiply(x, neg_live, out=x)
-        np.exp(x, out=x)
-        np.multiply(x, neg_live, out=x)
-        np.log1p(x, out=x)
-        np.add(out, x, out=out)
-        if small is not None:
-            out = np.where(small, p.beta * (math.log(p.c) - np.log(t).reshape(-1)), out)
+def _shaped(out, shape):
     out = out.reshape(shape)
     return out if out.ndim else out[()]
 
 
+def _times(p: KumIwParams, t, allow_zero: bool = False):
+    """Flat validated t, x = (c/t)^beta in a fresh buffer, and t's shape.
+
+    Under the continuous extension of cdf/survival (``allow_zero``) t may
+    contain 0, -0.0 or inf.
+    """
+    t, shape = _flat(t)
+    # both comparisons are false at nan
+    if not (t >= 0.0 if allow_zero else t > 0.0).all():
+        raise ValueError(f"time values must be {'>= 0' if allow_zero else '> 0'}")
+    x = np.divide(p.c, t)
+    if allow_zero:
+        # c/-0.0 is -inf, whose odd integer powers are -inf: |c/t| reads
+        # -0.0 as +0.0
+        np.abs(x, out=x)
+    _power(x, p.beta, shape)
+    return t, x, shape
+
+
+def _power(x, e, shape):
+    """x ** e written over flat x from an input of the given shape.
+
+    numpy's scalar ** (libm pow) and its array loops can round apart, so
+    a scalar input keeps the scalar one.  The in-place ** on an array
+    keeps numpy's fast paths for the exponents 2, 0.5, 1 and -1.
+    """
+    if shape:
+        x **= e
+    else:
+        x[0] **= e
+
+
+def _log1m_exp_x(x, p: KumIwParams | None = None, t=None):
+    """log(1 - e^-x) for a flat array x >= 0, nan at nan, in a fresh
+    buffer; the one kernel behind ``log1m_exp`` and the evaluators.
+
+    x is the kernel's scratch and is overwritten; log(0) at x = 0 is
+    -inf, under the caller's np.errstate.  numpy's SIMD exp leaves its
+    fast path on every vector with a lane that underflows, so exp is fed
+    0 on the lanes where e^-x rounds to +0.0 anyway (x >= _X_DEAD), and
+    each branch is fed a harmless value on the other branch's lanes,
+    where it yields -0.0.  The branches are joined by adding that -0.0,
+    not by np.where, which is slow on an unsorted mask.
+
+    With p and t, x is (c/t)^beta; t is only read.  Where x is below the
+    smallest normal float it has lost digits or underflowed to 0, and the
+    value is its limit log x = beta (log c - log t), exact to within x/2.
+    """
+    small = x < _TINY if p is not None and x.min(initial=np.inf) < _TINY else None
+    lo = x < _LN2
+    live = np.logical_xor(x < _X_DEAD, lo)  # ln 2 <= x < _X_DEAD
+    # x < ln 2: log(-expm1(-x)); the other lanes are fed ln 2
+    out = np.fmin(x, _LN2)
+    np.negative(out, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    np.multiply(out, lo, out=out)
+    # ln 2 <= x: log1p(-exp(-x)); masked, then negated, the other lanes are
+    # -0.0 before and after exp.  Masking first flips a nan's sign bit
+    # twice, as multiplying by -1.0 or -0.0 flips it never
+    np.minimum(x, _X_DEAD, out=x)  # inf * 0 would be nan; nan stays nan
+    np.multiply(x, live, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.multiply(x, live, out=x)
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    np.add(out, x, out=out)
+    if small is not None:
+        log_t = np.log(t[small])
+        np.subtract(math.log(p.c), log_t, out=log_t)
+        log_t *= p.beta
+        out[small] = log_t
+    return out
+
+
 def _exp_live(v):
-    """np.exp(v), bit for bit, with exp fed 0 on the lanes where e^v
-    rounds to +0.0 (v <= -_X_DEAD) and on nan; both give +0.0."""
+    """np.exp(v), bit for bit, written over v, a flat buffer the caller
+    owns; exp is fed 0 on the lanes where e^v rounds to +0.0
+    (v <= -_X_DEAD) and on nan, and both give +0.0."""
     live = v > -_X_DEAD
-    return np.exp(np.fmax(v, -_X_DEAD) * live) * live
+    np.fmax(v, -_X_DEAD, out=v)
+    v *= live
+    np.exp(v, out=v)
+    v *= live
+    return v
 
 
 def _log_head(p: KumIwParams, t, x):
-    """log(beta b c^beta t^-(beta+1) e^-x): log_pdf and the log-hazard
-    before their log1m_exp(x) term."""
-    return (
-        math.log(p.beta)
-        + math.log(p.b)
-        + p.beta * math.log(p.c)
-        - (p.beta + 1.0) * np.log(t)
-        - x
-    )
+    """log(beta b c^beta t^-(beta+1) e^-x) in a fresh buffer, from flat t
+    and x, which it only reads: log_pdf and the log-hazard before their
+    log1m_exp(x) term."""
+    head = np.log(t)
+    head *= p.beta + 1.0
+    np.subtract(math.log(p.beta) + math.log(p.b) + p.beta * math.log(p.c), head, out=head)
+    head -= x
+    return head
+
+
+def _log_pdf(p: KumIwParams, t):
+    # log_pdf's values in a fresh flat buffer, and t's shape
+    t, x, shape = _times(p, t)
+    base = _log_head(p, t, x)
+    if p.b != 1.0:
+        log_om = _log1m_exp_x(x, p, t)
+        log_om *= p.b - 1.0
+        base += log_om
+    # x may overflow for t near 0: the density underflows to 0 there
+    np.fmax(base, -np.inf, out=base)  # nan -> -inf
+    return base, shape
 
 
 def log_pdf(p: KumIwParams, t):
@@ -169,50 +224,51 @@ def log_pdf(p: KumIwParams, t):
     with ``x = (c/t)^beta``, which is stable across the many orders of
     magnitude that x spans.
     """
-    t = _validate_time(t)
-    x = _x_of(p, t)
-    base = _log_head(p, t, x)
-    if p.b != 1.0:
-        with np.errstate(invalid="ignore"):
-            base = base + (p.b - 1.0) * _log1m_exp_x(x, p, t)
-    # x may overflow for t near 0: the density underflows to 0 there
-    out = np.fmax(base, -np.inf)  # nan -> -inf
-    return out if np.ndim(out) else np.float64(out)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _shaped(*_log_pdf(p, t))
 
 
 def pdf(p: KumIwParams, t):
     """Density at time t > 0 (units 1/time)."""
-    with np.errstate(over="ignore"):
-        return _exp_live(log_pdf(p, t))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out, shape = _log_pdf(p, t)
+        return _shaped(_exp_live(out), shape)
+
+
+def _log_cdf(p: KumIwParams, t):
+    # b log(1 - e^-x) = log F(t) in a fresh flat buffer, and t's shape
+    t, x, shape = _times(p, t, allow_zero=True)
+    out = _log1m_exp_x(x, p, t)
+    out *= p.b
+    return out, shape
 
 
 def cdf(p: KumIwParams, t):
     """Distribution function; extended continuously with cdf(0) = 0."""
-    t = _validate_time(t, allow_zero=True)
-    x = _x_of(p, t)
-    with np.errstate(over="ignore"):
-        out = -np.expm1(p.b * _log1m_exp_x(x, p, t))
-    return out if np.ndim(out) else np.float64(out)
+    with np.errstate(divide="ignore", over="ignore"):
+        out, shape = _log_cdf(p, t)
+        np.expm1(out, out=out)
+    np.negative(out, out=out)
+    return _shaped(out, shape)
 
 
 def survival(p: KumIwParams, t):
     """Survival function; extended continuously with survival(0) = 1."""
-    t = _validate_time(t, allow_zero=True)
-    x = _x_of(p, t)
-    out = np.exp(p.b * _log1m_exp_x(x, p, t))
-    return out if np.ndim(out) else np.float64(out)
+    with np.errstate(divide="ignore", over="ignore"):
+        out, shape = _log_cdf(p, t)
+    np.exp(out, out=out)
+    return _shaped(out, shape)
 
 
 def hazard(p: KumIwParams, t):
     """Hazard rate pdf/survival at t > 0; finite for every finite t."""
-    t = _validate_time(t)
-    x = _x_of(p, t)
-    head = _log_head(p, t, x)
     # (c/t)^beta overflows for t near 0 and dominates, and at t = inf both
     # terms are -inf: the limit is 0 at both ends
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = _exp_live(head - _log1m_exp_x(x, p, t))
-    return out if np.ndim(out) else np.float64(out)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t, x, shape = _times(p, t)
+        head = _log_head(p, t, x)
+        head -= _log1m_exp_x(x, p, t)
+        return _shaped(_exp_live(head), shape)
 
 
 def quantile(p: KumIwParams, u):
@@ -222,14 +278,18 @@ def quantile(p: KumIwParams, u):
     very heavy tail (small b or beta) Q(u) can exceed the float range, and
     it is then inf.
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all((u > 0) & (u < 1)):  # both comparisons are false at nan
+    u, shape = _flat(u)
+    if not ((u > 0.0) & (u < 1.0)).all():  # both comparisons are false at nan
         raise ValueError("quantile requires probabilities strictly inside (0, 1)")
-    z = np.log1p(-u) / p.b          # log (1-u)^(1/b), in (-inf, 0)
-    inner = -_log1m_exp_x(-z)       # -log(1 - (1-u)^(1/b)) > 0
-    with np.errstate(over="ignore", divide="ignore"):
-        out = p.c * inner ** (-1.0 / p.beta)
-    return out if np.ndim(out) else np.float64(out)
+    z = np.negative(u)
+    np.log1p(z, out=z)
+    z /= -p.b                       # -log (1-u)^(1/b), in [0, inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        inner = _log1m_exp_x(z)
+        np.negative(inner, out=inner)   # -log(1 - (1-u)^(1/b)) > 0
+        _power(inner, -1.0 / p.beta, shape)
+        inner *= p.c
+    return _shaped(inner, shape)
 
 
 def sample(p: KumIwParams, n: int, seed: int) -> np.ndarray:
@@ -246,8 +306,8 @@ def sample(p: KumIwParams, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     # keep u strictly inside (0, 1); the boundary has probability ~2^-53
-    u = np.clip(u, 5e-17, 1.0 - 1e-16)
-    draws = np.asarray(quantile(p, u), dtype=float)
+    np.clip(u, 5e-17, 1.0 - 1e-16, out=u)
+    draws = quantile(p, u)
     bad = np.count_nonzero(~np.isfinite(draws))
     if bad:
         raise NumericError(f"{bad} of {n} draws exceed the float range at {p}")

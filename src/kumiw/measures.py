@@ -494,7 +494,14 @@ def renyi_entropy(p: KumIwParams, rho: float) -> float:
 
     def terms(nodes) -> np.ndarray:
         log_g = (s_exp - 1.0) * nodes.log_x - rho * nodes.x + rho * (p.b - 1.0) * nodes.log_om
-        return np.exp(log_g + nodes.log_w)
+        g = np.exp(log_g + nodes.log_w)
+        # an inf term is an integral beyond the float range; a nan one is
+        # inf - inf, where rho times both x and log x overflows
+        if not np.isfinite(g).all():
+            raise NumericError(
+                f"renyi_entropy: f^rho or its log exceeds the float range at rho={rho}, {p}"
+            )
+        return g
 
     with np.errstate(over="ignore", invalid="ignore"):  # rho x may overflow; e^-inf is 0
         integral = integrate.quad(terms, _EXP_SINH)

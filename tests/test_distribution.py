@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,6 +296,7 @@ def assert_matches_plain(p, t=None, u=None):
         assert_same_bits(quantile(p, u), plain_quantile(p, u))
 
 
+@pytest.mark.dispatch
 class TestMatchesPlainFormulas:
     """The guarded kernels change how numpy is driven, not the values: they
     match the plain np.where formulas of ``oracles`` bit for bit."""
@@ -362,6 +364,113 @@ class TestMatchesPlainFormulas:
     )
     def test_property(self, triple, times, probs):
         assert_matches_plain(KumIwParams(*triple), np.array(times), np.array(probs))
+
+
+@pytest.mark.dispatch
+def test_scalars_match_plain_formulas():
+    # numpy's scalar ** (libm pow) and its array loops round apart for some
+    # inputs; a scalar time or probability must keep the scalar one, as the
+    # plain formulas do
+    rng = np.random.default_rng(29)
+    triples = list(TestMatchesPlainFormulas.GRID) + [tuple(10.0 ** rng.uniform(-3, 3, 3)) for _ in range(20)]
+    times = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 40))
+    probs = rng.uniform(0.0, 1.0, 40)
+    for triple in triples:
+        p = KumIwParams(*triple)
+        for t in times:
+            assert_matches_plain(p, float(t))
+        for u in probs:
+            assert_matches_plain(p, u=float(u))
+
+
+P_SAFE = KumIwParams(0.7, 1.2, 1.5)
+_RNG = np.random.default_rng(37)
+# each public array function with a valid argument of 600 values
+ARRAY_FUNCTIONS = {
+    "pdf": (lambda a: pdf(P_SAFE, a), np.exp(_RNG.uniform(math.log(1e-3), math.log(1e3), 600))),
+    "log_pdf": (lambda a: log_pdf(P_SAFE, a), np.exp(_RNG.uniform(math.log(1e-3), math.log(1e3), 600))),
+    "cdf": (lambda a: cdf(P_SAFE, a), np.concatenate([[0.0, np.inf], 10.0 ** _RNG.uniform(-300, 300, 598)])),
+    "survival": (lambda a: survival(P_SAFE, a), np.concatenate([[0.0, np.inf], 10.0 ** _RNG.uniform(-300, 300, 598)])),
+    "hazard": (lambda a: hazard(P_SAFE, a), 10.0 ** _RNG.uniform(-300, 300, 600)),
+    "quantile": (lambda a: quantile(P_SAFE, a), _RNG.uniform(1e-9, 1.0 - 1e-9, 600)),
+    "log1m_exp": (log1m_exp, np.concatenate([[0.0, np.inf], 10.0 ** _RNG.uniform(-320, 308, 598)])),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(ARRAY_FUNCTIONS))
+class TestArgumentSafety:
+    """The evaluators compute in buffers of their own: they never write to
+    their argument, and any float-convertible layout gives the same bits."""
+
+    def test_argument_unchanged(self, name):
+        f, values = ARRAY_FUNCTIONS[name]
+        arg = values.copy()
+        f(arg)
+        assert arg.tobytes() == values.tobytes()
+        base = np.tile(values, 2).reshape(40, 30)
+        kept = base.copy()
+        f(base[:, ::2])
+        assert base.tobytes() == kept.tobytes()
+
+    def test_read_only_argument(self, name):
+        f, values = ARRAY_FUNCTIONS[name]
+        arg = values.copy()
+        arg.flags.writeable = False
+        assert_same_bits(f(arg), f(values.copy()))
+
+    def test_strided_and_fortran_layouts(self, name):
+        f, values = ARRAY_FUNCTIONS[name]
+        grid = values.reshape(20, 30)
+        for arg in (grid[:, ::2], grid[::2, 1::3].T, np.asfortranarray(grid)):
+            assert_same_bits(f(arg), f(np.ascontiguousarray(arg)))
+
+    def test_int_array_and_list(self, name):
+        f, values = ARRAY_FUNCTIONS[name]
+        assert_same_bits(f(list(values)), f(values))
+        if name != "quantile":  # no integer lies inside (0, 1)
+            ints = np.arange(1, 600)
+            assert_same_bits(f(ints), f(ints.astype(float)))
+
+    def test_result_is_not_the_argument(self, name):
+        f, values = ARRAY_FUNCTIONS[name]
+        arg = values.copy()
+        out = f(arg)
+        assert not np.shares_memory(out, arg)
+        out[...] = 7.0
+        assert arg.tobytes() == values.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_result_is_fresh():
+    p = KumIwParams(2.0, 1.5, 3.0)
+    first = sample(p, 500, 11)
+    kept = first.copy()
+    first[...] = 7.0
+    assert_same_bits(sample(p, np.int64(500), 11), kept)
+
+
+def test_allocation_bound_on_the_workload_points():
+    """Every evaluator and ``sample`` holds at most three n-length float64
+    buffers, plus bool masks: a tracemalloc peak of at most 28 B per point
+    on the dist-measures workload's 50 000 log-uniform points."""
+    n = 50_000
+    rng = np.random.default_rng(5)
+    t = np.exp(rng.uniform(math.log(0.02), math.log(50.0), n))
+    u = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
+    for triple in TestMatchesPlainFormulas.GRID:
+        p = KumIwParams(*triple)
+        calls = {f.__name__: (lambda f=f: f(p, t)) for f in PLAIN}
+        calls["quantile"] = lambda: quantile(p, u)
+        calls["sample"] = lambda: sample(p, n, 3)
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / n <= 28.0, (triple, name, peak / n)
 
 
 class TestQuantile:

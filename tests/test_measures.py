@@ -456,6 +456,15 @@ class TestEntropies:
             renyi_entropy(KumIwParams(2, 1.5, 3), rho)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("triple, rho", [((2, 1.5, 3), 1e307), ((2, 1.5, 3), 1e308),
+                                             ((2, 1.5, 3), 1.7e308), ((0.5, 1, 0.3), 1e300)])
+    def test_renyi_integrand_beyond_float_range_names_rho(self, triple, rho):
+        # rho (1 + 1/beta) log x and rho x overflow on the same node, and
+        # inf - inf is nan; at (0.5, 1, 0.3) f^rho itself overflows
+        with pytest.raises(NumericError, match=re.escape(f"exceeds the float range at rho={rho},")):
+            renyi_entropy(KumIwParams(*triple), rho)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_renyi_order_beyond_float_range_of_the_integrand(self):
         # rho (1 + 1/beta) log x overflows on both sides of a node: nan terms
         with pytest.raises(NumericError):
