@@ -294,12 +294,8 @@ def _collapsed(prior: PriorSpec, ll: _Loglik, weight: float, c: float, beta: flo
         rate -= weight * (s_f + s_c)
         if not 0.0 < rate < math.inf:
             return -math.inf, shape, rate
-        value += weight * (
-            ll.r * (math.log(beta) + beta * math.log(c))
-            - sum_x_f
-            - (beta + 1.0) * ll.sum_log_tf
-            - s_f
-        )
+        head, log_t_term = ll.event_terms(1.0, c, beta)  # log b = 0
+        value += weight * (head - sum_x_f - log_t_term - s_f)
     value += math.lgamma(shape) - shape * math.log(rate)
     return (value if math.isfinite(value) else -math.inf), shape, rate
 

@@ -46,10 +46,18 @@ def _finite_or_null(value):
     return value
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_finite_or_null(payload), handle, indent=2, allow_nan=False)
-        handle.write("\n")
+def _write_report(out_dir: Path, stem: str, fmt: str, payload: dict, header, rows) -> Path:
+    """Write a report as ``stem.json``, ``payload`` behind ``schema_version``,
+    or as ``stem.csv``, ``header`` and ``rows``; return its path."""
+    path = out_dir / f"{stem}.{fmt}"
+    if fmt == "json":
+        with open(path, "w", encoding="utf-8") as handle:
+            report = {"schema_version": SCHEMA_VERSION, **payload}
+            json.dump(_finite_or_null(report), handle, indent=2, allow_nan=False)
+            handle.write("\n")
+    else:
+        _write_csv(path, header, rows)
+    return path
 
 
 def _number(value, kind: type, name: str, exact: bool = False):
@@ -200,10 +208,9 @@ def _fit_report_dict(fit: mle.FitResult, data: survdata.CensoredDataset, lr_resu
             for i, name in enumerate(_PARAM_NAMES)
         }
     return {
-        "schema_version": SCHEMA_VERSION,
         "n": len(data),
         "n_events": data.n_events,
-        "estimates": {"b": fit.params.b, "c": fit.params.c, "beta": fit.params.beta},
+        "estimates": {name: getattr(fit.params, name) for name in _PARAM_NAMES},
         "se": se,
         "ci_level": fit.ci_level,
         "ci": {k: list(v) for k, v in fit.ci.items()} if fit.ci else None,
@@ -235,19 +242,11 @@ def cmd_fit_mle(args) -> int:
     lr_results = [mle.lr_test(data, _LR_NULLS[name], full_fit=fit) for name in args.lr_null]
     out_dir = _out_dir(args)
     report = _fit_report_dict(fit, data, lr_results)
-    if args.format == "json":
-        out = out_dir / "fit_mle.json"
-        _write_json(out, report)
-    else:
-        out = out_dir / "fit_mle.csv"
-        rows = []
-        for name in _PARAM_NAMES:
-            est = getattr(fit.params, name)
-            se = report["se"][name] if report["se"] else ""
-            lo, hi = fit.ci[name] if fit.ci else ("", "")
-            rows.append((name, est, se, lo, hi))
-        _write_csv(out, ["parameter", "estimate", "se", "ci_lower", "ci_upper"], rows)
-    print(f"estimates: b={fit.params.b:.6g} c={fit.params.c:.6g} beta={fit.params.beta:.6g}")
+    estimates, se, ci = report["estimates"], report["se"] or {}, fit.ci or {}
+    rows = [(name, est, se.get(name, ""), *ci.get(name, ("", ""))) for name, est in estimates.items()]
+    header = ["parameter", "estimate", "se", "ci_lower", "ci_upper"]
+    out = _write_report(out_dir, "fit_mle", args.format, report, header, rows)
+    print("estimates: " + " ".join(f"{name}={est:.6g}" for name, est in estimates.items()))
     print(f"loglik={fit.loglik:.6f} converged={fit.converged}")
     for res in lr_results:
         print(
@@ -300,22 +299,14 @@ def cmd_fit_bayes(args) -> int:
     out_dir = _out_dir(args)
     chain_path = out_dir / "chain.csv"
     bayes.write_chain_csv(chain, chain_path)
-    if args.format == "json":
-        summary_path = out_dir / "bayes_summary.json"
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "summary": rows,
-            "acceptance_rates": chain.acceptance_rates.tolist(),
-            "warnings": chain.warnings,
-        }
-        _write_json(summary_path, payload)
-    else:
-        summary_path = out_dir / "bayes_summary.csv"
-        _write_csv(
-            summary_path,
-            list(bayes.SUMMARY_COLUMNS),
-            [tuple(row[col] for col in bayes.SUMMARY_COLUMNS) for row in rows],
-        )
+    summary_path = _write_report(
+        out_dir,
+        "bayes_summary",
+        args.format,
+        {"summary": rows, "acceptance_rates": chain.acceptance_rates.tolist(), "warnings": chain.warnings},
+        list(bayes.SUMMARY_COLUMNS),
+        [tuple(row[col] for col in bayes.SUMMARY_COLUMNS) for row in rows],
+    )
     header = "  ".join(f"{col:>10}" for col in bayes.SUMMARY_COLUMNS)
     print(header)
     for row in rows:

@@ -324,11 +324,6 @@ _SUBMODEL_PINNED = {
     SubModel.IW: {"b": 1.0},
 }
 
-_SUBMODEL_FREE = {
-    tag: tuple(name for name in _PARAM_NAMES if name not in pins)
-    for tag, pins in _SUBMODEL_PINNED.items()
-}
-
 
 def make_submodel(tag: SubModel, **params: float) -> KumIwParams:
     """Build the full parameter triple for a sub-model.
@@ -337,7 +332,7 @@ def make_submodel(tag: SubModel, **params: float) -> KumIwParams:
     inverse exponential takes just its scale ``c``); the constrained
     entries are pinned automatically.
     """
-    free = _SUBMODEL_FREE[tag]
+    free = tuple(name for name in _PARAM_NAMES if name not in _SUBMODEL_PINNED[tag])
     unknown = set(params) - set(free)
     if unknown:
         raise ValueError(

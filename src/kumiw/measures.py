@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import types
 from dataclasses import dataclass
 
@@ -160,18 +161,6 @@ def _weight_block(shape: float, r0: int, w0: float, n: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([w0], (r - shape) / r)))
 
 
-def _gamma_ratio(y: np.ndarray, shape: float) -> np.ndarray:
-    # Gamma(y + 1 - shape) / Gamma(y + 1) for ascending y; the lgamma
-    # difference cancels catastrophically for huge y, where a two-term
-    # asymptotic is exact to well below 1e-9.
-    k = int(np.searchsorted(y, 1e5))
-    low, high = y[:k], y[k:]
-    return np.concatenate((
-        np.exp(special.gammaln(low + 1.0 - shape) - special.gammaln(low + 1.0)),
-        high ** (-shape) * (1.0 - shape * (1.0 - shape) / (2.0 * high)),
-    ))
-
-
 def _em_tail(shape: float, factor, dlog_factor, start: int) -> float:
     """Sum of w_r * factor(r) for r >= start, via Euler-Maclaurin.
 
@@ -186,7 +175,8 @@ def _em_tail(shape: float, factor, dlog_factor, start: int) -> float:
     rg = special.rgamma(1.0 - shape)
 
     def phi(y: np.ndarray) -> np.ndarray:
-        return rg * _gamma_ratio(y, shape) * factor(y)
+        # poch(y + 1, -shape) = Gamma(y + 1 - shape) / Gamma(y + 1)
+        return rg * special.poch(y + 1.0, -shape) * factor(y)
 
     def terms(nodes) -> np.ndarray:
         y = start * np.exp(nodes.u)
@@ -213,18 +203,27 @@ def _signed_series(shape: float, factor, dlog_factor, cfg: SeriesConfig) -> floa
     r > shape below ``cfg.tol`` of its partial sum; failing both, the
     Euler-Maclaurin tail sums the terms from about ``_EM_SWITCH`` on.
     """
+    if not shape < math.inf:
+        raise NumericError(f"expansion series shape {shape} exceeds the float range")
     start = max(_EM_SWITCH, math.floor(max(shape, 0.0) + 8.0) + 1)
     total, w0, r0 = 0.0, 1.0, 0
     while r0 < min(start, cfg.max_terms):
         r1 = min(r0 + _BLOCK, start, cfg.max_terms)
         r = np.arange(r0, r1, dtype=float)
-        w = _weight_block(shape, r0, w0, r1 - r0)
-        terms = w * factor(r)
-        sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+        # a large shape's weights, or a factor, may overflow: the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _weight_block(shape, r0, w0, r1 - r0)
+            terms = w * factor(r)
+            sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+        if not math.isfinite(sums[-1]):
+            raise NumericError(
+                f"expansion series terms exceed the float range (shape={shape}); "
+                f"partial sum {float(sums[-1])} at r < {r1}"
+            )
         done = (w == 0.0) | ((r > shape) & (np.abs(terms) <= cfg.tol * np.abs(sums)))
         if done.any():
             return float(sums[done.argmax()])
-        total, w0, r0 = float(sums[-1]), w[-1] * ((r1 - shape) / r1), r1
+        total, w0, r0 = float(sums[-1]), float(w[-1]) * ((r1 - shape) / r1), r1
     if r0 == start:
         return total + _em_tail(shape, factor, dlog_factor, start)
     raise NumericError(
@@ -301,19 +300,24 @@ def mgf_truncated(
     """Truncated MGF: sum over admissible k <= n_terms of z^k E[T^k] / k!.
 
     Orders that ``moment`` refuses (k >= beta, the series breakdown, or
-    k >= b*beta, a divergent moment) are excluded and counted.
+    k >= b*beta, a divergent moment) are excluded and counted.  ``n_terms``
+    is a non-negative integer; an integral float is taken as one.
     """
     if not abs(z) < 1:
         raise ValueError(f"mgf_truncated requires |z| < 1, got {z}")
-    if n_terms < 0:
-        raise ValueError(f"n_terms must be >= 0, got {n_terms}")
-    value = 1.0
-    excluded = 0
-    for k in range(1, n_terms + 1):
+    # the range test first: nan fails it, and int() of nan or inf would raise its own error
+    if not 0 <= n_terms < math.inf or n_terms != int(n_terms):
+        raise ValueError(f"n_terms must be a non-negative integer, got {n_terms}")
+    n_terms = int(n_terms)
+    value, k = 1.0, 1
+    # both of moment's limits hold for every order below one it refuses
+    while k <= n_terms:
         try:
             value += z**k * moment(p, k, cfg) / math.factorial(k)
         except MomentNotDefinedError:
-            excluded += 1
+            break
+        k += 1
+    excluded = n_terms - k + 1
     return MgfResult(value=value, excluded_terms=excluded, warning=(n_terms >= 1 and excluded == n_terms))
 
 
@@ -368,40 +372,53 @@ def mean_deviation_about_median(p: KumIwParams, cfg: SeriesConfig = DEFAULT_SERI
     return mu - 2.0 * _partial_first_moment_series(p, med, cfg)
 
 
-def bonferroni(p: KumIwParams, prob: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    """Bonferroni curve B(prob) = int_0^q t f dt / (prob * mu), q = Q(prob)."""
+def _curve_parts(name: str, p: KumIwParams, prob: float, cfg: SeriesConfig):
+    # (int_0^q t f dt, mu) at q = Q(prob), for the Bonferroni and Lorenz curves
     if not 0 < prob < 1:
-        raise ValueError(f"bonferroni requires prob in (0, 1), got {prob}")
+        raise ValueError(f"{name} requires prob in (0, 1), got {prob}")
     mu = _mean(p, cfg)
     q = float(quantile(p, prob))
-    return _partial_first_moment_series(p, q, cfg) / (prob * mu)
+    if q == 0.0:  # at the smallest prob, where quantile's u/b underflows
+        raise NumericError(f"{name}: the quantile at prob={prob} rounds to 0, {p}")
+    return _partial_first_moment_series(p, q, cfg), mu
+
+
+def bonferroni(p: KumIwParams, prob: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
+    """Bonferroni curve B(prob) = int_0^q t f dt / (prob * mu), q = Q(prob)."""
+    partial, mu = _curve_parts("bonferroni", p, prob, cfg)
+    return partial / (prob * mu)
 
 
 def lorenz(p: KumIwParams, prob: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Lorenz curve L(prob) = int_0^q t f dt / mu = prob * B(prob)."""
-    if not 0 < prob < 1:
-        raise ValueError(f"lorenz requires prob in (0, 1), got {prob}")
-    mu = _mean(p, cfg)
-    q = float(quantile(p, prob))
-    return _partial_first_moment_series(p, q, cfg) / mu
+    partial, mu = _curve_parts("lorenz", p, prob, cfg)
+    return partial / mu
 
 
 def _order_stat_coeff(r: int, n: int) -> float:
-    # n! / ((r-1)! (n-r)!)
-    return float(r * math.comb(n, r))
+    """n! / ((r-1)! (n-r)!) = r C(n, r); ``NumericError`` where it exceeds
+    the float range.  C(n, m) >= 2^m for m = min(r, n - r), so past
+    m = 1024 the exact integer is not formed."""
+    if min(r, n - r) <= 1024:
+        coeff = r * math.comb(n, r)
+        if coeff <= sys.float_info.max:
+            return float(coeff)
+    raise NumericError(f"the order-statistic coefficient r C(n, r) exceeds the float range at r={r}, n={n}")
 
 
-def _validate_rank(r: int, n: int) -> None:
-    # range tests first, which nan fails, so int() never sees nan or inf
+def _validate_rank(r: int, n: int) -> tuple[int, int]:
+    # range tests first, which nan fails, so int() never sees nan or inf;
+    # an integral float becomes the int that math.comb and range take
     if not 1 <= n < math.inf or n != int(n):
         raise ValueError(f"sample size must be a positive integer, got {n}")
     if not 1 <= r <= n or r != int(r):
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
+    return int(r), int(n)
 
 
 def order_stat_pdf(p: KumIwParams, r: int, n: int, t):
     """Density of the r-th order statistic in a sample of size n."""
-    _validate_rank(r, n)
+    r, n = _validate_rank(r, n)
     coeff = _order_stat_coeff(r, n)
     f_t = np.asarray(pdf(p, t), dtype=float)
     big_f = np.asarray(cdf(p, t), dtype=float)
@@ -423,17 +440,20 @@ def order_stat_moment(
     its power x^(a-1) at 0, is below about 2.5e-4).  ``cfg`` is accepted
     for interface symmetry with the series cross-check.
     """
-    _validate_rank(r, n)
+    r, n = _validate_rank(r, n)
     s = _moment_power(p, k, n - r + 1, series=False)
     log_const = k * math.log(p.c) + math.log(_order_stat_coeff(r, n) * p.b)
-    power = p.b * (n - r + 1) - 1.0
+    power = p.b * float(n - r + 1) - 1.0  # n fits a float, as the coefficient does
+    if power == math.inf:
+        raise NumericError(f"order_stat_moment: b (n - r + 1) exceeds the float range at r={r}, n={n}, {p}")
 
     def terms(nodes) -> np.ndarray:
         # c^k x^(-s) coeff F^(r-1) S^(n-r) f(x), with S = (1 - e^-x)^b
         log_g = log_const - s * nodes.log_x - nodes.x + power * nodes.log_om
         return np.exp(log_g + nodes.log_w) * (-np.expm1(p.b * nodes.log_om)) ** (r - 1)
 
-    return integrate.quad(terms, _EXP_SINH)
+    with np.errstate(over="ignore"):  # power log(1 - e^-x) may overflow to -inf: a 0 term
+        return integrate.quad(terms, _EXP_SINH)
 
 
 def order_stat_moment_series(
@@ -445,7 +465,7 @@ def order_stat_moment_series(
     through the weight series.  This is a validation surface for the
     expansion machinery; ``order_stat_moment`` stays authoritative.
     """
-    _validate_rank(r, n)
+    r, n = _validate_rank(r, n)
     s = _moment_power(p, k, n - r + 1)
     coeff = _order_stat_coeff(r, n)
     total = 0.0
@@ -534,6 +554,8 @@ def renyi_entropy_series(
             f"series form invalid for rho={rho}, b={p.b}, beta={p.beta}"
         )
     w_sum = _weight_series(shape, 1.0 - s_exp, cfg, shift=rho)
+    if not w_sum > 0.0:  # the signed weights cancel to rounding noise at a large rho
+        raise NumericError(f"renyi_entropy_series: the weight series sums to {w_sum} at rho={rho}, {p}")
     log_a = (
         (rho - 1.0) * math.log(p.beta)
         + rho * math.log(p.b)
@@ -548,11 +570,16 @@ def expanded_pdf(p: KumIwParams, t: float, cfg: SeriesConfig = DEFAULT_SERIES) -
     """Density via the expansion of the bracketed power (validation surface).
 
     ``f(t) = beta b c^beta t^(-(beta+1)) sum_i w_i exp[-(i+1)(c/t)^beta]``,
-    terminating exactly for positive-integer b.
+    terminating exactly for positive-integer b.  The prefactor is summed
+    inside each term's exponent, so it cannot overflow at a small t, and
+    where (c/t)^beta leaves the float range the density is 0.
     """
     t = float(t)
     if not t > 0:
         raise ValueError(f"time must be > 0, got {t}")
-    x = (p.c / t) ** p.beta
-    prefactor = p.beta * p.b * p.c**p.beta * t ** (-(p.beta + 1.0))
-    return prefactor * _signed_series(p.b, lambda r: np.exp(-(r + 1.0) * x), lambda y: -x, cfg)
+    try:
+        x = (p.c / t) ** p.beta  # inf where c/t overflows: every term is e^-inf = 0
+    except OverflowError:
+        return 0.0
+    log_head = math.log(p.beta * p.b) + p.beta * math.log(p.c) - (p.beta + 1.0) * math.log(t)
+    return _signed_series(p.b, lambda r: np.exp(log_head - (r + 1.0) * x), lambda y: -x, cfg)

@@ -124,11 +124,8 @@ class _Loglik:
         # Python floats: inf - inf below gives nan without a numpy warning
         b, c, beta = float(b), float(c), float(beta)
         sum_x_f, s_f, s_c = terms
-        value = (
-            self.r * (math.log(beta) + math.log(b) + beta * math.log(c))
-            - sum_x_f
-            - (beta + 1.0) * self.sum_log_tf
-        )
+        head, log_t_term = self.event_terms(b, c, beta)
+        value = head - sum_x_f - log_t_term
         # b = 1 drops the event term, which keeps 0 * (-inf) out
         if b != 1.0 and self.r:
             value += (b - 1.0) * s_f
@@ -142,11 +139,17 @@ class _Loglik:
             return -math.inf
         return self.combine(b, c, beta, self.terms(c, beta))
 
+    def event_terms(self, b: float, c: float, beta: float) -> tuple[float, float]:
+        """The x-free event terms of the value, r (log beta + log b +
+        beta log c) and (beta + 1) sum log t_f, for b, c, beta > 0."""
+        head = self.r * (math.log(beta) + math.log(b) + beta * math.log(c))
+        return head, (beta + 1.0) * self.sum_log_tf
+
     def magnitude(self, b: float, c: float, beta: float) -> float:
         """Size of the largest terms ``combine`` adds; the value's rounding
         noise is a few ulps of it, however small the value itself."""
-        event_terms = self.r * (math.log(b) + math.log(beta) + beta * math.log(c))
-        return abs(event_terms) + (beta + 1.0) * abs(self.sum_log_tf)
+        head, log_t_term = self.event_terms(b, c, beta)
+        return abs(head) + abs(log_t_term)
 
     def value_score_hessian(self, b: float, c: float, beta: float):
         """Value at (b, c, beta) with the exact score and Hessian in
@@ -358,7 +361,7 @@ def _maximize(
         if not converged:
             message += "; covariance withheld: the fit did not converge"
         elif cov is None:
-            message = (message + "; " if message else "") + "covariance unavailable"
+            message = "covariance unavailable"
     return FitResult(
         params=KumIwParams(*theta), loglik=value, observed_info=info, covariance=cov, ci=ci,
         ci_level=ci_level, converged=converged, iterations=iterations, grad_norm=grad_norm,

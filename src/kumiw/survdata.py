@@ -55,17 +55,16 @@ class CensoredDataset:
 
     ``from_arrays`` is the primary constructor; ``CensoredDataset(observations)``
     still accepts a sequence of ``CensoredObs``, and ``observations`` gives
-    the rows back as such, built on first access.
+    the rows back as such, built from the columns on each access.
     """
 
-    __slots__ = ("_times", "_events", "_observations", "name")
+    __slots__ = ("_times", "_events", "name")
 
     def __init__(self, observations: Iterable[CensoredObs], name: str = "") -> None:
         obs = tuple(observations)
         self._set_columns(
             [o.time for o in obs], [o.status is Status.EVENT for o in obs], name
         )
-        object.__setattr__(self, "_observations", obs)
 
     @classmethod
     def from_arrays(cls, times, events, name: str = "") -> "CensoredDataset":
@@ -93,7 +92,6 @@ class CensoredDataset:
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_events", events)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_observations", None)
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"CensoredDataset is immutable; cannot set {attr!r}")
@@ -133,13 +131,10 @@ class CensoredDataset:
 
     @property
     def observations(self) -> tuple[CensoredObs, ...]:
-        if self._observations is None:
-            obs = tuple(
-                CensoredObs(t, Status.EVENT if e else Status.CENSORED)
-                for t, e in zip(self._times.tolist(), self._events.tolist())
-            )
-            object.__setattr__(self, "_observations", obs)
-        return self._observations
+        return tuple(
+            CensoredObs(t, Status.EVENT if e else Status.CENSORED)
+            for t, e in zip(self._times.tolist(), self._events.tolist())
+        )
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,24 @@ class TestMgf:
         with pytest.raises(ValueError):
             mgf_truncated(KumIwParams(1, 1, 2), 1.0, 3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_integral_float_and_huge_n_terms(self):
+        # an integral float counts as its int; moment refuses every order from
+        # k = 3 >= beta on, so a huge n_terms excludes all but two orders
+        p = KumIwParams(2, 1.5, 3)
+        assert mgf_truncated(p, 0.5, 2.0) == mgf_truncated(p, 0.5, 2)
+        huge = mgf_truncated(p, 0.5, int(1e308))
+        assert huge.value == mgf_truncated(p, 0.5, 2).value
+        assert huge.excluded_terms == int(1e308) - 2 and not huge.warning
+        assert cgf_truncated(p, 0.5, 10**6).value == cgf_truncated(p, 0.5, 2).value
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_terms", [2.5, math.nan, math.inf, -1])
+    @pytest.mark.parametrize("fn", [mgf_truncated, cgf_truncated])
+    def test_n_terms_not_a_non_negative_integer(self, fn, n_terms):
+        with pytest.raises(ValueError, match="n_terms must be a non-negative integer"):
+            fn(KumIwParams(2, 1.5, 3), 0.5, n_terms)
+
     def test_cgf_is_log_mgf(self):
         p = KumIwParams(2, 1, 3)
         m = mgf_truncated(p, 0.3, 2)
@@ -301,6 +319,13 @@ class TestBonferroniLorenz:
         assert np.all(np.diff(vals) > 0)
         assert np.all(np.diff(vals, 2) > -1e-9)  # convexity
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fn", [bonferroni, lorenz])
+    def test_quantile_rounding_to_zero_names_prob(self, fn):
+        # quantile(5e-324) is 0.0 here, and the partial moment divides by it
+        with pytest.raises(NumericError, match=re.escape("the quantile at prob=5e-324 rounds to 0")):
+            fn(KumIwParams(2, 1.5, 3), 5e-324)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             bonferroni(KumIwParams(2, 1, 3), 0.0)
@@ -318,6 +343,30 @@ class TestOrderStatistics:
             fn(p, bad, 3, 1)
         with pytest.raises(ValueError, match="sample size must be a positive integer"):
             fn(p, 1, bad, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_integral_float_rank_and_size(self):
+        # math.comb and range take ints: the float 5.0 raised TypeError
+        p = KumIwParams(2, 1.5, 3)
+        assert order_stat_pdf(p, 2, 5.0, 1.0) == order_stat_pdf(p, 2, 5, 1.0)
+        assert order_stat_moment(p, 2.0, 5, 1) == order_stat_moment(p, 2, 5, 1)
+        assert order_stat_moment_series(p, 2, 5.0, 1) == order_stat_moment_series(p, 2, 5, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("call, match", [
+        (partial(order_stat_moment, r=1, n=int(1e308)),
+         re.escape("b (n - r + 1) exceeds the float range")),
+        (partial(order_stat_moment, r=2, n=int(1e308)), "coefficient r C"),
+        (partial(order_stat_pdf, r=2, n=int(1e308), t=1.0), "coefficient r C"),
+        (partial(order_stat_moment_series, r=1, n=10**6), "terms exceed the float range"),
+        (partial(order_stat_moment_series, r=1, n=int(1e308)), "shape inf exceeds the float range"),
+    ], ids=["moment-power", "moment-coefficient", "pdf-coefficient", "series-weights", "series-shape"])
+    def test_huge_sample_size_names_the_cause(self, call, match):
+        # b (n - r + 1) * log(1 - e^-x) was inf * 0 = nan, float(r C(n, r))
+        # overflowed, and the series' weights overflowed to nan partial sums
+        kwargs = {} if call.func is order_stat_pdf else {"k": 1}
+        with pytest.raises(NumericError, match=match):
+            call(KumIwParams(2, 1.5, 3), **kwargs)
 
     def test_single_observation(self):
         p = KumIwParams(2, 1, 2)
@@ -448,6 +497,18 @@ class TestEntropies:
             fn(KumIwParams(2, 1, 2), rho)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rho, match", [
+        (200.0, "the weight series sums to"),
+        (1e5, "terms exceed the float range"),
+        (1e10, "terms exceed the float range"),
+    ])
+    def test_renyi_series_beyond_its_reach(self, rho, match):
+        # the signed weights of shape rho (b - 1) + 1 cancel to at most 0 at
+        # rho = 200 (math.log raised), and overflow at larger rho
+        with pytest.raises(NumericError, match=match):
+            renyi_entropy_series(KumIwParams(2, 1.5, 3), rho)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rho", [700.0, 1000.0, 1e300])
     def test_renyi_underflowing_integral(self, rho):
         # every term of f^rho underflows to 0, so the rule's checks hold on
@@ -504,6 +565,13 @@ class TestExpandedPdf:
     def test_domain(self):
         with pytest.raises(ValueError):
             expanded_pdf(KumIwParams(1, 1, 1), 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [1e-100, 1e-120, 1e-300, 5e-324])
+    def test_small_t_is_the_density(self, t):
+        # t^-(beta+1) or (c/t)^beta overflowed as a Python float
+        p = KumIwParams(2, 1.5, 3)
+        assert expanded_pdf(p, t) == float(pdf(p, t))
 
 
 def test_import_loads_no_scipy_integrate_or_optimize(tmp_path):
@@ -610,3 +678,60 @@ class TestDoubleExponentialRule:
 
             with pytest.raises(NumericError, match="double-exponential"):
                 measures.integrate.quad(terms, measures._EXP_SINH)
+
+
+# ROADMAP item 10: every public measures function over its scalar
+# arguments, one at a time from a valid point at (2, 1.5, 3).  Each call
+# returns a finite value or raises ValueError (MomentNotDefinedError is
+# one) or NumericError, and never warns.
+_SWEEP_FLOATS = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0.0, "-1": -1.0,
+    "5e-324": 5e-324, "1e308": 1e308,
+}
+_SWEEP_INTS = {**_SWEEP_FLOATS, "2.0": 2.0, "2.5": 2.5, "int(1e308)": int(1e308), "10**6": 10**6}
+
+
+def _moment_with_config(p, tol=1e-12, max_terms=10_000):
+    # the series' own settings, through a fractional shape's Euler-Maclaurin tail
+    return moment(KumIwParams(1.3, p.c, p.beta), 1, SeriesConfig(tol, max_terms))
+
+
+# (function, a valid point, its integer arguments)
+_SWEEP = (
+    (moment, {"k": 1}, {"k"}),
+    (moment_exists, {"k": 1}, {"k"}),
+    (mgf_truncated, {"z": 0.5, "n_terms": 3}, {"n_terms"}),
+    (cgf_truncated, {"z": 0.5, "n_terms": 3}, {"n_terms"}),
+    (_moment_with_config, {"tol": 1e-12, "max_terms": 10_000}, {"max_terms"}),
+    (bonferroni, {"prob": 0.5}, set()),
+    (lorenz, {"prob": 0.5}, set()),
+    (order_stat_pdf, {"r": 2, "n": 5, "t": 1.0}, {"r", "n"}),
+    (order_stat_pdf, {"r": 1, "n": 5, "t": 1.0}, {"r", "n"}),
+    (order_stat_moment, {"r": 2, "n": 5, "k": 1}, {"r", "n", "k"}),
+    (order_stat_moment, {"r": 1, "n": 5, "k": 1}, {"r", "n", "k"}),
+    (order_stat_moment_series, {"r": 2, "n": 5, "k": 1}, {"r", "n", "k"}),
+    (order_stat_moment_series, {"r": 1, "n": 5, "k": 1}, {"r", "n", "k"}),
+    (renyi_entropy, {"rho": 2.0}, set()),
+    (renyi_entropy_series, {"rho": 2.0}, set()),
+    (expanded_pdf, {"t": 1.0}, set()),
+)
+
+
+def _sweep_cases():
+    for fn, point, ints in _SWEEP:
+        at = ",".join(f"{k}={v}" for k, v in point.items())
+        for name in point:
+            for label, value in (_SWEEP_INTS if name in ints else _SWEEP_FLOATS).items():
+                yield pytest.param(fn, {**point, name: value}, id=f"{fn.__name__}-{at}-{name}={label}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, kwargs", _sweep_cases())
+def test_scalar_argument_contract(fn, kwargs):
+    try:
+        value = fn(KumIwParams(2, 1.5, 3), **kwargs)
+    except (ValueError, NumericError):
+        return
+    if isinstance(value, measures.MgfResult):
+        value = value.value
+    assert math.isfinite(value)
