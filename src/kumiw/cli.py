@@ -320,12 +320,14 @@ def cmd_fit_bayes(args) -> int:
     return 0
 
 
-def _write_km(out_dir: Path, curve: survdata.KmCurve) -> Path:
+def _write_km(out_dir: Path, curve: survdata.KmCurve, times, survival) -> Path:
+    """Write ``km.csv`` with ``times`` and ``survival`` as the curve's first
+    two columns: its floats, or their ``%.17g`` strings, the same bytes."""
     path = out_dir / "km.csv"
     _write_csv(
         path,
         ["time", "survival", "at_risk", "events"],
-        zip(curve.times, curve.survival, curve.at_risk, curve.events),
+        zip(times, survival, curve.at_risk, curve.events),
     )
     return path
 
@@ -333,7 +335,7 @@ def _write_km(out_dir: Path, curve: survdata.KmCurve) -> Path:
 def cmd_km(args) -> int:
     data = _load_dataset(args)
     curve = survdata.kaplan_meier(data)
-    path = _write_km(_out_dir(args), curve)
+    path = _write_km(_out_dir(args), curve, curve.times, curve.survival)
     print(f"wrote {path} ({len(curve.times)} event times)")
     return 0
 
@@ -359,17 +361,15 @@ def cmd_compare(args) -> int:
         p = _params_from(args)
     out_dir = _out_dir(args)
     comparison = survdata.km_vs_parametric(data, p)
-    _write_km(out_dir, comparison.curve)
-    _write_csv(
-        out_dir / "compare.csv",
-        ["t", "km_survival", "model_survival"],
-        zip(comparison.t, comparison.km_survival, comparison.model_survival),
+    # the three files share these columns: each value is formatted once,
+    # with the %.17g that _write_csv gives a float
+    t, km, model = (
+        list(map("%.17g".__mod__, column.tolist()))
+        for column in (comparison.t, comparison.km_survival, comparison.model_survival)
     )
-    _write_csv(
-        out_dir / "qq.csv",
-        ["km_survival", "model_survival"],
-        zip(comparison.km_survival, comparison.model_survival),
-    )
+    _write_km(out_dir, comparison.curve, t, km)
+    _write_csv(out_dir / "compare.csv", ["t", "km_survival", "model_survival"], zip(t, km, model))
+    _write_csv(out_dir / "qq.csv", ["km_survival", "model_survival"], zip(km, model))
     gap = float(np.max(np.abs(comparison.km_survival - comparison.model_survival)))
     print(f"wrote km.csv, compare.csv, qq.csv (max |KM - model| = {gap:.4f})")
     return 0

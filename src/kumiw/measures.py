@@ -63,8 +63,10 @@ class SeriesConfig:
     def __post_init__(self) -> None:
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+        # the range test first: nan fails it, and int() of nan or inf would raise its own error
+        if not 1 <= self.max_terms < math.inf or self.max_terms != int(self.max_terms):
+            raise ValueError(f"max_terms must be a positive integer, got {self.max_terms}")
+        object.__setattr__(self, "max_terms", int(self.max_terms))
 
 
 DEFAULT_SERIES = SeriesConfig()

@@ -100,16 +100,23 @@ class _Loglik:
         """``terms`` at k points (c_j, beta_j), all c_j > 0, in one pass.
 
         The rows form one (k, n) block, so each step is one ufunc call for
-        all k points; only log c runs per row.  Each row's group sums are a
-        reduction over its own columns ``[:r]`` or ``[r:]``, in the pairwise
-        order of a 1-D sum of that slice, so every row is bit for bit the
-        one-point pass.
+        all k points; only log c runs per row.  One point takes the 1-D rows
+        of ``_rows`` at a float point, which skip the block's broadcasting.
+        Each row's group sums are a reduction over its own columns ``[:r]``
+        or ``[r:]``, in the pairwise order of a 1-D sum of that slice, so
+        every row is bit for bit the one-point pass.
         """
         r, n = self.r, self.n
         k = len(cs)
-        log_c = np.array([math.log(c) for c in cs])[:, None]
+        if k == 1:
+            log_c, beta = math.log(cs[0]), float(betas[0])
+        else:
+            log_c = np.array([math.log(c) for c in cs])[:, None]
+            beta = np.array(betas)[:, None]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            _, x, _, _, ell, _ = self._rows(log_c, np.array(betas)[:, None])
+            _, x, _, _, ell, _ = self._rows(log_c, beta)
+            if k == 1:
+                x, ell = x[None], ell[None]
             # an empty group sums to 0.0; skipping it saves a reduction
             s_f = ell[:, :r].sum(axis=1).tolist() if r else [0.0] * k
             s_c = ell[:, r:].sum(axis=1).tolist() if r < n else [0.0] * k

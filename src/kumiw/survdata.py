@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 import sys
 from collections.abc import Iterable
@@ -184,12 +185,79 @@ def _leading_floats(cells: list[str]) -> np.ndarray:
 def load_csv(path, time_col: str = "time", status_col: str = "status") -> CensoredDataset:
     """Read a censored dataset from a headered CSV file.
 
-    Status coding is 1 = event, 0 = censored.  A file without the status
-    column is read as fully observed (every row an event), so time-only
-    sample files round-trip.  A leading UTF-8 byte-order mark and blank
-    lines are skipped.  The first malformed row is reported with its file
-    line number (the header is line 1, and blank lines count).
+    The file is UTF-8, with or without a leading byte-order mark, and is
+    split into rows and cells by the ``csv`` module's default rules:
+    commas between cells, double quotes around a cell that holds one, and
+    LF, CRLF or CR line ends.  A time cell is a Python ``float`` literal
+    (surrounding spaces, underscores and ``1e3`` forms included) that is
+    finite and > 0.  A status cell is 1 (event) or 0 (censored), with
+    surrounding spaces allowed.  A file without the status column is read
+    as fully observed (every row an event), so time-only sample files
+    round-trip.  A repeated column name resolves to its last occurrence.
+    Blank lines are skipped.  The first malformed row is reported with its
+    file line number (the header is line 1, and blank lines count).
+
+    A file in the plain numeric form (``_load_plain``) is parsed by
+    numpy's C reader; every other file, and every error, goes through the
+    full parser, ``_load_rows``.  Both give the same dataset bit for bit.
     """
+    plain = _load_plain(path, time_col, status_col)
+    return plain if plain is not None else _load_rows(path, time_col, status_col)
+
+
+def _load_plain(path, time_col: str, status_col: str) -> CensoredDataset | None:
+    """The dataset of a file in the plain numeric form, or None.
+
+    The plain form has no double quote and no NUL anywhere (numpy would
+    split a quoted comma, and its string cells drop a trailing NUL that
+    the csv module keeps), an LF- or CRLF-ended header, and a body that
+    ``np.loadtxt`` reads with every time finite and > 0 and every status
+    cell exactly ``0`` or ``1`` (read as 2 characters, so ``10`` and a
+    spaced ``1`` fail).  Such a file has the csv module's cells, and numpy
+    parses each time with the ``PyOS_string_to_double`` that ``float``
+    calls; the cells it cannot parse (``1_5``, non-ASCII digits) fail here.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except (OSError, ValueError):
+        return None
+    header, _, body = text.partition("\n")
+    header = header.removesuffix("\r")
+    if not header or "\r" in header or '"' in text or "\0" in text:
+        return None
+    column = {name: i for i, name in enumerate(header.split(","))}
+    # a blank body would make loadtxt warn that it read no data
+    if time_col not in column or not body or body.isspace():
+        return None
+    has_status = status_col in column
+    try:
+        table = np.loadtxt(
+            io.StringIO(body),
+            delimiter=",",
+            comments=None,
+            usecols=(column[time_col], column[status_col]) if has_status else column[time_col],
+            dtype=[("t", float), ("s", "U2")] if has_status else float,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    if has_status:
+        times, status = table["t"], table["s"]
+        events = status == "1"
+        if not (events | (status == "0")).all():
+            return None
+    else:
+        times, events = table, np.ones(len(table), dtype=bool)
+    if not ((times > 0) & (times < math.inf)).all():
+        return None
+    return CensoredDataset.from_arrays(times, events, name=str(path))
+
+
+def _load_rows(path, time_col: str, status_col: str) -> CensoredDataset:
+    """``load_csv`` by the csv module and ``float``, row by row: the
+    parser of every file outside the plain form, and the only one that
+    reports what is wrong with a file."""
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:

@@ -389,6 +389,34 @@ class TestKmCompare:
         assert np.all(np.diff(qq["km_survival"]) <= 1e-15)
         assert np.all(np.diff(qq["model_survival"]) <= 1e-15)
 
+    @pytest.mark.parametrize("data", ["sample", "extremes"])
+    def test_compare_writes_the_float_rows_bytes(self, tmp_path, data):
+        # compare formats each shared column once: its km.csv is km's, and
+        # its compare.csv and qq.csv are _write_csv's on the float rows
+        if data == "sample":
+            path = make_sample(tmp_path, n=500, seed=43)
+        else:
+            # the model survival (1.5/t)^6 is subnormal at t = 1e52, 0 beyond
+            path = tmp_path / "extremes.csv"
+            path.write_text("time,status\n0.5,1\n2,1\n3,0\n1e52,1\n1e60,0\n1e300,1\n1e308,1\n")
+        out = tmp_path / "cmp"
+        assert main(["km", "--data", str(path), "--out-dir", str(tmp_path / "km")]) == 0
+        assert main([
+            "compare", "--data", str(path), "--b", "2", "--c", "1.5", "--beta", "3",
+            "--out-dir", str(out),
+        ]) == 0
+        assert (out / "km.csv").read_bytes() == (tmp_path / "km" / "km.csv").read_bytes()
+        comp = survdata.km_vs_parametric(load_csv(path), KumIwParams(2, 1.5, 3))
+        if data == "extremes":
+            assert 0 < comp.model_survival[2] < np.finfo(float).tiny
+            assert comp.t[-1] == 1e308
+        _write_csv(tmp_path / "compare.csv", ["t", "km_survival", "model_survival"],
+                   zip(comp.t, comp.km_survival, comp.model_survival))
+        _write_csv(tmp_path / "qq.csv", ["km_survival", "model_survival"],
+                   zip(comp.km_survival, comp.model_survival))
+        for name in ("compare.csv", "qq.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_compare_builds_km_once(self, tmp_path, monkeypatch):
         path = make_sample(tmp_path)
         calls = []

@@ -71,7 +71,11 @@ class TestSeriesConfig:
         cfg = SeriesConfig()
         assert cfg.tol == 1e-12 and cfg.max_terms == 10_000
 
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"max_terms": 0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": 0.0}, {"max_terms": 0}, {"max_terms": math.nan}, {"max_terms": math.inf},
+         {"max_terms": 2.5}],
+    )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SeriesConfig(**kwargs)

@@ -27,6 +27,70 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+# load_csv's table: file text (bytes where the encoding matters), the parser
+# that reads it ("plain": numpy's C reader; "full": the csv module row by
+# row), and the dataset's (times, events) or the DataError message after
+# "<path>: ".  The times are Python float literals, so each must load bit
+# for bit as written.
+_LOAD_CASES = {
+    "plain": ("time,status\n100,1\n150,0\n200,1\n", "plain", ([100.0, 150.0, 200.0], [1, 0, 1])),
+    "quoted-cells": ('time,status\n"5",1\n6,"0"\n', "full", ([5.0, 6.0], [1, 0])),
+    "quoted-header": ('"time","status"\n5,1\n', "full", ([5.0], [1])),
+    # numpy would split the quoted cell at its commas and read time 5, status 1
+    "quoted-comma": ('name,time,status,a,b\n"q,5,1,z",3,0,1,1\n', "full", ([3.0], [0])),
+    "extra-columns": ("time,status,x\n5,1,a\n6,0,b,c\n", "plain", ([5.0, 6.0], [1, 0])),
+    "short-row-status": ("time,status\n5,1\n6\n", "full", "row 3: unknown status code '' (expected 0 or 1)"),
+    "short-row-time": ("x,time\n1,5\n2\n", "full", "row 3: cannot parse time ''"),
+    "status-first": ("status,time\n1,5\n0,6\n", "plain", ([5.0, 6.0], [1, 0])),
+    "time-only": ("time\n3.5\n1e1\n", "plain", ([3.5, 10.0], [1, 1])),
+    "blank-lines": ("time,status\n\n5,1\n\n\n6,0\n\n", "plain", ([5.0, 6.0], [1, 0])),
+    "whitespace-line": ("time,status\n5,1\n  \t\n6,0\n", "full", "row 3: cannot parse time ''"),
+    "whitespace-line-after-blank": ("time,status\n5,1\n\n \n", "full", "row 4: cannot parse time ''"),
+    "crlf": ("time,status\r\n5,1\r\n\r\n6,0\r\n", "plain", ([5.0, 6.0], [1, 0])),
+    "lone-cr": ("time,status\r5,1\r6,0\r", "full", ([5.0, 6.0], [1, 0])),
+    "lone-cr-in-body": ("time,status\n5,1\r6,0\n", "full", ([5.0, 6.0], [1, 0])),
+    "no-final-newline": ("time,status\n5,1\n6,0", "plain", ([5.0, 6.0], [1, 0])),
+    "repeated-name": ("time,status,time\n5,1,7\n6,0,8\n", "plain", ([7.0, 8.0], [1, 0])),
+    "bom": (b"\xef\xbb\xbftime,status\n5,1\n", "plain", ([5.0], [1])),
+    "header-only": ("time,status\n", "full", "empty dataset"),
+    "header-and-blank-lines": ("time,status\n\n\r\n", "full", "empty dataset"),
+    "header-without-newline": ("time,status", "full", "empty dataset"),
+    "empty-file": ("", "full", "empty dataset"),
+    "blank-header": ("\ntime,status\n5,1\n", "full", "missing column(s) ['time']"),
+    "missing-column": ("t,status\n5,1\n", "full", "missing column(s) ['time']"),
+    "underscore-time": ("time,status\n1_5,1\n", "full", ([15.0], [1])),
+    "non-ascii-digit": ("time,status\n\u0665,1\n", "full", ([5.0], [1])),
+    "spaced-time": ("time,status\n 5 ,1\n\t6\x0b,0\n", "plain", ([5.0, 6.0], [1, 0])),
+    "status-1.0": ("time,status\n5,1.0\n", "full", "row 2: unknown status code '1.0' (expected 0 or 1)"),
+    "status-spaced": ("time,status\n5, 1 \n6,0 \n", "full", ([5.0, 6.0], [1, 0])),
+    "status-10": ("time,status\n5,1\n6,10\n", "full", "row 3: unknown status code '10' (expected 0 or 1)"),
+    "status-100": ("time,status\n5,100\n", "full", "row 2: unknown status code '100' (expected 0 or 1)"),
+    "status-nul": ("time,status\n5,1\x00\n", "full", "row 2: unknown status code '1\\x00' (expected 0 or 1)"),
+    "time-nan": ("time,status\n5,1\nnan,0\n", "full", "row 3: time must be > 0, got 'nan'"),
+    "time-inf": ("time,status\ninf,1\n", "full", "row 2: time must be > 0, got 'inf'"),
+    "time-overflow": ("time,status\n1e309,1\n", "full", "row 2: time must be > 0, got '1e309'"),
+    "time-zero": ("time,status\n5,1\n-0.0,1\n", "full", "row 3: time must be > 0, got '-0.0'"),
+    "time-hex": ("time,status\n0x10,1\n", "full", "row 2: cannot parse time '0x10'"),
+    "hard-floats": (
+        "time,status\n5e-324,1\n2.2250738585072011e-308,0\n2.2250738585072012e-308,1\n"
+        "1e308,1\n1.7976931348623157e308,0\n4.9406564584124654e-324,1\n",
+        "plain",
+        ([5e-324, 2.2250738585072011e-308, 2.2250738585072012e-308, 1e308,
+          1.7976931348623157e308, 4.9406564584124654e-324], [1, 0, 1, 1, 0, 1]),
+    ),
+    # halfway between two doubles: ties to the even significand
+    "halfway-floats": (
+        "time,status\n18014398509481986,1\n18014398509481990,0\n9007199254740993,1\n"
+        "1.00000000000000011102230246251565404236316680908203125,1\n"
+        "3.6028797018963972e16,0\n",
+        "plain",
+        ([18014398509481986.0, 18014398509481990.0, 9007199254740993.0,
+          1.00000000000000011102230246251565404236316680908203125,
+          3.6028797018963972e16], [1, 0, 1, 1, 0]),
+    ),
+}
+
+
 class TestTypes:
     def test_obs_validation(self):
         CensoredObs(1.0, Status.EVENT)
@@ -157,6 +221,45 @@ class TestLoadCsv:
         path = write(tmp_path, "dur,died,extra\n5,1,x\n2,0,y\n", name="c.csv")
         d = load_csv(path, time_col="dur", status_col="died")
         np.testing.assert_array_equal(d.times, [5.0, 2.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, parser, expected", _LOAD_CASES.values(), ids=_LOAD_CASES.keys())
+    def test_both_parsers_read_alike(self, tmp_path, monkeypatch, text, parser, expected):
+        # each file gives the dataset or the message that the row-by-row
+        # parser alone gave before the C-speed path, and takes the named parser
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        calls = []
+
+        def rows(*args):
+            calls.append(args)
+            return full(*args)
+
+        full = survdata._load_rows
+        monkeypatch.setattr(survdata, "_load_rows", rows)
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as info:
+                load_csv(path)
+            assert str(info.value) == f"{path}: {expected}"
+        else:
+            times, events = expected
+            d = load_csv(path)
+            assert d.times.tobytes() == np.array(times, dtype=float).tobytes()
+            np.testing.assert_array_equal(d.event_mask, events)
+            assert d.name == str(path)
+        assert ("full" if calls else "plain") == parser
+
+    def test_plain_file_skips_the_row_parser(self, tmp_path, monkeypatch):
+        # the C-speed path is taken, not a silent fallback to the row parser
+        def refuse(*args):
+            raise AssertionError("the row-by-row parser ran")
+
+        monkeypatch.setattr(survdata, "_load_rows", refuse)
+        d = load_csv(write(tmp_path, "time,status\n0.5,1\n2.25,0\n1e1,1\n"))
+        assert d.times.tolist() == [0.5, 2.25, 10.0]
+        assert d.event_mask.tolist() == [True, False, True]
+        d = load_csv(write(tmp_path, "time\n3\n4\n", name="t.csv"))
+        assert d.times.tolist() == [3.0, 4.0] and d.n_events == 2
 
 
 class TestKaplanMeier:
