@@ -88,7 +88,8 @@ class PriorSpec:
 
 def _log_post(prior: PriorSpec, ll: _Loglik, weight: float, b: float, c: float, beta: float, terms):
     """Log-posterior at (b, c, beta) from ``terms = ll.terms(c, beta)``,
-    which is unused (and may be None) when ``weight`` is 0."""
+    which is unused (and may be None) when ``weight`` is 0.  The sampler
+    takes it only for the states its kept draws hold."""
     lp = prior.log_density((b, c, beta))
     if weight == 0.0 or lp == -math.inf:
         return lp
@@ -267,37 +268,67 @@ def rw_accept_probability(
 _ADAPT_WINDOW = 200
 #: Haario-Saksman-Tamminen scale for a 2-D random walk: 2.38^2 / d.
 _ADAPT_SCALE = 2.38**2 / 2
+#: A post-burn-in acceptance rate below this warns that the chain is stuck.
+_LOW_ACCEPTANCE = 0.05
 
 
-def _collapsed(prior: PriorSpec, ll: _Loglik, weight: float, c: float, beta: float, terms):
+def _collapsed_target(prior: PriorSpec, ll: _Loglik, weight: float):
     """The sampler's log-target at (c, beta) with b integrated out, and the
-    Gamma(shape, rate) law of b given (c, beta).
+    Gamma(shape, rate) law of b given (c, beta), built once per chain.
 
     Given (c, beta), b enters the weighted likelihood and its prior only
     as b^(a_b + w r - 1) exp(-b (rate_b - w (S_f + S_c))), so b | c, beta
     is Gamma(a_b + w r, rate_b - w (S_f + S_c)) and the marginal of
     (c, beta) is, up to a constant, the c and beta priors plus
     w [r (log beta + beta log c) - sum x_f - (beta + 1) sum log t_f - S_f]
-    plus lgamma(shape) - shape log(rate).  ``terms`` are
-    ``ll.terms(c, beta)``, unused (and may be None) when ``weight`` is 0.
-    Returns (log target, shape, rate); the log target is -inf where the
-    rate is not finite and positive.
+    plus lgamma(shape) - shape log(rate).
+
+    Returns (shape, target).  ``target(c, beta, terms)``, with ``terms``
+    ``ll.terms(c, beta)`` (unused, and may be None, when ``weight`` is 0),
+    returns (log target, rate); the log target is -inf where the rate is
+    not finite and positive.  What does not vary with (c, beta) is taken
+    here: the prior's log-normaliser, the b prior at b = 1, the shape and
+    its lgamma, r and sum log t_f.  A call takes log c and log beta once
+    each, in the floating-point operations and order of
+    ``prior.log_density((1, c, beta))``, ``ll.event_terms(1, c, beta)``
+    and the lgamma term, so its values are theirs bit for bit.
     """
-    shape, rate = prior.b_shape, prior.b_rate
-    # the b prior at b = 1 is the constant -b_rate
-    value = prior.log_density((1.0, c, beta))
-    if value == -math.inf:
-        return value, shape, rate
-    if weight != 0.0:
+    log_norm = prior._log_norm
+    # the b prior at b = 1, as log_density takes it: the constant -b_rate
+    b_term = (prior.b_shape - 1.0) * math.log(1.0) - prior.b_rate * 1.0
+    a_c, c_rate = prior.c_shape - 1.0, prior.c_rate
+    a_beta, beta_rate = prior.beta_shape - 1.0, prior.beta_rate
+    b_rate = prior.b_rate
+    r, sum_log_tf = ll.r, ll.sum_log_tf
+    shape = prior.b_shape + weight * r
+    lgamma_shape = math.lgamma(shape)
+    weighted = weight != 0.0
+    # unweighted, the rate is b_rate at every point
+    unweighted_tail = lgamma_shape - shape * math.log(b_rate)
+
+    def target(c: float, beta: float, terms) -> tuple[float, float]:
+        if not (c > 0 and beta > 0):
+            return -math.inf, b_rate
+        log_c, log_beta = math.log(c), math.log(beta)
+        value = log_norm + (
+            (b_term + (a_c * log_c - c_rate * c)) + (a_beta * log_beta - beta_rate * beta)
+        )
+        if not math.isfinite(value):
+            return -math.inf, b_rate
+        if not weighted:
+            value += unweighted_tail
+            return (value if math.isfinite(value) else -math.inf), b_rate
         sum_x_f, s_f, s_c = terms
-        shape += weight * ll.r
-        rate -= weight * (s_f + s_c)
+        rate = b_rate - weight * (s_f + s_c)
         if not 0.0 < rate < math.inf:
-            return -math.inf, shape, rate
-        head, log_t_term = ll.event_terms(1.0, c, beta)  # log b = 0
-        value += weight * (head - sum_x_f - log_t_term - s_f)
-    value += math.lgamma(shape) - shape * math.log(rate)
-    return (value if math.isfinite(value) else -math.inf), shape, rate
+            return -math.inf, rate
+        # event_terms at b = 1: r (log beta + 0.0 + beta log c), and log beta + 0.0 is log beta
+        head = r * (log_beta + beta * log_c)
+        value += weight * (head - sum_x_f - (beta + 1.0) * sum_log_tf - s_f)
+        value += lgamma_shape - shape * math.log(rate)
+        return (value if math.isfinite(value) else -math.inf), rate
+
+    return shape, target
 
 
 def _depth(n: int) -> int:
@@ -334,7 +365,8 @@ def run_mcmc(
     [1e-3, 25], and the covariance is frozen after burn-in.  A burn-in
     of 1-199 iterations holds no full window, so the proposal is never
     adapted; one that is not a multiple of 200 ends in a cut window that
-    is not adapted on.  ``warnings`` says so in both cases.
+    is not adapted on.  ``warnings`` says so in both cases, and also when
+    the post-burn-in acceptance rate is below 0.05 (a stuck chain).
 
     The randomness is drawn a segment at a time: the 200-iteration
     windows of burn-in (the last one cut at ``cfg.burn_in``), then
@@ -347,12 +379,16 @@ def run_mcmc(
     function of the seed alone, and it differs from the one drawn an
     iteration at a time before this scheme.
 
-    Each iteration appends one state (b, c, beta, log-posterior, log c,
-    log beta) to its segment's list.  A full burn-in window adapts on the
-    list's last two columns; a later segment from iteration lo keeps the
+    Each iteration appends its state (b, c, beta, terms, log c, log beta)
+    to its segment's list; an acceptance makes a new state, and a rejection
+    appends the current one again.  A full burn-in window adapts on the
+    states' last two entries; a later segment from iteration lo keeps the
     slice ``[(burn_in - lo) % thin :: thin]``, iterations burn_in + j thin.
+    The log-posterior is taken only for the states that kept draws hold,
+    once per state.
 
-    The likelihood enters through ``_Loglik.terms_rows``.  Rejection is
+    The likelihood enters through ``_Loglik.terms_rows`` and the target
+    of ``_collapsed_target``, built once per chain.  Rejection is
     the likelier outcome, so one pass evaluates the next k proposals as
     if each were rejected, all from the current state (pre-fetching:
     Brockwell 2006; Angelino, Kohler, Waterland, Seltzer & Adams 2014).
@@ -368,8 +404,8 @@ def run_mcmc(
     ll = _Loglik(d)
     weighted = weight != 0.0
     depth = _depth(ll.n) if weighted else 1
-    # b | c, beta is Gamma(shape, rate(c, beta)), as in _collapsed
-    shape = prior.b_shape + weight * ll.r
+    # b | c, beta is Gamma(shape, rate(c, beta))
+    shape, target = _collapsed_target(prior, ll, weight)
 
     if init is not None:
         theta = init.as_array()
@@ -378,8 +414,8 @@ def run_mcmc(
     b, c, beta = theta.tolist()
     u_c, u_beta = math.log(c), math.log(beta)
     terms = ll.terms(c, beta) if weighted else None
-    lt_cur = _collapsed(prior, ll, weight, c, beta, terms)[0]
-    lp_cur = _log_post(prior, ll, weight, b, c, beta, terms)
+    lt_cur = target(c, beta, terms)[0]
+    state = (b, c, beta, terms, u_c, u_beta)
 
     rng = np.random.default_rng(cfg.seed)
     # lower Cholesky factor [[l00, 0], [l10, l11]] of the proposal covariance
@@ -387,6 +423,8 @@ def run_mcmc(
     burn_in, n_iter, thin = cfg.burn_in, cfg.n_iter, cfg.thin
     draws: list[tuple[float, float, float]] = []
     trace: list[float] = []
+    # the last kept state and its log-posterior
+    kept_state, kept_lp = None, math.nan
     accepted_post = 0
     warn_list: list[str] = []
     cut = burn_in % _ADAPT_WINDOW if cfg.adapt else 0
@@ -409,7 +447,7 @@ def run_mcmc(
         gam = rng.standard_gamma(shape, m).tolist()
         (l00, _), (l10, l11) = chol.tolist()
         moves = list(zip((l00 * z[:, 0]).tolist(), (l10 * z[:, 0] + l11 * z[:, 1]).tolist(), unif, gam))
-        seg: list[tuple[float, ...]] = []
+        seg: list[tuple] = []
         accepted = 0
         while len(seg) < m:
             run, cs, betas = [], [], []
@@ -425,35 +463,45 @@ def run_mcmc(
             rows = iter(ll.terms_rows(cs, betas) if cs else ())
             for u_c_prop, u_beta_prop, c_prop, beta_prop, live, u, g in run:
                 terms_prop = next(rows) if live else None
-                lt_prop, _, rate = _collapsed(prior, ll, weight, c_prop, beta_prop, terms_prop)
+                lt_prop, rate = target(c_prop, beta_prop, terms_prop)
                 accept_p = rw_accept_probability(lt_cur, lt_prop, u_c + u_beta, u_c_prop + u_beta_prop)
                 b_prop = g / rate if u < accept_p else 0.0
                 if b_prop > 0.0:
-                    b, c, beta = b_prop, c_prop, beta_prop
                     u_c, u_beta, lt_cur = u_c_prop, u_beta_prop, lt_prop
-                    lp_cur = _log_post(prior, ll, weight, b, c, beta, terms_prop)
+                    state = (b_prop, c_prop, beta_prop, terms_prop, u_c, u_beta)
                     accepted += 1
-                seg.append((b, c, beta, lp_cur, u_c, u_beta))
+                seg.append(state)
                 if b_prop > 0.0:
                     break
         if hi > burn_in:
-            kept = seg[(burn_in - lo) % thin :: thin]
-            draws.extend(state[:3] for state in kept)
-            trace.extend(state[3] for state in kept)
+            for kept in seg[(burn_in - lo) % thin :: thin]:
+                # a state leaves the chain for good once it is left, so the
+                # last kept one is the only one a later draw can share
+                if kept is not kept_state:
+                    kept_state, kept_lp = kept, _log_post(prior, ll, weight, *kept[:4])
+                draws.append(kept[:3])
+                trace.append(kept_lp)
             accepted_post += accepted
         elif cfg.adapt and m == _ADAPT_WINDOW:
             if accepted == 0:
                 warn_list.append(
                     f"(b, c, beta): no acceptances in adaptation window ending at iteration {hi}"
                 )
-            chol = _adapted_cholesky(chol, np.array(seg)[:, 4:], accepted)
+            chol = _adapted_cholesky(chol, np.array([visited[4:] for visited in seg]), accepted)
 
+    acceptance = accepted_post / (n_iter - burn_in)
+    if acceptance < _LOW_ACCEPTANCE:
+        warn_list.append(
+            f"(b, c, beta): post-burn-in acceptance rate {acceptance:.3g} is below "
+            f"{_LOW_ACCEPTANCE}: the chain is nearly stuck and its draws are no usable "
+            "posterior sample"
+        )
     (l00, _), (l10, l11) = chol.tolist()
     return McmcChain(
         draws=np.array(draws),
         log_post_trace=np.array(trace),
         iterations=np.arange(burn_in, n_iter, thin),
-        acceptance_rates=np.full(3, accepted_post / (n_iter - burn_in)),
+        acceptance_rates=np.full(3, acceptance),
         proposal_scales=np.array([math.nan, l00, math.hypot(l10, l11)]),
         warnings=warn_list,
     )

@@ -44,7 +44,9 @@ class _Loglik:
     then the n - r censorings, so every O(n) pass is one ufunc call per
     step over all rows; only the sums are taken per group, over
     ``[:r]`` and ``[r:]``.  ``_rows`` states the b-free rows once, for
-    the value pass ``terms_rows`` and the fit pass ``value_score_hessian``.
+    the value pass ``terms_rows`` and the fit pass ``value_score_hessian``;
+    both write them into workspaces that the instance owns, so an instance
+    is not to be shared between threads.
     With x = (c/t)^beta, ``terms(c, beta)`` returns (sum of x over events,
     S_f = sum of log(1 - e^-x) over events, S_c = the same sum over
     censorings); ``terms_rows`` returns them at k points in one pass.
@@ -65,31 +67,55 @@ class _Loglik:
         self.e_row[: self.r] = 1.0
         self.sum_log_tf = float(self.log_t[: self.r].sum())
         self.max_log_t = float(np.max(self.log_t, initial=-math.inf))
+        # row workspaces, made on first use: terms_rows' one for each k, and
+        # value_score_hessian's
+        self._blocks = {}
+        self._fit_rows = None
 
-    def _rows(self, log_c, beta):
-        """The b-free rows (y, x, -x, den, L, tiny): 1-D at a float point,
-        (k, n) at (k, 1) columns; run under the caller's ``errstate``.
+    def _rows(self, log_cs, betas, out, tiny):
+        """Write the b-free rows at k points (log c_j, beta_j), Python
+        floats, into the caller's buffers and return the ``tiny`` mask or
+        None; run under the caller's ``errstate``.
 
-        y = beta (log c - log t), x = e^y, den = 1 - e^-x and
-        L = log(1 - e^-x), its expm1 branch taken from den.  ``tiny`` marks
-        the lanes where x is below the smallest normal float (lost digits or
-        0), whose L takes its limit y; it is None when ``max_log_t`` shows
-        that no lane can be.
+        ``out`` holds six float arrays of one shape, (k, n) or, at one
+        point, 1-D: L, x, y, -x and den, then a scratch row; ``tiny`` is a
+        bool array of that shape.  One point runs at a float point, which
+        skips the block's broadcasting.  y = beta (log c - log t), x = e^y,
+        den = 1 - e^-x and L = log(1 - e^-x), taken as log(den) where
+        x < ln 2 and as log1p(-e^-x) elsewhere.  ``tiny`` marks the lanes
+        where x is below the smallest normal float (lost digits or 0),
+        whose L takes its limit y; None is returned when ``max_log_t``
+        shows that no lane can be.  No exp or log writes over its own
+        input, so each runs the loop that a fresh output would.
         """
-        y = beta * (log_c - self.log_t)
-        x = np.exp(y)
-        neg_x = -x  # y - x is y + (-x) bit for bit
-        den = -np.expm1(neg_x)
+        ell, x, y, neg_x, den, work = out
+        if len(log_cs) == 1:
+            log_c, beta = log_cs[0], betas[0]
+        else:
+            log_c, beta = np.array(log_cs)[:, None], np.array(betas)[:, None]
+        # each ufunc takes its output positionally: out= costs about 50 ns a
+        # call, and the rows' masked copies go through putmask, about 1 us
+        # less at n = 500 than copyto(where=)
+        np.subtract(log_c, self.log_t, y)
+        np.multiply(beta, y, y)
+        np.exp(y, x)
+        np.negative(x, neg_x)  # y - x is y + (-x) bit for bit
+        np.expm1(neg_x, den)
+        np.negative(den, den)
         # distribution._log1m_exp_x gives the same bits, but slower here: 21.9
         # against 10.7 us at n = 300 (numpy 2.4, 2-vCPU x86 VM)
-        ell = np.where(x < _LN2, np.log(den), np.log1p(-np.exp(neg_x)))
-        # a Python bool at a float point, cheaper than any numpy test; an array at columns
-        low = beta * (log_c - self.max_log_t) < _LOG_TINY_GATE
-        tiny = None
-        if low is True or low is not False and low.any():
-            tiny = x < _TINY
-            ell[tiny] = y[tiny]
-        return y, x, neg_x, den, ell, tiny
+        np.exp(neg_x, work)
+        np.negative(work, work)
+        np.log1p(work, ell)
+        np.log(den, work)
+        np.less(x, _LN2, tiny)
+        np.putmask(ell, tiny, work)
+        # the gate on the k Python floats, cheaper than any numpy test
+        if not any(b * (lc - self.max_log_t) < _LOG_TINY_GATE for lc, b in zip(log_cs, betas)):
+            return None
+        np.less(x, _TINY, tiny)
+        np.putmask(ell, tiny, y)
+        return tiny
 
     def terms(self, c: float, beta: float) -> tuple[float, float, float]:
         """(sum x over events, S_f, S_c) at (c, beta), for c > 0: the
@@ -100,28 +126,34 @@ class _Loglik:
         """``terms`` at k points (c_j, beta_j), all c_j > 0, in one pass.
 
         The rows form one (k, n) block, so each step is one ufunc call for
-        all k points; only log c runs per row.  One point takes the 1-D rows
-        of ``_rows`` at a float point, which skip the block's broadcasting.
-        Each row's group sums are a reduction over its own columns ``[:r]``
-        or ``[r:]``, in the pairwise order of a 1-D sum of that slice, so
-        every row is bit for bit the one-point pass.
+        all k points; only log c runs per row.  The block is a (6, k, n)
+        workspace that this instance allocates, with its views, on the
+        first pass of each k, so a pass allocates no row.  The event sums
+        of L and of x are one reduction over a (2, k, r) view, and each sum
+        runs over its own row's columns ``[:r]`` or ``[r:]``, in the
+        pairwise order of a 1-D sum of that slice, so every row is bit for
+        bit the one-point pass.
         """
         r, n = self.r, self.n
         k = len(cs)
-        if k == 1:
-            log_c, beta = math.log(cs[0]), float(betas[0])
-        else:
-            log_c = np.array([math.log(c) for c in cs])[:, None]
-            beta = np.array(betas)[:, None]
+        block = self._blocks.get(k)
+        if block is None:
+            # rows 0 and 1 are L and x
+            work = np.empty((6, k, n))
+            block = self._blocks[k] = (
+                tuple(work), np.empty((k, n), dtype=bool), work[:2, :, :r], work[0, :, r:]
+            )
+        rows, tiny, events, censored = block
+        log_cs = [math.log(c) for c in cs]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            _, x, _, _, ell, _ = self._rows(log_c, beta)
-            if k == 1:
-                x, ell = x[None], ell[None]
-            # an empty group sums to 0.0; skipping it saves a reduction
-            s_f = ell[:, :r].sum(axis=1).tolist() if r else [0.0] * k
-            s_c = ell[:, r:].sum(axis=1).tolist() if r < n else [0.0] * k
-            # the sum of x overflows to inf at extreme (c, beta)
-            sum_x_f = x[:, :r].sum(axis=1).tolist()
+            self._rows(log_cs, betas, rows, tiny)
+            # an empty group sums to 0.0; skipping it saves a reduction.  The
+            # sum of x overflows to inf at extreme (c, beta)
+            if r:
+                s_f, sum_x_f = events.sum(axis=2).tolist()
+            else:
+                s_f = sum_x_f = [0.0] * k
+            s_c = censored.sum(axis=1).tolist() if r < n else [0.0] * k
         return list(zip(sum_x_f, s_f, s_c))
 
     def combine(self, b: float, c: float, beta: float, terms: tuple[float, float, float]) -> float:
@@ -175,20 +207,24 @@ class _Loglik:
 
         Every row array is full-length, with e taken per row from
         ``e_row``, so each step is one ufunc call over all rows.  The 8
-        summed rows are written into one (8, n) buffer, and each group (the
-        events ``[:r]``, then the censorings ``[r:]``) is one reduction
-        over its columns, which sums each row in the pairwise order of a
-        1-D sum of that group's slice.  The value is ``combine`` on the
-        event sum of x and the two group sums of L.
+        summed rows are the first rows of one buffer, which also holds the
+        rows ``_rows`` writes and is allocated on the first call.  Each
+        group (the events ``[:r]``, then the censorings ``[r:]``) is one
+        reduction over those 8 rows' columns, which sums each row in the
+        pairwise order of a 1-D sum of that group's slice.  The value is
+        ``combine`` on the event sum of x and the two group sums of L.
         """
         r, n, e_row = self.r, self.n, self.e_row
         sums = np.zeros(8)
         s_ell = [0.0, 0.0]
-        buf = np.empty((8, n))
-        ell, q, yq, a, ya, sa, m, ym = buf
+        if self._fit_rows is None:
+            # the first 8 rows are summed; the rest are _rows' x, y, -x, den and scratch
+            buf = np.empty((13, n))
+            self._fit_rows = buf, tuple(buf), np.empty(n, dtype=bool)
+        buf, rows, tiny = self._fit_rows
+        ell, q, yq, a, ya, sa, m, ym, x, y, neg_x, den, work = rows
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # Python floats: 1-D rows, and a gate that is a Python bool
-            y, x, neg_x, den, ell[:], tiny = self._rows(math.log(c), float(beta))
+            tiny = self._rows([math.log(c)], [float(beta)], (ell, x, y, neg_x, den, work), tiny)
             np.divide(np.exp(y + neg_x), den, out=q)
             curv = np.exp(2.0 * y + neg_x) / den + q * q
             if tiny is not None:
@@ -205,7 +241,7 @@ class _Loglik:
             for group, (lo, hi) in enumerate(((0, r), (r, n))):
                 if lo == hi:
                     continue
-                part = buf[:, lo:hi].sum(axis=1)
+                part = buf[:8, lo:hi].sum(axis=1)
                 s_ell[group] = float(part[0])
                 sums += part
             value = self.combine(b, c, beta, (float(x[:r].sum()), *s_ell))

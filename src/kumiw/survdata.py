@@ -264,18 +264,22 @@ def _load_rows(path, time_col: str, status_col: str) -> CensoredDataset:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty dataset")
-        # a repeated column name resolves to its last occurrence
-        column = {name: i for i, name in enumerate(header)}
-        if time_col not in column:
-            raise DataError(f"{path}: missing column(s) ['{time_col}']")
         rows, lines = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
+        try:
+            header = next(reader, None)
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+        except csv.Error as exc:
+            # such as a cell over the csv module's field size limit
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty dataset")
+    # a repeated column name resolves to its last occurrence
+    column = {name: i for i, name in enumerate(header)}
+    if time_col not in column:
+        raise DataError(f"{path}: missing column(s) ['{time_col}']")
     if not rows:
         raise DataError(f"{path}: empty dataset")
 

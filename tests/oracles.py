@@ -18,9 +18,10 @@ from scipy import integrate
 from kumiw import KumIwParams, pdf
 from kumiw.bayes import (
     _ADAPT_WINDOW,
+    _LOW_ACCEPTANCE,
     McmcChain,
+    PriorSpec,
     _adapted_cholesky,
-    _collapsed,
     _depth,
     _exp,
     _log_post,
@@ -647,16 +648,54 @@ def plain_quantile(p: KumIwParams, u):
     return out if np.ndim(out) else np.float64(out)
 
 
-# The sampler's loop as it was with a thinning cursor, a burn-in window list
-# and acceptance counters split by a burning flag.  The body is kept word for
-# word, so the library's run_mcmc, which keeps one state list per segment,
-# must return the same chain bit for bit.
+# The sampler's collapsed target as it was, a function of the prior, the
+# likelihood and (c, beta) that runs PriorSpec.log_density and
+# _Loglik.event_terms on every call.  The body is kept word for word, so
+# the target that run_mcmc builds once per chain must return its log target
+# and rate bit for bit.
+def reference_collapsed(prior: PriorSpec, ll: _Loglik, weight: float, c: float, beta: float, terms):
+    """The sampler's log-target at (c, beta) with b integrated out, and the
+    Gamma(shape, rate) law of b given (c, beta).
+
+    Given (c, beta), b enters the weighted likelihood and its prior only
+    as b^(a_b + w r - 1) exp(-b (rate_b - w (S_f + S_c))), so b | c, beta
+    is Gamma(a_b + w r, rate_b - w (S_f + S_c)) and the marginal of
+    (c, beta) is, up to a constant, the c and beta priors plus
+    w [r (log beta + beta log c) - sum x_f - (beta + 1) sum log t_f - S_f]
+    plus lgamma(shape) - shape log(rate).  ``terms`` are
+    ``ll.terms(c, beta)``, unused (and may be None) when ``weight`` is 0.
+    Returns (log target, shape, rate); the log target is -inf where the
+    rate is not finite and positive.
+    """
+    shape, rate = prior.b_shape, prior.b_rate
+    # the b prior at b = 1 is the constant -b_rate
+    value = prior.log_density((1.0, c, beta))
+    if value == -math.inf:
+        return value, shape, rate
+    if weight != 0.0:
+        sum_x_f, s_f, s_c = terms
+        shape += weight * ll.r
+        rate -= weight * (s_f + s_c)
+        if not 0.0 < rate < math.inf:
+            return -math.inf, shape, rate
+        head, log_t_term = ll.event_terms(1.0, c, beta)  # log b = 0
+        value += weight * (head - sum_x_f - log_t_term - s_f)
+    value += math.lgamma(shape) - shape * math.log(rate)
+    return (value if math.isfinite(value) else -math.inf), shape, rate
+
+
+# The sampler's loop as it was with a thinning cursor, a burn-in window list,
+# acceptance counters split by a burning flag and the log-posterior taken at
+# every acceptance.  The body is kept word for word, with the low-acceptance
+# warning added, so the library's run_mcmc, which keeps one state list per
+# segment and takes the log-posterior for kept draws only, must return the
+# same chain bit for bit.
 def reference_run_mcmc(d, prior, cfg, likelihood_weight=1.0, init=None):
     ll = _Loglik(d)
     weight = likelihood_weight
     weighted = weight != 0.0
     depth = _depth(ll.n) if weighted else 1
-    # b | c, beta is Gamma(shape, rate(c, beta)), as in _collapsed
+    # b | c, beta is Gamma(shape, rate(c, beta)), as in reference_collapsed
     shape = prior.b_shape + weight * ll.r
 
     if init is not None:
@@ -666,7 +705,7 @@ def reference_run_mcmc(d, prior, cfg, likelihood_weight=1.0, init=None):
     b, c, beta = theta.tolist()
     u_c, u_beta = math.log(c), math.log(beta)
     terms = ll.terms(c, beta) if weighted else None
-    lt_cur = _collapsed(prior, ll, weight, c, beta, terms)[0]
+    lt_cur = reference_collapsed(prior, ll, weight, c, beta, terms)[0]
     lp_cur = _log_post(prior, ll, weight, b, c, beta, terms)
 
     rng = np.random.default_rng(cfg.seed)
@@ -717,7 +756,7 @@ def reference_run_mcmc(d, prior, cfg, likelihood_weight=1.0, init=None):
             rows = iter(ll.terms_rows(cs, betas) if cs else ())
             for u_c_prop, u_beta_prop, c_prop, beta_prop, live, u, g in run:
                 terms_prop = next(rows) if live else None
-                lt_prop, _, rate = _collapsed(prior, ll, weight, c_prop, beta_prop, terms_prop)
+                lt_prop, _, rate = reference_collapsed(prior, ll, weight, c_prop, beta_prop, terms_prop)
                 accept_p = rw_accept_probability(lt_cur, lt_prop, u_c + u_beta, u_c_prop + u_beta_prop)
                 moved = False
                 if u < accept_p:
@@ -747,6 +786,12 @@ def reference_run_mcmc(d, prior, cfg, likelihood_weight=1.0, init=None):
                 )
             chol = _adapted_cholesky(chol, np.array(window), window_accepted)
 
+    if accepted_post / (n_iter - burn_in) < _LOW_ACCEPTANCE:
+        warn_list.append(
+            f"(b, c, beta): post-burn-in acceptance rate {accepted_post / (n_iter - burn_in):.3g} "
+            f"is below {_LOW_ACCEPTANCE}: the chain is nearly stuck and its draws are no usable "
+            "posterior sample"
+        )
     (l00, _), (l10, l11) = chol.tolist()
     return McmcChain(
         draws=np.array(draws),

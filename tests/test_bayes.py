@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,14 +23,14 @@ from kumiw import (
 from kumiw import bayes
 from kumiw.bayes import (
     SUMMARY_COLUMNS,
-    _collapsed,
+    _collapsed_target,
     full_conditional_log,
     rw_accept_probability,
     write_chain_csv,
 )
 from kumiw.mle import _Loglik
 from kumiw.survdata import CensoredDataset, simulate_censored
-from oracles import collapsed_posterior_moments, reference_run_mcmc
+from oracles import collapsed_posterior_moments, reference_collapsed, reference_run_mcmc
 
 TRUTH = KumIwParams(2.0, 1.5, 3.0)
 PRIOR = PriorSpec(1.2, 0.5, 2.0, 0.8, 1.5, 0.3)
@@ -254,6 +255,34 @@ class TestRunMcmc:
         for name in ("draws", "log_post_trace", "acceptance_rates", "proposal_scales"):
             assert np.array_equal(getattr(chain, name), getattr(fixed, name), equal_nan=True), name
 
+    def test_stuck_chain_warns(self):
+        # at n = 10^4 the posterior is far narrower than the unadapted
+        # proposal (sd 0.5 on log c and log beta): these seeds accept 0-3
+        # of the 200 moves after burn-in, and each chain says so once
+        d = simulate_censored(TRUTH, 10_000, 0.2, 31)
+        for seed in range(1, 7):
+            chain = run_mcmc(d, PriorSpec(), McmcConfig(n_iter=300, burn_in=100, seed=seed))
+            rate = chain.acceptance_rates[0]
+            assert rate < 0.05
+            assert [w for w in chain.warnings if "acceptance rate" in w] == [
+                f"(b, c, beta): post-burn-in acceptance rate {rate:.3g} is below 0.05: "
+                "the chain is nearly stuck and its draws are no usable posterior sample"
+            ]
+
+    @pytest.mark.dispatch
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    def test_kept_log_post_is_the_log_posterior_of_its_draw(self, weight):
+        # the log-posterior is taken only for the states that kept draws
+        # hold; at thin 7 most accepted states are never kept, and each
+        # stored value must be log_posterior at its draw, bit for bit
+        d = simulate_censored(TRUTH, 60, 0.2, 31)
+        cfg = McmcConfig(n_iter=1500, burn_in=400, thin=7, seed=3)
+        chain = run_mcmc(d, PRIOR, cfg, likelihood_weight=weight)
+        accepted = round(chain.acceptance_rates[0] * (cfg.n_iter - cfg.burn_in))
+        assert accepted > 2 * len({tuple(draw) for draw in chain.draws.tolist()})
+        expected = [log_posterior(KumIwParams(*draw), d, PRIOR, weight) for draw in chain.draws]
+        assert chain.log_post_trace.tolist() == expected
+
     def test_cut_burn_in_window_warns_and_is_not_adapted_on(self):
         # at burn-in 350 the last window, iterations 200-349, is cut: the
         # proposal adapts at 200 only, as it does at burn-in 200
@@ -371,6 +400,7 @@ class TestRunMcmc:
         assert 0.0 < base.acceptance_rates[0] < 1.0
 
 
+@pytest.mark.dispatch
 class TestReferenceLoop:
     """The loop keeps one state list per segment; the chain must be bit for
     bit the one of the earlier loop with a thinning cursor, a window list
@@ -452,9 +482,10 @@ class TestCollapsedTarget:
     def test_marginal_and_b_conditional_match_quadrature(self, censor_rate, weight):
         d = simulate_censored(TRUTH, 60, censor_rate, 23)
         ll = _Loglik(d)
+        shape, collapsed = _collapsed_target(PRIOR, ll, weight)
         offsets = []
         for c, beta in self.POINTS:
-            target, shape, rate = _collapsed(PRIOR, ll, weight, c, beta, ll.terms(c, beta))
+            target, rate = collapsed(c, beta, ll.terms(c, beta))
             log_int, mean, var = self.b_integrals(d, weight, c, beta, shape, rate)
             offsets.append(target - log_int)
             assert shape / rate == pytest.approx(mean, rel=1e-8)
@@ -463,11 +494,47 @@ class TestCollapsedTarget:
         np.testing.assert_allclose(offsets, offsets[0], rtol=1e-8)
 
     def test_unusable_terms_give_minus_inf(self):
-        ll = _Loglik(SMALL_CENSORED)
-        target, _, _ = _collapsed(PRIOR, ll, 1.0, 1.5, 3.0, (1.0, -math.inf, -1.0))
+        _, collapsed = _collapsed_target(PRIOR, _Loglik(SMALL_CENSORED), 1.0)
+        target, _ = collapsed(1.5, 3.0, (1.0, -math.inf, -1.0))
         assert target == -math.inf
-        target, _, _ = _collapsed(PRIOR, ll, 1.0, 1.5, 3.0, (1.0, math.nan, -1.0))
+        target, _ = collapsed(1.5, 3.0, (1.0, math.nan, -1.0))
         assert target == -math.inf
+
+    # shapes below, at and above 1 (the b prior at b = 1 takes 0 * log 1 = +-0)
+    PRIORS = [PriorSpec(), PRIOR, PriorSpec(0.4, 2.5, 0.7, 3.0, 5.0, 1e-6)]
+    DATA = [SMALL_CENSORED, CensoredDataset.from_arrays([0.5, 1.0, 2.0], [0, 0, 0])]
+    EDGES = st.sampled_from([0.0, math.inf, 5e-324, 1e-300, 1e300])
+    TERM = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300]),
+    )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        weight=st.sampled_from([0.0, 0.5, 1.0]),
+        prior=st.sampled_from(PRIORS),
+        data=st.sampled_from(DATA),
+        c=st.one_of(LOG_UNIFORM, EDGES),
+        beta=st.one_of(LOG_UNIFORM, EDGES),
+        own_terms=st.booleans(),
+        terms=st.tuples(TERM, TERM, TERM),
+    )
+    def test_target_is_the_reference_bit_for_bit(
+        self, weight, prior, data, c, beta, own_terms, terms
+    ):
+        # the target built once per chain against the earlier per-call one,
+        # on the data's own terms at (c, beta) or on any terms: nan, +-inf
+        # and sums that make the rate <= 0 or inf
+        ll = _Loglik(data)
+        if own_terms and 0.0 < c < math.inf and 0.0 < beta < math.inf:
+            terms = ll.terms(c, beta)
+        shape, collapsed = _collapsed_target(prior, ll, weight)
+        target, rate = collapsed(c, beta, terms)
+        ref_target, ref_shape, ref_rate = reference_collapsed(prior, ll, weight, c, beta, terms)
+        assert struct.pack("<dd", target, rate) == struct.pack("<dd", ref_target, ref_rate)
+        assert shape == prior.b_shape + weight * ll.r
+        if ref_target > -math.inf:
+            assert shape == ref_shape
 
 
 class TestPosteriorMoments:

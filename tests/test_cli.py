@@ -162,6 +162,12 @@ class TestFitMle:
         bad.write_text("time,status\n3,1\n-5,1\n7,1\n4,1\n")
         assert main(["fit-mle", "--data", str(bad), "--out-dir", str(tmp_path)]) == 3
 
+    def test_cell_over_the_csv_field_limit_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "big.csv"
+        bad.write_text('time,status,note\n3,1,"a"\n5,0,"' + "x" * 200_000 + '"\n7,1,b\n')
+        assert main(["fit-mle", "--data", str(bad), "--out-dir", str(tmp_path)]) == 3
+        assert f"{bad}: line 3: field larger than field limit" in capsys.readouterr().err
+
     def test_lr_null_flag(self, tmp_path):
         path = make_sample(tmp_path, n=400, seed=23)
         rc = main([
@@ -276,13 +282,19 @@ class TestFitBayes:
             "fit-bayes", "--data", str(path), "--scales", "0.5", "1e6", "1e6",
             "--iterations", "600", "--burn-in", "400", "--seed", "4", "--out-dir", str(tmp_path),
         ]) == 0
+        # both burn-in windows accept nothing, and 1 of the 200 moves after
+        # them is accepted: the stuck chain warns as well
         warnings = capsys.readouterr().err.splitlines()
-        assert len(warnings) == 2
-        assert all(line.startswith("warning: ") and "no acceptances" in line for line in warnings)
+        assert len(warnings) == 3
+        assert all(line.startswith("warning: ") and "no acceptances" in line for line in warnings[:2])
+        assert warnings[2].startswith(
+            "warning: (b, c, beta): post-burn-in acceptance rate 0.005 is below 0.05"
+        )
 
     def test_short_burn_in_warns_on_stderr_only(self, tmp_path, capsys):
         # burn-in 100 holds no 200-iteration window, so the chain and its files
-        # are those of --no-adapt, with one warning line added on stderr
+        # are those of --no-adapt, with one warning line added on stderr; both
+        # chains accept 8 of the 200 moves after burn-in and warn of that
         path = make_sample(tmp_path, n=100, seed=31)
         argv = ["fit-bayes", "--data", str(path), "--iterations", "300", "--burn-in", "100",
                 "--seed", "4", "--out-dir", str(tmp_path)]
@@ -294,11 +306,15 @@ class TestFitBayes:
             outputs.append((captured.out, captured.err, (tmp_path / "chain.csv").read_bytes(),
                             (tmp_path / "bayes_summary.csv").read_bytes()))
         (out, err, *files), (fixed_out, fixed_err, *fixed_files) = outputs
+        stuck = (
+            "warning: (b, c, beta): post-burn-in acceptance rate 0.04 is below 0.05: "
+            "the chain is nearly stuck and its draws are no usable posterior sample\n"
+        )
         assert err == (
             "warning: burn-in of 100 iterations is shorter than one 200-iteration "
-            "adaptation window: the proposal was not adapted\n"
+            "adaptation window: the proposal was not adapted\n" + stuck
         )
-        assert fixed_err == ""
+        assert fixed_err == stuck
         assert out == fixed_out and files == fixed_files
 
     def test_summary_table_consistent_with_chain(self, tmp_path):

@@ -310,6 +310,21 @@ class TestKPointPass:
         for cs, betas in blocks:
             assert ll.terms_rows(cs, betas) == [ll.terms(c, beta) for c, beta in zip(cs, betas)]
 
+    @pytest.mark.parametrize("name", ["x-underflow", "20%-censored"])
+    def test_workspace_keeps_no_state_between_passes(self, name):
+        # one instance's workspace serves passes of k = 4, 1, 3, 2 and 4 in
+        # turn; an x-underflow point sits beside normal ones, at a new slot
+        # each pass, so a stale row, tiny mask or sum would show
+        d = self.DATA[name]
+        ll = _Loglik(d)
+        rng = np.random.default_rng(5)
+        under = (1.5, 3.0) if name == "x-underflow" else (1e-3, 300.0)
+        for k in (4, 1, 3, 2, 4):
+            points = [tuple(np.exp(rng.uniform(-2.0, 2.0, 2)).tolist()) for _ in range(k)]
+            points[k // 2] = under
+            cs, betas = map(list, zip(*points))
+            assert ll.terms_rows(cs, betas) == [_Loglik(d).terms(c, beta) for c, beta in points]
+
 
 def _criterion8_data():
     """The criterion-8 data sets of the acceptance study, 10 of each family:

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,19 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
         with pytest.raises(DataError, match="empty"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("where, line", [("body", 3), ("header", 1)])
+    def test_cell_over_the_csv_field_limit(self, tmp_path, where, line):
+        # a quoted file goes to the csv module, whose cells stop at 131072
+        # characters: a DataError naming the file and the line, not _csv.Error
+        big = '"' + "x" * 200_000 + '"'
+        if where == "body":
+            text = f'time,status,note\n1.0,1,"a"\n2.0,0,{big}\n3.0,1,b\n'
+        else:
+            text = f"time,status,{big}\n1.0,1,a\n"
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line {line}: field larger"):
             load_csv(path)
 
     def test_header_only(self, tmp_path):
