@@ -276,7 +276,9 @@ def quantile(p: KumIwParams, u):
 
     Uses expm1/log1p throughout so both tails keep full precision.  For a
     very heavy tail (small b or beta) Q(u) can exceed the float range, and
-    it is then inf.
+    it is then inf.  Where z = -log(1-u)/b is below the smallest normal
+    float it has lost digits or rounded to 0, and -log(1 - e^-z) is its
+    limit log b - log(-log(1-u)), exact to within z/2.
     """
     u, shape = _flat(u)
     if not ((u > 0.0) & (u < 1.0)).all():  # both comparisons are false at nan
@@ -284,9 +286,12 @@ def quantile(p: KumIwParams, u):
     z = np.negative(u)
     np.log1p(z, out=z)
     z /= -p.b                       # -log (1-u)^(1/b), in [0, inf)
+    small = z < _TINY if z.min(initial=np.inf) < _TINY else None
     with np.errstate(divide="ignore", over="ignore"):
         inner = _log1m_exp_x(z)
         np.negative(inner, out=inner)   # -log(1 - (1-u)^(1/b)) > 0
+        if small is not None:
+            inner[small] = math.log(p.b) - np.log(-np.log1p(-u[small]))
         _power(inner, -1.0 / p.beta, shape)
         inner *= p.c
     return _shaped(inner, shape)

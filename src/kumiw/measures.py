@@ -15,6 +15,12 @@ each one array expression summed by the exp-sinh rule on one fixed node
 set (their published series forms are kept only as cross-checks).  Both
 are double-exponential (DE) rules with one error check, ``_de_quad``,
 which raises ``NumericError`` for an integrand it did not resolve.
+
+Only the series engine calls special functions.  It reads
+``scipy.special`` as an attribute of ``scipy`` at call time, which loads
+the submodule on first use (scipy >= 1.9 loads its submodules lazily),
+and builds the tail's tanh-sinh nodes, whose weights need ``expit``, on
+the first tail it sums; importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .distribution import KumIwParams, cdf, log1m_exp, pdf, quantile, survival
 from .errors import MomentNotDefinedError, NumericError
@@ -114,14 +120,20 @@ def _tanh_sinh(span: float, half_width: float, step: float) -> types.SimpleNames
     """Nodes u = span (1 + tanh(pi/2 sinh s)) / 2 over (0, span), and their
     weights h du/ds, from the logistic form that neither end rounds away."""
     v, dv = _de_nodes(-half_width, half_width, step)
-    up, down = special.expit(2.0 * v), special.expit(-2.0 * v)
+    up, down = scipy.special.expit(2.0 * v), scipy.special.expit(-2.0 * v)
     return types.SimpleNamespace(u=span * up, w=2.0 * span * up * down * dv)
 
 
 # s in [-12, 4.5]: x runs from e^-127827 to e^70.6, so an integrand near 0
 # like x^(a-1) leaves a mass of about e^(-127827 a) below the first node
 _EXP_SINH = _exp_sinh(-12.0, 4.5, 1.0 / 32.0)
-_EM_NODES = _tanh_sinh(_EM_SPAN, 3.5, 1.0 / 128.0)
+
+
+@functools.cache
+def _em_nodes() -> types.SimpleNamespace:
+    # the Euler-Maclaurin tail's node set, built on the first tail summed:
+    # its weights need scipy.special, which the other measures do not
+    return _tanh_sinh(_EM_SPAN, 3.5, 1.0 / 128.0)
 
 
 def _de_quad(fn, nodes) -> float:
@@ -152,7 +164,7 @@ integrate = types.SimpleNamespace(quad=_de_quad)
 
 def upper_incomplete_gamma(a, x):
     """Unnormalized upper incomplete gamma integral over (x, inf), vectorised over x."""
-    return special.gammaincc(a, x) * special.gamma(a)
+    return scipy.special.gammaincc(a, x) * scipy.special.gamma(a)
 
 
 def _weight_block(shape: float, r0: int, w0: float, n: int) -> np.ndarray:
@@ -174,17 +186,17 @@ def _em_tail(shape: float, factor, dlog_factor, start: int) -> float:
     y^-shape to within 1/end, so a summand still alive there is a power
     law, integrated in closed form; it must decay faster than 1/y.
     """
-    rg = special.rgamma(1.0 - shape)
+    rg = scipy.special.rgamma(1.0 - shape)
 
     def phi(y: np.ndarray) -> np.ndarray:
         # poch(y + 1, -shape) = Gamma(y + 1 - shape) / Gamma(y + 1)
-        return rg * special.poch(y + 1.0, -shape) * factor(y)
+        return rg * scipy.special.poch(y + 1.0, -shape) * factor(y)
 
     def terms(nodes) -> np.ndarray:
         y = start * np.exp(nodes.u)
         return phi(y) * y * nodes.w
 
-    integral = integrate.quad(terms, _EM_NODES)
+    integral = integrate.quad(terms, _em_nodes())
     end = start * math.exp(_EM_SPAN)
     phi_start, phi_end = phi(np.array([float(start), end])).tolist()
     if phi_end != 0.0:
@@ -192,7 +204,8 @@ def _em_tail(shape: float, factor, dlog_factor, start: int) -> float:
         if not decay > 1.0:
             raise NumericError(f"expansion series diverges: terms decay as r^-{decay}")
         integral += phi_end * end / (decay - 1.0)
-    dlog0 = special.digamma(start + 1.0 - shape) - special.digamma(start + 1.0) + dlog_factor(start)
+    digamma = scipy.special.digamma
+    dlog0 = digamma(start + 1.0 - shape) - digamma(start + 1.0) + dlog_factor(start)
     return float(integral + phi_start * (0.5 - dlog0 / 12.0))
 
 
@@ -279,8 +292,14 @@ def moment(p: KumIwParams, k: int, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     exponent alone suggests).
     """
     s = _moment_power(p, k)
-    w_sum = _weight_series(p.b, s, cfg)
-    return p.b * p.c**k * math.gamma(1.0 - s) * w_sum
+    if k == 1:
+        return _mean(p, cfg)
+    return _moment_series(p, k, s, cfg)
+
+
+def _moment_series(p: KumIwParams, k: int, s: float, cfg: SeriesConfig) -> float:
+    # the series form of E[T^k] at s = k/beta, once ``_moment_power`` allowed it
+    return p.b * p.c**k * math.gamma(1.0 - s) * _weight_series(p.b, s, cfg)
 
 
 @dataclass(frozen=True)
@@ -335,12 +354,16 @@ def cgf_truncated(
 
 @functools.lru_cache(maxsize=8)
 def _mean(p: KumIwParams, cfg: SeriesConfig) -> float:
-    # the mean deviations and Bonferroni/Lorenz curves at several probabilities
-    # share one mean series per (p, cfg); ``moment`` refuses a mean that diverges
-    return moment(p, 1, cfg)
+    # ``moment(p, 1)``, the mean deviations and Bonferroni/Lorenz curves at
+    # several probabilities share one mean series per (p, cfg);
+    # ``_moment_power`` refuses a mean that diverges
+    return _moment_series(p, 1, _moment_power(p, 1), cfg)
 
 
+@functools.lru_cache(maxsize=8)
 def _partial_first_moment_series(p: KumIwParams, q: float, cfg: SeriesConfig) -> float:
+    # shared per (p, q, cfg): ``lorenz`` and ``bonferroni`` at one probability,
+    # and ``mean_deviation_about_median`` with both at 0.5, sum it once
     # integral of t f(t) over (0, q):
     #   b c sum_r w_r (r+1)^(1/beta - 1) GammaUpper(1 - 1/beta, (r+1)(c/q)^beta)
     # The incomplete gamma cuts the terms off only near r ~ (q/c)^beta,
@@ -388,6 +411,8 @@ def _curve_parts(name: str, p: KumIwParams, prob: float, cfg: SeriesConfig):
 def bonferroni(p: KumIwParams, prob: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Bonferroni curve B(prob) = int_0^q t f dt / (prob * mu), q = Q(prob)."""
     partial, mu = _curve_parts("bonferroni", p, prob, cfg)
+    if partial == 0.0:  # a positive integral below the float range: the ratio is lost
+        raise NumericError(f"bonferroni: the partial moment at prob={prob} underflows to 0, {p}")
     return partial / (prob * mu)
 
 

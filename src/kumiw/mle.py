@@ -4,6 +4,11 @@ Log-likelihood with right censoring and its exact score and Hessian in
 (log b, log c, log beta); line-search Newton maximization on them;
 observed information from the exact Hessian; Wald intervals on the log
 scale; and likelihood-ratio tests against the pinned sub-models.
+
+The Wald z (``ndtri``) and the LR p-value (``chdtrc``) read
+``scipy.special`` as an attribute of ``scipy`` at call time, which loads
+the submodule on first use (scipy >= 1.9 loads its submodules lazily), so
+importing this module does not.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+import scipy
 
 # log1m_exp is unused here (_Loglik._rows states L); perfbench/tracing.py wraps it
 from .distribution import _LN2, _PARAM_NAMES, _SUBMODEL_PINNED, _TINY, KumIwParams, SubModel, log1m_exp
@@ -440,7 +445,7 @@ def _covariance_from_info(info: np.ndarray):
 
 
 def _wald_from_cov(theta: np.ndarray, cov: np.ndarray, level: float) -> dict:
-    z = special.ndtri(0.5 + level / 2.0)
+    z = scipy.special.ndtri(0.5 + level / 2.0)
     se_log = np.sqrt(np.diag(cov)) / theta
     return {
         name: (theta[i] * math.exp(-z * se_log[i]), theta[i] * math.exp(z * se_log[i]))
@@ -522,5 +527,5 @@ def lr_test(d: CensoredDataset, null: SubModel, full_fit: FitResult | None = Non
         raise NumericError(f"LR statistic {statistic} below numerical slack")
     statistic = max(statistic, 0.0)
     df = len(pins)
-    p_value = float(special.chdtrc(df, statistic))
+    p_value = float(scipy.special.chdtrc(df, statistic))
     return LrTestResult(statistic, df, p_value, null, full, restricted)

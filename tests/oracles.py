@@ -643,6 +643,9 @@ def plain_quantile(p: KumIwParams, u):
     u = np.asarray(u, dtype=float)
     z = np.log1p(-u) / p.b
     inner = -_plain_log1m_exp(-z)
+    if np.min(-z, initial=np.inf) < _TINY:
+        # -z has lost digits or rounded to 0: its limit log b - log(-log(1-u))
+        inner = np.where(-z < _TINY, math.log(p.b) - np.log(-np.log1p(-u)), inner)[()]
     with np.errstate(over="ignore", divide="ignore"):
         out = p.c * inner ** (-1.0 / p.beta)
     return out if np.ndim(out) else np.float64(out)

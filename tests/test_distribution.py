@@ -512,6 +512,19 @@ class TestQuantile:
         np.testing.assert_array_equal(q == np.inf, [False, False, True])
         assert np.all(q[:2] > 1e36) and scalar == np.inf
 
+    def test_subnormal_z_against_mpmath(self):
+        # z = -log1p(-u)/b below the smallest normal float lost digits or
+        # rounded to 0, where quantile((2, 1.5, 3), 5e-324) read 0.0
+        mpmath = pytest.importorskip("mpmath")
+        for u in (5e-324, 1e-323, 1e-320, 2.2250738585072014e-308):
+            for b in (0.5, 2.0, 10.0):
+                with mpmath.workdps(60):
+                    z = -mpmath.log1p(-mpmath.mpf(u)) / b
+                    want = float(1.5 * (-mpmath.log(-mpmath.expm1(-z))) ** (-mpmath.mpf(1) / 3))
+                p = KumIwParams(b, 1.5, 3.0)
+                for got in (quantile(p, u), quantile(p, np.array([u, 0.5]))[0]):
+                    assert got == pytest.approx(want, rel=1e-15), (u, b)
+
 
 class TestSample:
     def test_empty(self):

@@ -326,9 +326,19 @@ class TestBonferroniLorenz:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("fn", [bonferroni, lorenz])
     def test_quantile_rounding_to_zero_names_prob(self, fn):
-        # quantile(5e-324) is 0.0 here, and the partial moment divides by it
+        # Q(5e-324) is about 0.11 c, below the float range at c = 5e-324,
+        # and the partial moment divides by it
         with pytest.raises(NumericError, match=re.escape("the quantile at prob=5e-324 rounds to 0")):
-            fn(KumIwParams(2, 1.5, 3), 5e-324)
+            fn(KumIwParams(2, 5e-324, 3), 5e-324)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_partial_moment_underflowing_to_zero(self):
+        # at (2, 1.5, 3), Q(5e-324) is 0.165, but the integral of t f below it
+        # rounds to 0: Bonferroni's ratio is lost, and Lorenz's value is 0
+        p = KumIwParams(2, 1.5, 3)
+        with pytest.raises(NumericError, match=re.escape("the partial moment at prob=5e-324 underflows to 0")):
+            bonferroni(p, 5e-324)
+        assert lorenz(p, 5e-324) == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -578,28 +588,73 @@ class TestExpandedPdf:
         assert expanded_pdf(p, t) == float(pdf(p, t))
 
 
+# Run in a fresh interpreter, with scipy.special imported first when argv[2]
+# says so: prints the public scipy subpackages loaded after `import kumiw`,
+# after each CLI subcommand that needs no special function, and after the
+# calls that do, then those calls' results as float.hex
+_LAZY_SPECIAL_SCRIPT = """
+import sys
+if sys.argv[2] == "special-first":
+    import scipy.special
+import kumiw
+from kumiw import KumIwParams, SubModel, cli, measures, mle, survdata
+
+def loaded(step):
+    names = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
+    print("loaded", step, sorted(n for n in names if not n.startswith("_") and n != "version"))
+
+loaded("import")
+print("own quad", measures.integrate.quad is measures._de_quad)
+out, truth = sys.argv[1], ["--b", "2", "--c", "1.5", "--beta", "3"]
+survdata.censoring_upper_bound(KumIwParams(2.0, 1.5, 3.0), 0.2)
+sample = f"{out}/sample.csv"
+for argv in (
+    ["sample", *truth, "--n", "50", "--seed", "1", "--censor-rate", "0.2", "--out-dir", out],
+    ["km", "--data", sample, "--out-dir", f"{out}/km"],
+    ["compare", "--data", sample, *truth, "--out-dir", f"{out}/compare"],
+    ["dist", *truth, "--points", "5", "--out-dir", f"{out}/dist"],
+    ["fit-bayes", "--data", sample, "--iterations", "700", "--burn-in", "350", "--thin", "3",
+     "--seed", "1", "--out-dir", f"{out}/bayes"],
+):
+    assert cli.main(argv) == 0, argv
+    loaded(argv[0])
+data = survdata.load_csv(sample)
+fit = mle.fit_mle(data)
+lr = mle.lr_test(data, SubModel.IW, fit)
+curve = measures.bonferroni(KumIwParams(1.3, 1.5, 3.0), 0.25)
+loaded("special")
+values = [*fit.params.as_array(), fit.loglik, *(v for pair in fit.ci.values() for v in pair),
+          lr.statistic, lr.p_value, curve]
+print("values", " ".join(float(v).hex() for v in values))
+"""
+
+
 def test_import_loads_no_scipy_integrate_or_optimize(tmp_path):
-    # `import kumiw` pays for scipy.special only; the measures' quadrature is
-    # the package's own double-exponential rule, and the censoring
-    # calibration its own Brent loop, in the library and through the CLI
-    code = (
-        "import sys, kumiw\n"
-        "from kumiw import cli, survdata\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
-        "print(kumiw.measures.integrate.quad is kumiw.measures._de_quad)\n"
-        "survdata.censoring_upper_bound(kumiw.KumIwParams(2.0, 1.5, 3.0), 0.2)\n"
-        "assert cli.main(['sample', '--b', '2', '--c', '1.5', '--beta', '3', '--n', '50', '--seed', '1',\n"
-        "                 '--censor-rate', '0.2', '--out-dir', sys.argv[1]]) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
-    )
+    # `import kumiw` loads no scipy subpackage: the measures' quadrature is
+    # the package's own double-exponential rule, the censoring calibration
+    # its own Brent loop, and scipy.special loads on the first call that
+    # needs it (fit_mle's Wald z, lr_test's p-value, the partial-moment
+    # series), with the same results as when it was imported first
     env = {**os.environ, "PYTHONPATH": str(Path(measures.__file__).parents[1])}
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, check=True
-    )
-    # the CLI prints its own lines between the second and the last
-    lines = out.stdout.splitlines()
-    assert lines[:2] == ["[]", "True"] and lines[-1] == "False"
-    assert (tmp_path / "sample.csv").is_file()
+    lines = {}
+    for order in ("lazy", "special-first"):
+        out_dir = tmp_path / order
+        out_dir.mkdir()
+        out = subprocess.run(
+            [sys.executable, "-c", _LAZY_SPECIAL_SCRIPT, str(out_dir), order],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        # the CLI prints its own lines between the script's
+        lines[order] = [line for line in out.stdout.splitlines()
+                        if line.startswith(("loaded ", "own quad ", "values "))]
+    assert lines["lazy"][:7] == [
+        "loaded import []",
+        "own quad True",
+        *(f"loaded {step} []" for step in ("sample", "km", "compare", "dist", "fit-bayes")),
+    ]
+    assert lines["lazy"][7] == lines["special-first"][7] == "loaded special ['special']"
+    assert lines["lazy"][8] == lines["special-first"][8]
+    assert (tmp_path / "lazy" / "sample.csv").is_file()
 
 
 def _de_calls(triples):
