@@ -108,19 +108,34 @@ def _times(p: KumIwParams, t, allow_zero: bool = False):
     """Flat validated t, x = (c/t)^beta in a fresh buffer, and t's shape.
 
     Under the continuous extension of cdf/survival (``allow_zero``) t may
-    contain 0, -0.0 or inf.
+    contain 0, -0.0 or inf.  c/t overflows for t < c/1.8e308, where x is
+    exp(beta (log c - log t)) instead; one min over t gates that pass.
     """
     t, shape = _flat(t)
-    # both comparisons are false at nan
-    if not (t >= 0.0 if allow_zero else t > 0.0).all():
+    t_min = t.min(initial=np.inf)
+    # both comparisons are false at nan, which the min propagates
+    if not (t_min >= 0.0 if allow_zero else t_min > 0.0):
         raise ValueError(f"time values must be {'>= 0' if allow_zero else '> 0'}")
     x = np.divide(p.c, t)
     if allow_zero:
         # c/-0.0 is -inf, whose odd integer powers are -inf: |c/t| reads
         # -0.0 as +0.0
         np.abs(x, out=x)
+    over = np.isinf(x) if math.isinf(p.c / t_min) else None
     _power(x, p.beta, shape)
+    if over is not None:
+        x[over] = np.exp(_log_x(p, t[over]))
     return t, x, shape
+
+
+def _log_x(p: KumIwParams, t):
+    """log x = beta (log c - log t) in a fresh buffer, from t > 0, which it
+    only reads: x's log where x = (c/t)^beta has lost digits or c/t
+    overflowed."""
+    out = np.log(t)
+    np.subtract(math.log(p.c), out, out=out)
+    out *= p.beta
+    return out
 
 
 def _power(x, e, shape):
@@ -174,10 +189,7 @@ def _log1m_exp_x(x, p: KumIwParams | None = None, t=None):
     np.log1p(x, out=x)
     np.add(out, x, out=out)
     if small is not None:
-        log_t = np.log(t[small])
-        np.subtract(math.log(p.c), log_t, out=log_t)
-        log_t *= p.beta
-        out[small] = log_t
+        out[small] = _log_x(p, t[small])
     return out
 
 

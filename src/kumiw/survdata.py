@@ -170,36 +170,25 @@ class KmCurve:
         return out if np.ndim(out) else float(out)
 
 
-def _leading_floats(cells: list[str]) -> np.ndarray:
-    """The cells parsed with ``float`` up to, not including, the first one
-    that does not parse; every cell when all of them do."""
-    values = []
-    try:
-        for cell in cells:
-            values.append(float(cell))
-    except ValueError:
-        pass
-    return np.array(values, dtype=float)
-
-
 def load_csv(path, time_col: str = "time", status_col: str = "status") -> CensoredDataset:
     """Read a censored dataset from a headered CSV file.
 
-    The file is UTF-8, with or without a leading byte-order mark, and is
-    split into rows and cells by the ``csv`` module's default rules:
-    commas between cells, double quotes around a cell that holds one, and
-    LF, CRLF or CR line ends.  A time cell is a Python ``float`` literal
-    (surrounding spaces, underscores and ``1e3`` forms included) that is
-    finite and > 0.  A status cell is 1 (event) or 0 (censored), with
-    surrounding spaces allowed.  A file without the status column is read
-    as fully observed (every row an event), so time-only sample files
-    round-trip.  A repeated column name resolves to its last occurrence.
-    Blank lines are skipped.  The first malformed row is reported with its
-    file line number (the header is line 1, and blank lines count).
+    The file is UTF-8 (other bytes are a ``DataError``), with or without
+    a leading byte-order mark, split into rows and cells by the ``csv``
+    module's default rules: commas between cells, double quotes around a
+    cell that holds one, and LF, CRLF or CR line ends.  A time cell is a
+    Python ``float`` literal (surrounding spaces, underscores and ``1e3``
+    forms included) that is finite and > 0.  A status cell is 1 (event) or
+    0 (censored), with surrounding spaces allowed.  A file without the
+    status column is read as fully observed (every row an event), so
+    time-only sample files round-trip.  A repeated column name resolves to
+    its last occurrence.  Blank lines are skipped.  The first malformed row
+    is reported with its file line number (the header is line 1, and blank
+    lines count), and within a row the time is checked before the status.
 
     A file in the plain numeric form (``_load_plain``) is parsed by
     numpy's C reader; every other file, and every error, goes through the
-    full parser, ``_load_rows``.  Both give the same dataset bit for bit.
+    row parser, ``_load_rows``.  Both give the same dataset bit for bit.
     """
     plain = _load_plain(path, time_col, status_col)
     return plain if plain is not None else _load_rows(path, time_col, status_col)
@@ -255,9 +244,10 @@ def _load_plain(path, time_col: str, status_col: str) -> CensoredDataset | None:
 
 
 def _load_rows(path, time_col: str, status_col: str) -> CensoredDataset:
-    """``load_csv`` by the csv module and ``float``, row by row: the
-    parser of every file outside the plain form, and the only one that
-    reports what is wrong with a file."""
+    """``load_csv`` by the csv module and ``float``, row by row: the parser
+    of every file outside the plain form, and the only one that reports
+    what is wrong with a file.  It reads the whole file (a csv or UTF-8
+    error wins over a bad row), then checks the rows in file order."""
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -274,6 +264,9 @@ def _load_rows(path, time_col: str, status_col: str) -> CensoredDataset:
         except csv.Error as exc:
             # such as a cell over the csv module's field size limit
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # the decoder reads ahead in chunks: no line number is known
+            raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if header is None:
         raise DataError(f"{path}: empty dataset")
     # a repeated column name resolves to its last occurrence
@@ -282,36 +275,23 @@ def _load_rows(path, time_col: str, status_col: str) -> CensoredDataset:
         raise DataError(f"{path}: missing column(s) ['{time_col}']")
     if not rows:
         raise DataError(f"{path}: empty dataset")
-
-    def cells(i: int) -> list[str]:
+    i_time, i_status = column[time_col], column.get(status_col)
+    times, events = [], []
+    for line, row in zip(lines, rows):
         # a short row reads as an empty cell
-        return [row[i] if i < len(row) else "" for row in rows]
-
-    n = len(rows)
-    raw_times = cells(column[time_col])
-    times = _leading_floats(raw_times)
-    # first row failing each check; a row is reported for the first check it fails
-    first_unparsed = len(times)
-    bad_time = ~(np.isfinite(times) & (times > 0))
-    first_bad_time = int(np.argmax(bad_time)) if bad_time.any() else n
-    if status_col in column:
-        raw_status = [cell.strip() for cell in cells(column[status_col])]
-        events = np.array([s == "1" for s in raw_status], dtype=bool)
-        known = events | np.array([s == "0" for s in raw_status], dtype=bool)
-        first_bad_status = n if known.all() else int(np.argmin(known))
-    else:
-        events = np.ones(n, dtype=bool)
-        first_bad_status = n
-    first = min(first_unparsed, first_bad_time, first_bad_status)
-    if first < n:
-        where = f"{path}: row {lines[first]}"
-        if first == first_unparsed:
-            raise DataError(f"{where}: cannot parse time {raw_times[first].strip()!r}")
-        if first == first_bad_time:
-            raise DataError(f"{where}: time must be > 0, got {raw_times[first].strip()!r}")
-        raise DataError(
-            f"{where}: unknown status code {raw_status[first]!r} (expected 0 or 1)"
-        )
+        cell = row[i_time] if i_time < len(row) else ""
+        try:
+            time = float(cell)
+        except ValueError:
+            raise DataError(f"{path}: row {line}: cannot parse time {cell.strip()!r}") from None
+        if not 0.0 < time < math.inf:
+            raise DataError(f"{path}: row {line}: time must be > 0, got {cell.strip()!r}")
+        if i_status is not None:
+            status = row[i_status].strip() if i_status < len(row) else ""
+            if status not in ("0", "1"):
+                raise DataError(f"{path}: row {line}: unknown status code {status!r} (expected 0 or 1)")
+        times.append(time)
+        events.append(i_status is None or status == "1")
     return CensoredDataset.from_arrays(times, events, name=str(path))
 
 

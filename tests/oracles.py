@@ -575,7 +575,12 @@ def _plain_log1m_exp(x):
 
 def _plain_x_of(p: KumIwParams, t):
     with np.errstate(divide="ignore", over="ignore"):
-        return (p.c / t) ** p.beta
+        ratio = p.c / t
+        x = ratio ** p.beta
+        if np.isinf(ratio).any():
+            # c/t overflows for t < c/1.8e308: x is exp(beta (log c - log t))
+            x = np.where(np.isinf(ratio), np.exp(p.beta * (math.log(p.c) - np.log(t))), x)
+    return x
 
 
 def _plain_log1m_exp_x(p: KumIwParams, t, x):

@@ -168,6 +168,12 @@ class TestFitMle:
         assert main(["fit-mle", "--data", str(bad), "--out-dir", str(tmp_path)]) == 3
         assert f"{bad}: line 3: field larger than field limit" in capsys.readouterr().err
 
+    def test_invalid_utf8_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"time,status\n1.5,1\n2\xff,0\n")
+        assert main(["fit-mle", "--data", str(bad), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"data error: {bad}: not UTF-8 text: invalid start byte\n"
+
     def test_lr_null_flag(self, tmp_path):
         path = make_sample(tmp_path, n=400, seed=23)
         rc = main([

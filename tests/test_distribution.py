@@ -247,6 +247,35 @@ class TestHazard:
         assert np.all(np.diff(signs) <= 0.0)
 
 
+class TestOverflowingRatio:
+    # c/t overflows for t < c/1.8e308, where the evaluators read pdf = 0 and
+    # log_pdf = -inf, though for beta << 1 x = (c/t)^beta is moderate: 41.355
+    # at (2, 1, 0.005) and t = 5e-324.  exp amplifies log_pdf's rounding
+    # (|log_pdf| ~ 700) in pdf and hazard, and x's in cdf
+    RTOL = {"pdf": 1e-12, "cdf": 1e-13, "survival": 1e-15, "hazard": 1e-12, "log_pdf": 1e-15}
+
+    @pytest.mark.parametrize("triple", [(2.0, 1.0, 0.005), (0.5, 2.0, 0.003)])
+    def test_against_mpmath(self, triple):
+        mpmath = pytest.importorskip("mpmath")
+        p = KumIwParams(*triple)
+        times = (5e-324, 1e-320, 1e-312)
+        for t in times:
+            with mpmath.workdps(60):
+                b, c, beta = map(mpmath.mpf, triple)
+                x = (c / mpmath.mpf(t)) ** beta
+                log_om = mpmath.log(-mpmath.expm1(-x))  # log(1 - e^-x)
+                log_s = b * log_om
+                log_f = (mpmath.log(beta * b) + beta * mpmath.log(c) - (beta + 1) * mpmath.log(t)
+                         - x + (b - 1) * log_om)
+                want = {"pdf": mpmath.exp(log_f), "cdf": -mpmath.expm1(log_s),
+                        "survival": mpmath.exp(log_s), "hazard": mpmath.exp(log_f - log_s),
+                        "log_pdf": log_f}
+            for f in PLAIN:
+                expected = float(want[f.__name__])
+                for got in (f(p, t), f(p, np.array([1.0, *times]))[1 + times.index(t)]):
+                    assert got == pytest.approx(expected, rel=self.RTOL[f.__name__]), (f.__name__, t)
+
+
 _LOG_UNIFORM_PARAM = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 
 
@@ -337,6 +366,15 @@ class TestMatchesPlainFormulas:
         rng = np.random.default_rng(23)
         for triple in list(self.GRID) + [tuple(10.0 ** rng.uniform(-3, 3, 3)) for _ in range(40)]:
             assert_matches_plain(KumIwParams(*triple), u=u)
+
+    def test_overflowing_ratio(self):
+        # c/t overflows at the three lowest times for every c here (c >= 0.8)
+        t = np.array([5e-324, 1e-320, 1e-310, 2e-308, 0.5, 3.0])
+        for triple in self.GRID + ((2.0, 1.0, 0.005), (0.5, 2.0, 0.003)):
+            p = KumIwParams(*triple)
+            assert_matches_plain(p, t)
+            for point in t:
+                assert_matches_plain(p, float(point))
 
     def test_continuous_extension_at_zero_and_inf(self):
         for triple in self.GRID:

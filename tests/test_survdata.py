@@ -142,6 +142,54 @@ class TestTypes:
         assert pickle.loads(pickle.dumps(d)) == d
 
 
+# Files in the plain numeric form for the two-parser property: a time
+# column written in several float and integer forms, an optional status
+# column of 0 and 1, optional extra columns, an optional decoy column that
+# shares the name of a real one and comes first (a repeated name resolves
+# to its last occurrence), LF or CRLF line ends and blank lines.
+_TIME_TEXT = st.one_of(
+    st.floats(5e-324, 1e308).flatmap(
+        lambda v: st.sampled_from(["%.17g" % v, repr(v), f"{v:e}", f"{v:.3E}"])
+    ),
+    st.integers(1, 10**30).map(str),
+)
+_OTHER_CELL = st.text(alphabet="abx-.019e", min_size=1, max_size=4)
+# a bad time cell by the message that it gets
+_BAD_TIME = {
+    "cannot parse time {!r}": st.sampled_from(["abc", "1..5", "0x10", "--1", "1e", "five", "1_"]),
+    "time must be > 0, got {!r}": st.sampled_from(
+        ["0", "-0.0", "-2.5", "-1e-300", "nan", "inf", "-inf", "1e309"]
+    ),
+}
+_BAD_STATUS = st.sampled_from(["2", "10", "-1", "yes", "1.0", "", "01"])
+
+
+@st.composite
+def _plain_files(draw):
+    """(lines, ending, names, rows): the file's lines without their
+    ending, the header's names, and each row as (line index, cells)."""
+    names = ["time"] + (["status"] if draw(st.booleans()) else [])
+    names += [f"x{i}" for i in range(draw(st.integers(0, 2)))]
+    names = list(draw(st.permutations(names)))
+    decoy = draw(st.sampled_from([None, *names[:2]]))
+    if decoy is not None:
+        names.insert(0, decoy)
+    last = {name: i for i, name in enumerate(names)}
+    lines, rows = [",".join(names)], []
+    for _ in range(draw(st.integers(1, 25))):
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        cells = [
+            draw(_TIME_TEXT) if last.get("time") == i
+            else draw(st.sampled_from(["0", "1"])) if last.get("status") == i
+            else draw(_OTHER_CELL)
+            for i in range(len(names))
+        ]
+        rows.append((len(lines), cells))
+        lines.append(",".join(cells))
+    lines += [""] * draw(st.integers(0, 2))
+    return lines, draw(st.sampled_from(["\n", "\r\n"])), names, rows
+
+
 class TestLoadCsv:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "time,status\n100,1\n150,0\n200,1\n")
@@ -180,6 +228,14 @@ class TestLoadCsv:
         path = write(tmp_path, text)
         with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line {line}: field larger"):
             load_csv(path)
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        # the decoder reads ahead in chunks, so the message names no line
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"time,status\n1.5,1\n2\xff,0\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte"
 
     def test_header_only(self, tmp_path):
         path = write(tmp_path, "time,status\n")
@@ -262,6 +318,54 @@ class TestLoadCsv:
             np.testing.assert_array_equal(d.event_mask, events)
             assert d.name == str(path)
         assert ("full" if calls else "plain") == parser
+
+    @settings(max_examples=300, deadline=None)
+    @given(_plain_files(), st.data())
+    def test_parsers_agree_on_generated_files(self, tmp_path_factory, plain_file, data):
+        # both parsers read a plain file bit for bit alike; with one row
+        # corrupted, the message names that row and the first check it fails
+        lines, ending, names, rows = plain_file
+        path = tmp_path_factory.mktemp("generated") / "data.csv"
+        path.write_bytes(ending.join(lines).encode() + ending.encode() * data.draw(st.integers(0, 1)))
+        column = {name: i for i, name in enumerate(names)}
+        times = [float(cells[column["time"]]) for _, cells in rows]
+        events = [cells[column["status"]] == "1" if "status" in column else True for _, cells in rows]
+        d = survdata._load_plain(path, "time", "status")
+        assert d is not None and d.times.tobytes() == np.array(times).tobytes()
+        assert d.event_mask.tolist() == events
+        r = survdata._load_rows(path, "time", "status")
+        assert r.times.tobytes() == d.times.tobytes() and r.event_mask.tolist() == events
+        assert r.name == d.name == str(path)
+
+        index, cells = data.draw(st.sampled_from(rows))
+        cells = list(cells)
+        # the last column that a row needs; cut before it, a row is short
+        needed = max(column["time"], column.get("status", -1))
+        kind = data.draw(st.sampled_from(
+            [*_BAD_TIME] + ["status"] * ("status" in column) + ["short"] * (needed > 0)
+        ))
+        if kind == "short":
+            # at least one cell is kept, else the row is a blank line
+            cells = cells[: data.draw(st.integers(1, needed))]
+            expected = (
+                "cannot parse time ''" if column["time"] >= len(cells)
+                else "unknown status code '' (expected 0 or 1)"
+            )
+        elif kind == "status":
+            cells[column["status"]] = data.draw(_BAD_STATUS)
+            expected = f"unknown status code {cells[column['status']]!r} (expected 0 or 1)"
+        else:
+            cells[column["time"]] = data.draw(_BAD_TIME[kind])
+            expected = kind.format(cells[column["time"]])
+            if "status" in column and data.draw(st.booleans()):
+                # the time is checked before the status
+                cells[column["status"]] = data.draw(_BAD_STATUS)
+        lines = list(lines)
+        lines[index] = ",".join(cells)
+        path.write_bytes(ending.join(lines).encode())
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: row {index + 1}: {expected}"
 
     def test_plain_file_skips_the_row_parser(self, tmp_path, monkeypatch):
         # the C-speed path is taken, not a silent fallback to the row parser
