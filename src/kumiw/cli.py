@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bayes, mle, survdata
-from .distribution import _PARAM_NAMES, KumIwParams, SubModel, cdf, hazard, pdf, sample, survival
+from .distribution import _PARAM_NAMES, KumIwParams, SubModel, _count, cdf, hazard, pdf, sample, survival
 from .errors import DataError, NumericError
 from .survdata import _write_csv
 
@@ -26,13 +26,8 @@ from .survdata import _write_csv
 DEFAULT_SEED = 20260810
 SCHEMA_VERSION = 1
 
-_LR_NULLS = {
-    "iw": SubModel.IW,
-    "kumir": SubModel.KUM_IR,
-    "kumie": SubModel.KUM_IE,
-    "ir": SubModel.IR,
-    "ie": SubModel.IE,
-}
+# --lr-null's names: each sub-model's value without its hyphen
+_LR_NULLS = {m.value.replace("-", ""): m for m in SubModel if m is not SubModel.KUM_IW}
 
 
 def _finite_or_null(value):
@@ -141,9 +136,7 @@ def _resolve_seed(args) -> int:
     if seed is None:
         env = os.environ.get("KUMIW_SEED")
         seed = DEFAULT_SEED if env is None else _number(env, int, "KUMIW_SEED")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    return _count(seed, "seed", 0)
 
 
 def _out_dir(args) -> Path:
@@ -178,9 +171,7 @@ def cmd_dist(args) -> int:
 
 def cmd_sample(args) -> int:
     p = _params_from(args)
-    n = args.n
-    if n < 0:
-        raise ValueError(f"sample size must be >= 0, got {n}")
+    n = _count(args.n, "sample size", 0)
     seed = _resolve_seed(args)
     out = _out_dir(args) / "sample.csv"
     if args.censor_rate is None:

@@ -108,8 +108,10 @@ def _times(p: KumIwParams, t, allow_zero: bool = False):
     """Flat validated t, x = (c/t)^beta in a fresh buffer, and t's shape.
 
     Under the continuous extension of cdf/survival (``allow_zero``) t may
-    contain 0, -0.0 or inf.  c/t overflows for t < c/1.8e308, where x is
-    exp(beta (log c - log t)) instead; one min over t gates that pass.
+    contain 0, -0.0 or inf.  Where c/t is not a normal float (it overflows
+    for t < c/1.8e308, and is subnormal or 0 for t > c/2.2e-308) it has
+    lost digits, and x is exp(beta (log c - log t)) instead; one min and
+    one max over t gate that pass.
     """
     t, shape = _flat(t)
     t_min = t.min(initial=np.inf)
@@ -121,17 +123,19 @@ def _times(p: KumIwParams, t, allow_zero: bool = False):
         # c/-0.0 is -inf, whose odd integer powers are -inf: |c/t| reads
         # -0.0 as +0.0
         np.abs(x, out=x)
-    over = np.isinf(x) if math.isinf(p.c / t_min) else None
+    odd = None
+    if math.isinf(p.c / t_min) or p.c / t.max(initial=0.0) < _TINY:
+        odd = (x < _TINY) | np.isinf(x)
     _power(x, p.beta, shape)
-    if over is not None:
-        x[over] = np.exp(_log_x(p, t[over]))
+    if odd is not None:
+        x[odd] = np.exp(_log_x(p, t[odd]))
     return t, x, shape
 
 
 def _log_x(p: KumIwParams, t):
     """log x = beta (log c - log t) in a fresh buffer, from t > 0, which it
-    only reads: x's log where x = (c/t)^beta has lost digits or c/t
-    overflowed."""
+    only reads: x's log where x = (c/t)^beta has lost digits or c/t is
+    not a normal float."""
     out = np.log(t)
     np.subtract(math.log(p.c), out, out=out)
     out *= p.beta
@@ -309,15 +313,26 @@ def quantile(p: KumIwParams, u):
     return _shaped(inner, shape)
 
 
+def _count(value, name: str, lowest: int) -> int:
+    """value as an int, where it is an integer >= lowest (0 or 1); an
+    integral float or a numpy integer is taken as one.  Otherwise
+    ValueError "<name> must be a positive (or non-negative) integer".  The
+    range test comes first: nan fails it, and int() of nan or inf would
+    raise its own error."""
+    if not lowest <= value < math.inf or value != int(value):
+        raise ValueError(f"{name} must be a {'positive' if lowest else 'non-negative'} integer, got {value}")
+    return int(value)
+
+
 def sample(p: KumIwParams, n: int, seed: int) -> np.ndarray:
     """Draw n variates by inverse transform through the quantile function.
 
     Deterministic for a fixed seed (PCG64). Returns an array of length n;
-    n = 0 yields an empty array.  Raises NumericError when a draw exceeds
-    the float range, which a very heavy tail can make happen.
+    n = 0 yields an empty array.  n and seed are non-negative integers; an
+    integral float is taken as one.  Raises NumericError when a draw
+    exceeds the float range, which a very heavy tail can make happen.
     """
-    if n < 0:
-        raise ValueError(f"sample size must be >= 0, got {n}")
+    n, seed = _count(n, "sample size", 0), _count(seed, "seed", 0)
     if n == 0:
         return np.empty(0, dtype=float)
     rng = np.random.default_rng(seed)

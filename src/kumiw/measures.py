@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .distribution import KumIwParams, cdf, log1m_exp, pdf, quantile, survival
+from .distribution import KumIwParams, _count, cdf, log1m_exp, pdf, quantile, survival
 from .errors import MomentNotDefinedError, NumericError
 
 __all__ = [
@@ -69,10 +69,7 @@ class SeriesConfig:
     def __post_init__(self) -> None:
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        # the range test first: nan fails it, and int() of nan or inf would raise its own error
-        if not 1 <= self.max_terms < math.inf or self.max_terms != int(self.max_terms):
-            raise ValueError(f"max_terms must be a positive integer, got {self.max_terms}")
-        object.__setattr__(self, "max_terms", int(self.max_terms))
+        object.__setattr__(self, "max_terms", _count(self.max_terms, "max_terms", 1))
 
 
 DEFAULT_SERIES = SeriesConfig()
@@ -263,10 +260,8 @@ def _finite(p: KumIwParams, k: int, tail: int = 1) -> bool:
 def _moment_power(p: KumIwParams, k: int, tail: int = 1, series: bool = True) -> float:
     """s = k/beta for a positive-integer order k whose moment is finite
     (``_finite``).  The ``series`` form carries Gamma(1 - k/beta), so it
-    also needs k < beta; quadrature does not.  The range test comes first:
-    nan fails it, and int() of nan or inf would raise its own error."""
-    if not 1 <= k < math.inf or k != int(k):
-        raise ValueError(f"moment order must be a positive integer, got {k}")
+    also needs k < beta; quadrature does not."""
+    _count(k, "moment order", 1)
     if (series and k >= p.beta) or not _finite(p, k, tail):
         series_rule = f"k < beta = {p.beta} and " if series else ""
         raise MomentNotDefinedError(
@@ -326,10 +321,7 @@ def mgf_truncated(
     """
     if not abs(z) < 1:
         raise ValueError(f"mgf_truncated requires |z| < 1, got {z}")
-    # the range test first: nan fails it, and int() of nan or inf would raise its own error
-    if not 0 <= n_terms < math.inf or n_terms != int(n_terms):
-        raise ValueError(f"n_terms must be a non-negative integer, got {n_terms}")
-    n_terms = int(n_terms)
+    n_terms = _count(n_terms, "n_terms", 0)
     value, k = 1.0, 1
     # both of moment's limits hold for every order below one it refuses
     while k <= n_terms:
@@ -434,13 +426,12 @@ def _order_stat_coeff(r: int, n: int) -> float:
 
 
 def _validate_rank(r: int, n: int) -> tuple[int, int]:
-    # range tests first, which nan fails, so int() never sees nan or inf;
-    # an integral float becomes the int that math.comb and range take
-    if not 1 <= n < math.inf or n != int(n):
-        raise ValueError(f"sample size must be a positive integer, got {n}")
-    if not 1 <= r <= n or r != int(r):
+    # an integral float becomes the int that math.comb and range take; r's
+    # range test comes first, which nan fails, so int() never sees nan or inf
+    m = _count(n, "sample size", 1)
+    if not 1 <= r <= m or r != int(r):
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
-    return int(r), int(n)
+    return int(r), m
 
 
 def order_stat_pdf(p: KumIwParams, r: int, n: int, t):

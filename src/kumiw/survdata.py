@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import KumIwParams, sample, survival
+from .distribution import KumIwParams, _count, sample, survival
 from .errors import DataError, NumericError
 
 __all__ = [
@@ -520,14 +520,17 @@ def simulate_censored(
     The censoring upper bound is calibrated so the marginal censoring
     probability equals ``censor_rate``; ``censor_rate = 0`` yields a
     fully observed sample.  Pass a precomputed ``upper_bound`` to skip
-    the calibration (useful in replicate studies).
+    the calibration (useful in replicate studies); ``censor_rate`` is then
+    in [0, 1) and only tells whether to censor.  n is a positive integer
+    and seed a non-negative one; an integral float is taken as one.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n, seed = _count(n, "sample size", 1), _count(seed, "seed", 0)
     if upper_bound is not None and not (math.isfinite(upper_bound) and upper_bound > 0):
         raise ValueError(f"upper_bound must be finite and > 0, got {upper_bound}")
     if censor_rate != 0 and upper_bound is None:
         upper_bound = censoring_upper_bound(p, censor_rate)
+    elif not 0 <= censor_rate < 1:
+        raise ValueError(f"censoring rate must be in [0, 1), got {censor_rate}")
     lifetimes = sample(p, n, seed)
     if censor_rate == 0:
         return CensoredDataset.from_arrays(lifetimes, np.ones(n, dtype=bool), name=name)

@@ -577,9 +577,11 @@ def _plain_x_of(p: KumIwParams, t):
     with np.errstate(divide="ignore", over="ignore"):
         ratio = p.c / t
         x = ratio ** p.beta
-        if np.isinf(ratio).any():
-            # c/t overflows for t < c/1.8e308: x is exp(beta (log c - log t))
-            x = np.where(np.isinf(ratio), np.exp(p.beta * (math.log(p.c) - np.log(t))), x)
+        # c/t overflows for t < c/1.8e308, and is subnormal or 0 for
+        # t > c/2.2e-308: there x is exp(beta (log c - log t))
+        odd = np.isinf(ratio) | (ratio < _TINY)
+        if odd.any():
+            x = np.where(odd, np.exp(p.beta * (math.log(p.c) - np.log(t))), x)
     return x
 
 

@@ -203,6 +203,13 @@ class TestRunMcmc:
         np.testing.assert_array_equal(c1.draws, c2.draws)
         np.testing.assert_array_equal(c1.log_post_trace, c2.log_post_trace)
 
+    def test_parameter_draws_are_the_columns(self, data):
+        chain = run_mcmc(data, PRIOR, McmcConfig(n_iter=60, burn_in=10, thin=1, seed=5))
+        for column, name in enumerate(("b", "c", "beta")):
+            np.testing.assert_array_equal(chain.parameter_draws(name), chain.draws[:, column])
+        with pytest.raises(ValueError):
+            chain.parameter_draws("alpha")
+
     def test_acceptance_rates_in_unit_interval(self, data):
         cfg = McmcConfig(n_iter=2000, burn_in=500, thin=1, seed=13)
         chain = run_mcmc(data, PRIOR, cfg)

@@ -36,6 +36,7 @@ from oracles import (
     plain_survival,
     random_params,
 )
+from sweep import sweep_cases
 
 
 class TestParams:
@@ -247,6 +248,29 @@ class TestHazard:
         assert np.all(np.diff(signs) <= 0.0)
 
 
+def assert_matches_mpmath(triple, times, rtol):
+    """The five evaluators at each of times, as a scalar and in an array,
+    within rtol[name] of mpmath at 60 digits, or within two steps of the
+    subnormal grid where the value is below the normal range."""
+    mpmath = pytest.importorskip("mpmath")
+    p = KumIwParams(*triple)
+    for t in times:
+        with mpmath.workdps(60):
+            b, c, beta = map(mpmath.mpf, triple)
+            x = (c / mpmath.mpf(t)) ** beta
+            log_om = mpmath.log(-mpmath.expm1(-x))  # log(1 - e^-x)
+            log_s = b * log_om
+            log_f = (mpmath.log(beta * b) + beta * mpmath.log(c) - (beta + 1) * mpmath.log(t)
+                     - x + (b - 1) * log_om)
+            want = {"pdf": mpmath.exp(log_f), "cdf": -mpmath.expm1(log_s),
+                    "survival": mpmath.exp(log_s), "hazard": mpmath.exp(log_f - log_s),
+                    "log_pdf": log_f}
+        for f in PLAIN:
+            expected = float(want[f.__name__])
+            for got in (f(p, t), f(p, np.array([1.0, *times]))[1 + times.index(t)]):
+                assert got == pytest.approx(expected, rel=rtol[f.__name__], abs=1e-323), (f.__name__, t)
+
+
 class TestOverflowingRatio:
     # c/t overflows for t < c/1.8e308, where the evaluators read pdf = 0 and
     # log_pdf = -inf, though for beta << 1 x = (c/t)^beta is moderate: 41.355
@@ -256,24 +280,20 @@ class TestOverflowingRatio:
 
     @pytest.mark.parametrize("triple", [(2.0, 1.0, 0.005), (0.5, 2.0, 0.003)])
     def test_against_mpmath(self, triple):
-        mpmath = pytest.importorskip("mpmath")
-        p = KumIwParams(*triple)
-        times = (5e-324, 1e-320, 1e-312)
-        for t in times:
-            with mpmath.workdps(60):
-                b, c, beta = map(mpmath.mpf, triple)
-                x = (c / mpmath.mpf(t)) ** beta
-                log_om = mpmath.log(-mpmath.expm1(-x))  # log(1 - e^-x)
-                log_s = b * log_om
-                log_f = (mpmath.log(beta * b) + beta * mpmath.log(c) - (beta + 1) * mpmath.log(t)
-                         - x + (b - 1) * log_om)
-                want = {"pdf": mpmath.exp(log_f), "cdf": -mpmath.expm1(log_s),
-                        "survival": mpmath.exp(log_s), "hazard": mpmath.exp(log_f - log_s),
-                        "log_pdf": log_f}
-            for f in PLAIN:
-                expected = float(want[f.__name__])
-                for got in (f(p, t), f(p, np.array([1.0, *times]))[1 + times.index(t)]):
-                    assert got == pytest.approx(expected, rel=self.RTOL[f.__name__]), (f.__name__, t)
+        assert_matches_mpmath(triple, (5e-324, 1e-320, 1e-312), self.RTOL)
+
+
+class TestSubnormalRatio:
+    # c/t is subnormal for t > c/2.2e-308, or 0, where (c/t)^beta lost
+    # digits, though for beta << 1 x is a normal float: survival read
+    # 3.4645003e-07 for 3.4653275e-07 at (2, 1e-15, 0.01) and t = 1e308.
+    # exp amplifies the rounding of log x (|log x| up to 15 here) in x, and
+    # pdf and hazard fall below the normal range at the largest t
+    RTOL = {"pdf": 1e-12, "cdf": 1e-13, "survival": 1e-14, "hazard": 1e-12, "log_pdf": 1e-15}
+
+    @pytest.mark.parametrize("triple", [(2.0, 1e-15, 0.01), (0.5, 1e-10, 0.05), (2.0, 1e-300, 0.001)])
+    def test_against_mpmath(self, triple):
+        assert_matches_mpmath(triple, (1e300, 1e306, 1e308), self.RTOL)
 
 
 _LOG_UNIFORM_PARAM = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
@@ -371,6 +391,16 @@ class TestMatchesPlainFormulas:
         # c/t overflows at the three lowest times for every c here (c >= 0.8)
         t = np.array([5e-324, 1e-320, 1e-310, 2e-308, 0.5, 3.0])
         for triple in self.GRID + ((2.0, 1.0, 0.005), (0.5, 2.0, 0.003)):
+            p = KumIwParams(*triple)
+            assert_matches_plain(p, t)
+            for point in t:
+                assert_matches_plain(p, float(point))
+
+    def test_subnormal_ratio(self):
+        # c/t is subnormal or 0 at the two highest times for every triple,
+        # and from 1e300 on for the last three
+        t = np.array([0.5, 3.0, 1e300, 1e306, 1e308, 1.7e308])
+        for triple in self.GRID + ((2.0, 1e-15, 0.01), (0.5, 1e-10, 0.05), (2.0, 1e-300, 0.001)):
             p = KumIwParams(*triple)
             assert_matches_plain(p, t)
             for point in t:
@@ -597,6 +627,39 @@ class TestSample:
         # seed 1 draws 3 of 5 variates past the float range at b = 0.001
         with pytest.raises(NumericError, match="3 of 5 draws"):
             sample(KumIwParams(0.001, 1.0, 1.0), 5, 1)
+
+    @pytest.mark.parametrize("n, seed", [(2.0, 3.0), (np.int64(2), 3), (2, np.uint8(3))])
+    def test_integral_counts_are_the_ints(self, n, seed):
+        assert_same_bits(sample(P_SAFE, n, seed), sample(P_SAFE, 2, 3))
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -1])
+    @pytest.mark.parametrize("name", ["n", "seed"])
+    def test_count_rule(self, name, bad):
+        what = {"n": "sample size", "seed": "seed"}[name]
+        with pytest.raises(ValueError, match=f"^{what} must be a non-negative integer, got {bad}$"):
+            sample(P_SAFE, **{"n": 2, "seed": 3, name: bad})
+
+
+# ROADMAP item 10 (tests/sweep.py): every scalar argument of the
+# evaluators, the quantile and sample, one at a time from a valid point at
+# (2, 1.5, 3).  Each call returns values without nan, finite but where
+# log_pdf reads -inf for a density that underflows, or raises ValueError
+# or NumericError, and never warns.
+_SWEEP = (
+    *((f, {"t": 1.0}, set()) for f in PLAIN),
+    (quantile, {"u": 0.5}, set()),
+    (sample, {"n": 3, "seed": 1}, {"n", "seed"}),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, kwargs", sweep_cases(_SWEEP))
+def test_scalar_argument_contract(fn, kwargs):
+    try:
+        value = fn(KumIwParams(2, 1.5, 3), **kwargs)
+    except (ValueError, NumericError):
+        return
+    assert np.all(np.isfinite(value) | ((value == -np.inf) & (fn is log_pdf)))
 
 
 class TestSubModels:

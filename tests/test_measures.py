@@ -47,6 +47,7 @@ from oracles import (
     quad_upper_incomplete_gamma,
     random_params,
 )
+from sweep import sweep_cases
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -739,22 +740,15 @@ class TestDoubleExponentialRule:
                 measures.integrate.quad(terms, measures._EXP_SINH)
 
 
-# ROADMAP item 10: every public measures function over its scalar
-# arguments, one at a time from a valid point at (2, 1.5, 3).  Each call
-# returns a finite value or raises ValueError (MomentNotDefinedError is
-# one) or NumericError, and never warns.
-_SWEEP_FLOATS = {
-    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0.0, "-1": -1.0,
-    "5e-324": 5e-324, "1e308": 1e308,
-}
-_SWEEP_INTS = {**_SWEEP_FLOATS, "2.0": 2.0, "2.5": 2.5, "int(1e308)": int(1e308), "10**6": 10**6}
-
-
 def _moment_with_config(p, tol=1e-12, max_terms=10_000):
     # the series' own settings, through a fractional shape's Euler-Maclaurin tail
     return moment(KumIwParams(1.3, p.c, p.beta), 1, SeriesConfig(tol, max_terms))
 
 
+# ROADMAP item 10 (tests/sweep.py): every public measures function over
+# its scalar arguments, one at a time from a valid point at (2, 1.5, 3).
+# Each call returns a finite value or raises ValueError
+# (MomentNotDefinedError is one) or NumericError, and never warns.
 # (function, a valid point, its integer arguments)
 _SWEEP = (
     (moment, {"k": 1}, {"k"}),
@@ -776,16 +770,8 @@ _SWEEP = (
 )
 
 
-def _sweep_cases():
-    for fn, point, ints in _SWEEP:
-        at = ",".join(f"{k}={v}" for k, v in point.items())
-        for name in point:
-            for label, value in (_SWEEP_INTS if name in ints else _SWEEP_FLOATS).items():
-                yield pytest.param(fn, {**point, name: value}, id=f"{fn.__name__}-{at}-{name}={label}")
-
-
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("fn, kwargs", _sweep_cases())
+@pytest.mark.parametrize("fn, kwargs", sweep_cases(_SWEEP))
 def test_scalar_argument_contract(fn, kwargs):
     try:
         value = fn(KumIwParams(2, 1.5, 3), **kwargs)

@@ -20,6 +20,7 @@ from kumiw.survdata import (
     simulate_censored,
 )
 from oracles import censored_fraction_quad, kaplan_meier_product_limit, survival_closed_form
+from sweep import sweep_cases
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -540,6 +541,50 @@ class TestSimulation:
     def test_upper_bound_validated(self, bound):
         with pytest.raises(ValueError, match="upper_bound must be finite and > 0"):
             simulate_censored(KumIwParams(2.0, 1.5, 3.0), 10, 0.2, 1, upper_bound=bound)
+
+    @pytest.mark.parametrize("rate", [math.nan, 1.0, -0.1, math.inf])
+    def test_rate_validated_beside_an_upper_bound(self, rate):
+        with pytest.raises(ValueError, match=r"^censoring rate must be in \[0, 1\), got"):
+            simulate_censored(KumIwParams(2.0, 1.5, 3.0), 10, rate, 1, upper_bound=2.0)
+
+    def test_integral_counts_are_the_ints(self):
+        p = KumIwParams(2.0, 1.5, 3.0)
+        want = simulate_censored(p, 20, 0.2, 7)
+        for n, seed in ((20.0, 7.0), (np.int64(20), np.int32(7))):
+            assert simulate_censored(p, n, 0.2, seed) == want
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -1])
+    @pytest.mark.parametrize("name", ["n", "seed"])
+    def test_count_rule_before_the_calibration(self, monkeypatch, name, bad):
+        def calibrate(*args):
+            raise AssertionError("calibrated before checking the counts")
+
+        monkeypatch.setattr(survdata, "censoring_upper_bound", calibrate)
+        what = {"n": "sample size must be a positive", "seed": "seed must be a non-negative"}[name]
+        with pytest.raises(ValueError, match=f"^{what} integer, got {bad}$"):
+            simulate_censored(KumIwParams(2.0, 1.5, 3.0), **{"n": 5, "censor_rate": 0.2, "seed": 1, name: bad})
+
+
+# ROADMAP item 10 (tests/sweep.py): every scalar argument of the
+# simulation and its censoring bound, one at a time from a valid point at
+# (2, 1.5, 3).  Each call returns a dataset of finite times or a finite
+# bound, or raises ValueError (DataError is one) or NumericError, and
+# never warns.
+_SWEEP = (
+    (simulate_censored, {"n": 5, "censor_rate": 0.2, "seed": 1}, {"n", "seed"}),
+    (simulate_censored, {"n": 5, "censor_rate": 0.2, "seed": 1, "upper_bound": 2.0}, {"n", "seed"}),
+    (censoring_upper_bound, {"rate": 0.2}, set()),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, kwargs", sweep_cases(_SWEEP))
+def test_scalar_argument_contract(fn, kwargs):
+    try:
+        value = fn(KumIwParams(2, 1.5, 3), **kwargs)
+    except (ValueError, NumericError):
+        return
+    assert np.all(np.isfinite(value.times if isinstance(value, CensoredDataset) else value))
 
 
 # both criterion-8 truths, then heavy and light tails, beta from 0.5 to 100
