@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 # log1m_exp is unused here (the sums come from _Loglik.terms); perfbench/tracing.py wraps it
-from .distribution import _PARAM_NAMES, KumIwParams, log1m_exp
+from .distribution import _PARAM_NAMES, KumIwParams, _is_number, _real, log1m_exp
 from .survdata import CensoredDataset, _write_csv
 from .mle import _Loglik
 
@@ -53,8 +53,7 @@ class PriorSpec:
 
     def __post_init__(self) -> None:
         for name in ("b_shape", "b_rate", "c_shape", "c_rate", "beta_shape", "beta_rate"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+            _real(getattr(self, name), name)
 
     @property
     def shapes(self) -> np.ndarray:
@@ -98,7 +97,7 @@ def _log_post(prior: PriorSpec, ll: _Loglik, weight: float, b: float, c: float, 
 
 
 def _checked_weight(weight: float) -> float:
-    if not 0.0 <= weight < math.inf:
+    if not (_is_number(weight) and 0.0 <= weight < math.inf):
         raise ValueError(f"likelihood_weight must be finite and >= 0, got {weight}")
     return weight
 
@@ -136,7 +135,9 @@ def full_conditional_log(
     conditional is transcribed from the joint-posterior algebra keeping
     every term that varies with the coordinate, so it differs from
     ``log_posterior`` only by a coordinate-free constant.  The data enter
-    through ``_Loglik.terms`` and the event log-time sum alone.
+    through ``_Loglik.terms`` and the event log-time sum alone.  It is
+    -inf outside b, c, beta > 0, and ``ValueError`` where one of them is
+    not a number.
     """
     if which == 0:
         b, (c, beta) = value, others
@@ -146,6 +147,8 @@ def full_conditional_log(
         beta, (b, c) = value, others
     else:
         raise ValueError(f"parameter index must be 0, 1 or 2, got {which}")
+    if not all(map(_is_number, (b, c, beta))):
+        raise ValueError(f"value and others must be numbers, got {value!r} and {others!r}")
     if not (b > 0 and c > 0 and beta > 0):
         return -math.inf
     # Python floats: 0 * (-inf) below gives nan without a numpy warning
@@ -207,12 +210,11 @@ class McmcConfig:
             raise ValueError(f"burn_in must satisfy 0 <= burn_in < n_iter, got {self.burn_in}")
         if self.thin < 1:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
-        if len(self.proposal_scales) != 3 or not all(
-            0 < s < math.inf for s in self.proposal_scales
-        ):
-            raise ValueError(
-                f"proposal_scales must be 3 finite positive reals, got {self.proposal_scales}"
-            )
+        scales = self.proposal_scales
+        if not hasattr(scales, "__len__") or len(scales) != 3:
+            raise ValueError(f"proposal_scales must be 3 finite positive reals, got {scales}")
+        for i, scale in enumerate(scales):
+            _real(scale, f"proposal_scales[{i}]")
 
 
 @dataclass

@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bayes, mle, survdata
-from .distribution import _PARAM_NAMES, KumIwParams, SubModel, _count, cdf, hazard, pdf, sample, survival
+from .distribution import (
+    _PARAM_NAMES, KumIwParams, SubModel, _count, _is_number, _real, cdf, hazard, pdf, sample, survival,
+)
 from .errors import DataError, NumericError
 from .survdata import _write_csv
 
@@ -58,13 +60,12 @@ def _write_report(out_dir: Path, stem: str, fmt: str, payload: dict, header, row
 def _number(value, kind: type, name: str, exact: bool = False):
     """``value`` (a config entry or an environment string) as one ``kind``
     (int or float); anything ``kind`` cannot convert is a ValueError that
-    names the setting.  ``exact`` also refuses all but a number that
-    ``kind`` holds exactly: a bool, a string, or 5.7 as an integer."""
+    names the setting.  ``exact`` also refuses all but a number
+    (``_is_number``) that ``kind`` holds exactly: a bool, a string, or 5.7
+    as an integer."""
     try:
         number = kind(value)
-        if not exact or (
-            not isinstance(value, (bool, str)) and (number == value or number != number)
-        ):
+        if not exact or (_is_number(value) and (number == value or number != number)):
             return number
     except (TypeError, ValueError, OverflowError):
         pass
@@ -179,6 +180,9 @@ def cmd_sample(args) -> int:
         _write_csv(out, ["time"], ((t,) for t in times))
     else:
         if n == 0:
+            # the rule simulate_censored applies, which n = 0 does not reach
+            if args.censor_rate != 0:
+                _real(args.censor_rate, "censoring rate", 1)
             _write_csv(out, ["time", "status"], [])
         else:
             data = survdata.simulate_censored(p, n, args.censor_rate, seed)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +55,7 @@ class KumIwParams:
 
     def __post_init__(self) -> None:
         for name in _PARAM_NAMES:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"parameter {name} must be finite and > 0, got {value}")
+            _real(getattr(self, name), f"parameter {name}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.b, self.c, self.beta], dtype=float)
@@ -313,13 +312,28 @@ def quantile(p: KumIwParams, u):
     return _shaped(inner, shape)
 
 
+def _is_number(value) -> bool:
+    """Whether value is a real number and not a bool: a Python or numpy
+    int or float, but not True, "7" or None."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value, name: str, upper: float = math.inf):
+    """value itself, where it is a number (``_is_number``) with
+    0 < value < upper; upper is inf or 1.  Otherwise ValueError "<name>
+    must be finite and > 0", or "<name> must be in (0, 1)" for upper 1."""
+    if not (_is_number(value) and 0 < value < upper):
+        raise ValueError(f"{name} must be {'in (0, 1)' if upper == 1 else 'finite and > 0'}, got {value}")
+    return value
+
+
 def _count(value, name: str, lowest: int) -> int:
-    """value as an int, where it is an integer >= lowest (0 or 1); an
-    integral float or a numpy integer is taken as one.  Otherwise
-    ValueError "<name> must be a positive (or non-negative) integer".  The
-    range test comes first: nan fails it, and int() of nan or inf would
-    raise its own error."""
-    if not lowest <= value < math.inf or value != int(value):
+    """value as an int, where it is a number (``_is_number``) and an
+    integer >= lowest (0 or 1); an integral float or a numpy integer is
+    taken as one.  Otherwise ValueError "<name> must be a positive (or
+    non-negative) integer".  The range test comes before int(): nan fails
+    it, and int() of nan or inf would raise its own error."""
+    if not (_is_number(value) and lowest <= value < math.inf and value == int(value)):
         raise ValueError(f"{name} must be a {'positive' if lowest else 'non-negative'} integer, got {value}")
     return int(value)
 

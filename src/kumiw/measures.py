@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .distribution import KumIwParams, _count, cdf, log1m_exp, pdf, quantile, survival
+from .distribution import KumIwParams, _count, _is_number, _real, cdf, log1m_exp, pdf, quantile, survival
 from .errors import MomentNotDefinedError, NumericError
 
 __all__ = [
@@ -67,8 +67,7 @@ class SeriesConfig:
     max_terms: int = 10_000
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        _real(self.tol, "tol")
         object.__setattr__(self, "max_terms", _count(self.max_terms, "max_terms", 1))
 
 
@@ -273,7 +272,7 @@ def _moment_power(p: KumIwParams, k: int, tail: int = 1, series: bool = True) ->
 def moment_exists(p: KumIwParams, k: int) -> bool:
     """Whether E[T^k] is finite: the upper tail has index b*beta.  The
     order k must be finite; nan or +-inf raises ``ValueError``."""
-    if not -math.inf < k < math.inf:
+    if not (_is_number(k) and -math.inf < k < math.inf):
         raise ValueError(f"moment order must be finite, got {k}")
     return _finite(p, k)
 
@@ -319,7 +318,7 @@ def mgf_truncated(
     k >= b*beta, a divergent moment) are excluded and counted.  ``n_terms``
     is a non-negative integer; an integral float is taken as one.
     """
-    if not abs(z) < 1:
+    if not (_is_number(z) and abs(z) < 1):
         raise ValueError(f"mgf_truncated requires |z| < 1, got {z}")
     n_terms = _count(n_terms, "n_terms", 0)
     value, k = 1.0, 1
@@ -391,8 +390,7 @@ def mean_deviation_about_median(p: KumIwParams, cfg: SeriesConfig = DEFAULT_SERI
 
 def _curve_parts(name: str, p: KumIwParams, prob: float, cfg: SeriesConfig):
     # (int_0^q t f dt, mu) at q = Q(prob), for the Bonferroni and Lorenz curves
-    if not 0 < prob < 1:
-        raise ValueError(f"{name} requires prob in (0, 1), got {prob}")
+    _real(prob, f"{name}: prob", 1)
     mu = _mean(p, cfg)
     q = float(quantile(p, prob))
     if q == 0.0:  # at the smallest prob, where quantile's u/b underflows
@@ -429,7 +427,7 @@ def _validate_rank(r: int, n: int) -> tuple[int, int]:
     # an integral float becomes the int that math.comb and range take; r's
     # range test comes first, which nan fails, so int() never sees nan or inf
     m = _count(n, "sample size", 1)
-    if not 1 <= r <= m or r != int(r):
+    if not (_is_number(r) and 1 <= r <= m) or r != int(r):
         raise ValueError(f"rank must satisfy 1 <= r <= n, got r={r}, n={n}")
     return int(r), m
 
@@ -513,6 +511,21 @@ def shannon_entropy(p: KumIwParams) -> float:
     return integrate.quad(terms, _EXP_SINH)
 
 
+def _check_rho(name: str, rho: float) -> None:
+    if not (_is_number(rho) and 0 < rho < math.inf) or rho == 1.0:
+        raise ValueError(f"{name} requires a finite rho > 0 and rho != 1, got {rho}")
+
+
+def _renyi_from_log(p: KumIwParams, rho: float, *log_integral: float) -> float:
+    """The Renyi entropy log(beta^(rho-1) b^rho c^(1-rho) I) / (1 - rho)
+    from the terms of log I, added in their order after the three
+    parameter terms."""
+    log_a = (rho - 1.0) * math.log(p.beta) + rho * math.log(p.b) + (1.0 - rho) * math.log(p.c)
+    for term in log_integral:
+        log_a += term
+    return log_a / (1.0 - rho)
+
+
 def renyi_entropy(p: KumIwParams, rho: float) -> float:
     """Renyi entropy of order rho (finite rho > 0, rho != 1), by DE quadrature.
 
@@ -522,8 +535,7 @@ def renyi_entropy(p: KumIwParams, rho: float) -> float:
     raised where the rule does not resolve it (a below about 2.5e-4) or
     where the integral underflows to 0 (a large rho).
     """
-    if not 0 < rho < math.inf or rho == 1.0:
-        raise ValueError(f"renyi_entropy requires a finite rho > 0 and rho != 1, got {rho}")
+    _check_rho("renyi_entropy", rho)
     if rho * (p.b + 1.0 / p.beta) <= 1.0 / p.beta:
         raise ValueError(
             f"renyi_entropy diverges for rho={rho} with b={p.b}, beta={p.beta}"
@@ -545,13 +557,7 @@ def renyi_entropy(p: KumIwParams, rho: float) -> float:
         integral = integrate.quad(terms, _EXP_SINH)
     if not integral > 0.0:  # every term underflowed: the rule's checks held on a zero scale
         raise NumericError(f"renyi_entropy: the integral of f^rho underflows to 0 at rho={rho}, {p}")
-    log_a = (
-        (rho - 1.0) * math.log(p.beta)
-        + rho * math.log(p.b)
-        + (1.0 - rho) * math.log(p.c)
-        + math.log(integral)
-    )
-    return log_a / (1.0 - rho)
+    return _renyi_from_log(p, rho, math.log(integral))
 
 
 def renyi_entropy_series(
@@ -563,8 +569,7 @@ def renyi_entropy_series(
     shape rho*(b-1)+1 and shift rho.  Valid only where the term-wise
     integrals exist; ``renyi_entropy`` stays authoritative.
     """
-    if not 0 < rho < math.inf or rho == 1.0:
-        raise ValueError(f"renyi_entropy_series requires a finite rho > 0 and rho != 1, got {rho}")
+    _check_rho("renyi_entropy_series", rho)
     s_exp = rho * (1.0 + 1.0 / p.beta) - 1.0 / p.beta
     shape = rho * (p.b - 1.0) + 1.0
     if s_exp <= 0 or (1.0 - s_exp) >= shape:
@@ -574,14 +579,7 @@ def renyi_entropy_series(
     w_sum = _weight_series(shape, 1.0 - s_exp, cfg, shift=rho)
     if not w_sum > 0.0:  # the signed weights cancel to rounding noise at a large rho
         raise NumericError(f"renyi_entropy_series: the weight series sums to {w_sum} at rho={rho}, {p}")
-    log_a = (
-        (rho - 1.0) * math.log(p.beta)
-        + rho * math.log(p.b)
-        + (1.0 - rho) * math.log(p.c)
-        + math.lgamma(s_exp)
-        + math.log(w_sum)
-    )
-    return log_a / (1.0 - rho)
+    return _renyi_from_log(p, rho, math.lgamma(s_exp), math.log(w_sum))
 
 
 def expanded_pdf(p: KumIwParams, t: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -592,9 +590,9 @@ def expanded_pdf(p: KumIwParams, t: float, cfg: SeriesConfig = DEFAULT_SERIES) -
     inside each term's exponent, so it cannot overflow at a small t, and
     where (c/t)^beta leaves the float range the density is 0.
     """
-    t = float(t)
-    if not t > 0:
+    if not (_is_number(t) and t > 0):
         raise ValueError(f"time must be > 0, got {t}")
+    t = float(t)
     try:
         x = (p.c / t) ** p.beta  # inf where c/t overflows: every term is e^-inf = 0
     except OverflowError:

@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 # log1m_exp is unused here (_Loglik._rows states L); perfbench/tracing.py wraps it
-from .distribution import _LN2, _PARAM_NAMES, _SUBMODEL_PINNED, _TINY, KumIwParams, SubModel, log1m_exp
+from .distribution import _LN2, _PARAM_NAMES, _SUBMODEL_PINNED, _TINY, KumIwParams, SubModel, _real, log1m_exp
 from .errors import DataError, NumericError
 from .survdata import CensoredDataset
 
@@ -425,7 +425,8 @@ def _information(theta: np.ndarray, score: np.ndarray, hess: np.ndarray) -> np.n
 def observed_information(p: KumIwParams, d: CensoredDataset) -> np.ndarray:
     """Observed information on the original scale: the exact log-scale
     Hessian H and score g mapped by I_ij = -(H_ij - delta_ij g_i) / (theta_i theta_j),
-    exactly symmetric."""
+    exactly symmetric.  An entry is inf or nan where the Hessian leaves
+    the float range, at a p far from the data."""
     theta = p.as_array()
     _, score, hess = _Loglik(d).value_score_hessian(*theta)
     return _information(theta, score, hess)
@@ -467,8 +468,7 @@ def fit_mle(
     its observed information but has no covariance or Wald intervals, and
     its message says so.  Requires at least three events.
     """
-    if not 0 < ci_level < 1:
-        raise ValueError(f"confidence level must be in (0, 1), got {ci_level}")
+    _real(ci_level, "confidence level", 1)
     if d.n_events < 3:
         raise DataError(f"fit_mle requires at least 3 events, got {d.n_events}")
     theta0 = init.as_array() if init is not None else _default_init(d)
@@ -481,8 +481,7 @@ def wald_ci(fit: FitResult, level: float) -> dict:
     Uses the delta-method standard error se(log theta) = se(theta)/theta,
     so the bounds are always positive.
     """
-    if not 0 < level < 1:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    _real(level, "confidence level", 1)
     if fit.covariance is None:
         raise ValueError("Wald intervals unavailable: fit has no valid covariance")
     return _wald_from_cov(fit.params.as_array(), fit.covariance, level)

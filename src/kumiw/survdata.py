@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import KumIwParams, _count, sample, survival
+from .distribution import KumIwParams, _count, _is_number, _real, sample, survival
 from .errors import DataError, NumericError
 
 __all__ = [
@@ -43,8 +43,7 @@ class CensoredObs:
     status: Status
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.time) and self.time > 0):
-            raise ValueError(f"observation time must be finite and > 0, got {self.time}")
+        _real(self.time, "observation time")
         if not isinstance(self.status, Status):
             raise ValueError(f"status must be a Status member, got {self.status!r}")
 
@@ -480,8 +479,7 @@ def censoring_upper_bound(p: KumIwParams, rate: float) -> float:
     toward larger M in doubling steps; each evaluation is one vectorised
     ``survival`` call (``_survival_integral``).
     """
-    if not 0 < rate < 1:
-        raise ValueError(f"censoring rate must be in (0, 1), got {rate}")
+    _real(rate, "censoring rate", 1)
     log_c = math.log(p.c)
 
     def excess(y: float) -> float:
@@ -525,11 +523,11 @@ def simulate_censored(
     and seed a non-negative one; an integral float is taken as one.
     """
     n, seed = _count(n, "sample size", 1), _count(seed, "seed", 0)
-    if upper_bound is not None and not (math.isfinite(upper_bound) and upper_bound > 0):
-        raise ValueError(f"upper_bound must be finite and > 0, got {upper_bound}")
+    if upper_bound is not None:
+        _real(upper_bound, "upper_bound")
     if censor_rate != 0 and upper_bound is None:
         upper_bound = censoring_upper_bound(p, censor_rate)
-    elif not 0 <= censor_rate < 1:
+    elif not (_is_number(censor_rate) and 0 <= censor_rate < 1):
         raise ValueError(f"censoring rate must be in [0, 1), got {censor_rate}")
     lifetimes = sample(p, n, seed)
     if censor_rate == 0:

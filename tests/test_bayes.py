@@ -12,6 +12,7 @@ from scipy import integrate, optimize, stats
 from kumiw import (
     KumIwParams,
     McmcChain,
+    NumericError,
     McmcConfig,
     PriorSpec,
     fit_mle,
@@ -31,6 +32,7 @@ from kumiw.bayes import (
 from kumiw.mle import _Loglik
 from kumiw.survdata import CensoredDataset, simulate_censored
 from oracles import collapsed_posterior_moments, reference_collapsed, reference_run_mcmc
+from sweep import sweep_cases
 
 TRUTH = KumIwParams(2.0, 1.5, 3.0)
 PRIOR = PriorSpec(1.2, 0.5, 2.0, 0.8, 1.5, 0.3)
@@ -56,10 +58,10 @@ class TestPriorSpec:
         with pytest.raises(ValueError):
             PriorSpec(b_shape=0.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1", None, True])
     @pytest.mark.parametrize("name", ["b_shape", "b_rate", "c_shape", "c_rate", "beta_shape", "beta_rate"])
     def test_non_finite_rejected(self, name, bad):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad}$"):
             PriorSpec(**{name: bad})
 
     def test_log_density_matches_scipy(self):
@@ -86,7 +88,7 @@ class TestLogPosterior:
         d = CensoredDataset.from_arrays([1.0], [1])
         prior = PriorSpec(1, 1, 1, 1, 1, 1)
         # log f(1) = -1 under (1,1,1); each Gamma(1,1) log-density at 1 is -1
-        assert log_posterior(KumIwParams(1, 1, 1), d, prior) == pytest.approx(-4.0, rel=1e-13)
+        assert log_posterior(KumIwParams(1, 1, 1), d, prior) == pytest.approx(-4.0, rel=1e-13, abs=0)
 
     def test_flat_prior_argmax_matches_mle(self):
         d = simulate_censored(TRUTH, 250, 0.0, 55)
@@ -106,7 +108,7 @@ class TestLogPosterior:
     def test_weight_zero_is_prior_only(self, data):
         th = KumIwParams(1.4, 2.0, 0.9)
         assert log_posterior(th, data, PRIOR, likelihood_weight=0.0) == pytest.approx(
-            PRIOR.log_density(th.as_array()), rel=1e-14
+            PRIOR.log_density(th.as_array()), rel=1e-14, abs=0
         )
 
 
@@ -146,6 +148,15 @@ class TestFullConditionals:
         with pytest.raises(ValueError):
             full_conditional_log(3, 1.0, (1.0, 1.0), data, PRIOR)
 
+    @pytest.mark.parametrize("bad", ["1", None, True])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_not_a_number_rejected(self, data, slot, bad):
+        # slot 0 is the value, 1 and 2 the others
+        args = [2.0, 1.5, 3.0]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="^value and others must be numbers"):
+            full_conditional_log(0, args[0], (args[1], args[2]), data, PRIOR)
+
 
 class TestAcceptProbability:
     def test_detailed_balance_form(self):
@@ -156,7 +167,7 @@ class TestAcceptProbability:
             a = rw_accept_probability(lt_cur, lt_prop, lc, lp)
             expected = min(1.0, math.exp((lt_prop - lt_cur) + (lp - lc)))
             assert 0.0 <= a <= 1.0
-            assert a == pytest.approx(expected, rel=1e-12)
+            assert a == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_infinite_cases(self):
         assert rw_accept_probability(-10.0, -math.inf, 0.0, 1.0) == 0.0
@@ -179,7 +190,7 @@ class TestAcceptProbability:
         assert rw_accept_probability(*args) == 0.0
 
 
-@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0, "1", None, True])
 class TestLikelihoodWeightValidated:
     def test_log_posterior(self, data, weight):
         with pytest.raises(ValueError, match="likelihood_weight"):
@@ -353,13 +364,18 @@ class TestRunMcmc:
         with pytest.raises(ValueError, match="^seed must be >= 0"):
             McmcConfig(seed=-1)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.0, "1", None, True])
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_non_finite_scales_rejected(self, bad, slot):
         scales = [0.5, 0.5, 0.5]
         scales[slot] = bad
-        with pytest.raises(ValueError, match="proposal_scales"):
+        with pytest.raises(ValueError, match=rf"^proposal_scales\[{slot}\] must be finite and > 0, got {bad}$"):
             McmcConfig(proposal_scales=tuple(scales))
+
+    @pytest.mark.parametrize("bad", [None, 0.5, (0.5, 0.5)])
+    def test_scales_must_be_three(self, bad):
+        with pytest.raises(ValueError, match="^proposal_scales must be 3 finite positive reals"):
+            McmcConfig(proposal_scales=bad)
 
     def test_prior_recovery_with_likelihood_off(self):
         dummy = CensoredDataset.from_arrays([1.0, 2.0, 3.0], [1, 1, 1])
@@ -660,3 +676,59 @@ class TestCachedTermsProperties:
             # relative to the size of the summands, so that a sum that
             # cancels towards 0 is not held to digits it cannot carry
             assert abs(prior - expected) <= 1e-9 * sum(abs(p) for p in parts)
+
+
+# ROADMAP item 10 (tests/sweep.py): every scalar argument of the posterior,
+# the full conditionals and the sampler (likelihood_weight and init's
+# parameters), and of PriorSpec and McmcConfig's proposal_scales entries,
+# one at a time from a valid point at (2, 1.5, 3) on SMALL_CENSORED, with
+# 60-iteration chains.  Each call returns finite values (a log-density may
+# read its limit -inf), or raises ValueError or NumericError, and never
+# warns.
+SWEEP_CONFIG = McmcConfig(n_iter=60, burn_in=20, thin=2, seed=1)
+
+
+def log_posterior_at(p, likelihood_weight=1.0, **params):
+    return log_posterior(dataclasses.replace(p, **params), SMALL_CENSORED, PRIOR, likelihood_weight)
+
+
+def full_conditional_at(p, which, value):
+    return full_conditional_log(which, value, (p.c, p.beta), SMALL_CENSORED, PRIOR)
+
+
+def run_mcmc_weighted(p, likelihood_weight):
+    return run_mcmc(SMALL_CENSORED, PRIOR, SWEEP_CONFIG, likelihood_weight).draws
+
+
+def run_mcmc_from(p, **params):
+    return run_mcmc(SMALL_CENSORED, PRIOR, SWEEP_CONFIG, init=dataclasses.replace(p, **params)).draws
+
+
+def prior_spec(p, **hyper):
+    return dataclasses.astuple(PriorSpec(**hyper))
+
+
+def proposal_scales(p, b, c, beta):
+    return McmcConfig(proposal_scales=(b, c, beta)).proposal_scales
+
+
+_TRIPLE = {"b": 2.0, "c": 1.5, "beta": 3.0}
+_SWEEP = (
+    (log_posterior_at, {**_TRIPLE, "likelihood_weight": 1.0}, set()),
+    *((full_conditional_at, {"which": which, "value": 2.0}, {"which"}) for which in range(3)),
+    (run_mcmc_weighted, {"likelihood_weight": 1.0}, set()),
+    (run_mcmc_from, _TRIPLE, set()),
+    (prior_spec, dataclasses.asdict(PRIOR), set()),
+    (proposal_scales, {"b": 0.5, "c": 0.5, "beta": 0.5}, set()),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, kwargs", sweep_cases(_SWEEP))
+def test_scalar_argument_contract(fn, kwargs):
+    try:
+        value = np.asarray(fn(TRUTH, **kwargs), dtype=float)
+    except (ValueError, NumericError):
+        return
+    limit = fn in (log_posterior_at, full_conditional_at)
+    assert np.all(np.isfinite(value) | ((value == -np.inf) & limit))

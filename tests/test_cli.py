@@ -80,6 +80,19 @@ class TestSample:
         path = make_sample(tmp_path, n=0, seed=1, censor="0.2")
         assert path.read_text() == "time,status\n"
 
+    def test_zero_rows_uncensored_rate_header_only(self, tmp_path):
+        path = make_sample(tmp_path, n=0, seed=1, censor="0")
+        assert path.read_text() == "time,status\n"
+
+    @pytest.mark.parametrize("n", ["0", "3"])
+    @pytest.mark.parametrize("rate", ["5", "1", "-0.2", "nan"])
+    def test_bad_censoring_rate_exit_2(self, tmp_path, capsys, n, rate):
+        argv = ["sample", "--b", "2", "--c", "1.5", "--beta", "3", "--n", n,
+                "--censor-rate", rate, "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert not (tmp_path / "sample.csv").exists()
+        assert capsys.readouterr().err == f"error: censoring rate must be in (0, 1), got {float(rate)}\n"
+
     def test_censoring_proportion(self, tmp_path):
         path = make_sample(tmp_path, n=10_000, seed=5)
         table = read_table(path)

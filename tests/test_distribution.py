@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -49,12 +50,18 @@ class TestParams:
         with pytest.raises(ValueError):
             KumIwParams(*bad)
 
+    @pytest.mark.parametrize("bad", ["1", None, True])
+    @pytest.mark.parametrize("name", ["b", "c", "beta"])
+    def test_not_a_number_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"^parameter {name} must be finite and > 0, got {bad}$"):
+            KumIwParams(**{"b": 2.0, "c": 1.5, "beta": 3.0, name: bad})
+
 
 class TestLog1mExp:
     def test_branch_continuity(self):
         # both branches agree near the ln 2 switch point
         for x in (math.log(2) - 1e-9, math.log(2), math.log(2) + 1e-9):
-            assert log1m_exp(x) == pytest.approx(math.log(1 - math.exp(-x)), rel=1e-12)
+            assert log1m_exp(x) == pytest.approx(math.log(1 - math.exp(-x)), rel=1e-12, abs=0)
 
     def test_extremes(self):
         assert log1m_exp(0.0) == -math.inf
@@ -100,29 +107,29 @@ class TestLog1mExpIsTheKernel:
 
 class TestPdf:
     def test_ie_point(self):
-        assert pdf(KumIwParams(1, 1, 1), 1.0) == pytest.approx(math.exp(-1), rel=1e-14)
+        assert pdf(KumIwParams(1, 1, 1), 1.0) == pytest.approx(math.exp(-1), rel=1e-14, abs=0)
 
     def test_direct_formula_spot(self):
         # direct high-precision transcription of the density expression
         b, c, beta, t = 2.0, 1.5, 2.0, 1.2
         x = (c / t) ** beta
         expected = beta * b * c**beta * t ** (-(beta + 1)) * math.exp(-x) * (1 - math.exp(-x)) ** (b - 1)
-        assert pdf(KumIwParams(b, c, beta), t) == pytest.approx(expected, rel=1e-13)
-        assert log_pdf(KumIwParams(b, c, beta), t) == pytest.approx(math.log(expected), rel=1e-13)
+        assert pdf(KumIwParams(b, c, beta), t) == pytest.approx(expected, rel=1e-13, abs=0)
+        assert log_pdf(KumIwParams(b, c, beta), t) == pytest.approx(math.log(expected), rel=1e-13, abs=0)
 
     def test_exp_log_pdf_consistency(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             p = random_params(rng)
             t = float(quantile(p, rng.uniform(0.01, 0.99)))
-            assert pdf(p, t) == pytest.approx(math.exp(log_pdf(p, t)), rel=1e-12)
+            assert pdf(p, t) == pytest.approx(math.exp(log_pdf(p, t)), rel=1e-12, abs=0)
 
     def test_b_one_no_bracket_term(self):
         p = KumIwParams(1.0, 2.0, 1.7)
         t = 1.3
         x = (p.c / t) ** p.beta
         expected = math.log(p.beta) + p.beta * math.log(p.c) - (p.beta + 1) * math.log(t) - x
-        assert log_pdf(p, t) == pytest.approx(expected, rel=1e-14)
+        assert log_pdf(p, t) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_domain_error(self):
         p = KumIwParams(1, 1, 1)
@@ -155,7 +162,7 @@ class TestCdfSurvival:
     def test_spot_value(self):
         # b=2, c=1.5, beta=2 at t=1.5: 1 - (1 - e^-1)^2
         assert cdf(KumIwParams(2, 1.5, 2), 1.5) == pytest.approx(
-            1 - (1 - math.exp(-1)) ** 2, rel=1e-14
+            1 - (1 - math.exp(-1)) ** 2, rel=1e-14, abs=0
         )
 
     def test_iw_reduction(self):
@@ -197,7 +204,7 @@ class TestHazard:
 
     def test_spot_value(self):
         assert hazard(KumIwParams(1, 1, 2), 1.0) == pytest.approx(
-            2 * math.exp(-1) / (1 - math.exp(-1)), rel=1e-13
+            2 * math.exp(-1) / (1 - math.exp(-1)), rel=1e-13, abs=0
         )
 
     def test_finite_everywhere(self):
@@ -543,7 +550,7 @@ def test_allocation_bound_on_the_workload_points():
 
 class TestQuantile:
     def test_ie_median_closed_form(self):
-        assert quantile(KumIwParams(1, 1, 1), 0.5) == pytest.approx(1 / math.log(2), rel=1e-13)
+        assert quantile(KumIwParams(1, 1, 1), 0.5) == pytest.approx(1 / math.log(2), rel=1e-13, abs=0)
 
     def test_formula_spot(self):
         b, c, beta, u = 3.0, 2.0, 1.5, 0.25
@@ -591,7 +598,7 @@ class TestQuantile:
                     want = float(1.5 * (-mpmath.log(-mpmath.expm1(-z))) ** (-mpmath.mpf(1) / 3))
                 p = KumIwParams(b, 1.5, 3.0)
                 for got in (quantile(p, u), quantile(p, np.array([u, 0.5]))[0]):
-                    assert got == pytest.approx(want, rel=1e-15), (u, b)
+                    assert got == pytest.approx(want, rel=1e-15, abs=0), (u, b)
 
 
 class TestSample:
@@ -632,7 +639,7 @@ class TestSample:
     def test_integral_counts_are_the_ints(self, n, seed):
         assert_same_bits(sample(P_SAFE, n, seed), sample(P_SAFE, 2, 3))
 
-    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -1])
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -1, "7", True, None])
     @pytest.mark.parametrize("name", ["n", "seed"])
     def test_count_rule(self, name, bad):
         what = {"n": "sample size", "seed": "seed"}[name]
@@ -640,12 +647,18 @@ class TestSample:
             sample(P_SAFE, **{"n": 2, "seed": 3, name: bad})
 
 
-# ROADMAP item 10 (tests/sweep.py): every scalar argument of the
-# evaluators, the quantile and sample, one at a time from a valid point at
-# (2, 1.5, 3).  Each call returns values without nan, finite but where
-# log_pdf reads -inf for a density that underflows, or raises ValueError
-# or NumericError, and never warns.
+def pdf_at_params(p, **params):
+    # KumIwParams' own arguments: the density at t = 1 of p with them replaced
+    return pdf(dataclasses.replace(p, **params), 1.0)
+
+
+# ROADMAP item 10 (tests/sweep.py): every scalar argument of
+# KumIwParams, the evaluators, the quantile and sample, one at a time from
+# a valid point at (2, 1.5, 3).  Each call returns values without nan,
+# finite but where log_pdf reads -inf for a density that underflows, or
+# raises ValueError or NumericError, and never warns.
 _SWEEP = (
+    (pdf_at_params, {"b": 2.0, "c": 1.5, "beta": 3.0}, set()),
     *((f, {"t": 1.0}, set()) for f in PLAIN),
     (quantile, {"u": 0.5}, set()),
     (sample, {"n": 3, "seed": 1}, {"n", "seed"}),

@@ -75,7 +75,8 @@ class TestSeriesConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [{"tol": 0.0}, {"max_terms": 0}, {"max_terms": math.nan}, {"max_terms": math.inf},
-         {"max_terms": 2.5}],
+         {"max_terms": 2.5}, {"tol": math.inf}, {"tol": "1"}, {"tol": None}, {"tol": True},
+         {"max_terms": "7"}, {"max_terms": True}],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -120,7 +121,7 @@ class TestMoment:
         assert moment_exists(KumIwParams(2, 1, 2), 3)
         assert not moment_exists(KumIwParams(0.5, 1, 1.5), 1)
 
-    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, "1", None, True])
     def test_moment_exists_non_finite_order(self, k):
         # -inf compared below every tail index (True) and nan above none (False)
         with pytest.raises(ValueError, match="moment order must be finite"):
@@ -214,6 +215,12 @@ class TestMgf:
         with pytest.raises(ValueError):
             mgf_truncated(KumIwParams(1, 1, 2), 1.0, 3)
 
+    @pytest.mark.parametrize("z", ["1", None, True])
+    @pytest.mark.parametrize("fn", [mgf_truncated, cgf_truncated])
+    def test_z_must_be_a_number(self, fn, z):
+        with pytest.raises(ValueError, match=rf"^mgf_truncated requires \|z\| < 1, got {z}$"):
+            fn(KumIwParams(1, 1, 2), z, 3)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_integral_float_and_huge_n_terms(self):
         # an integral float counts as its int; moment refuses every order from
@@ -236,7 +243,7 @@ class TestMgf:
         p = KumIwParams(2, 1, 3)
         m = mgf_truncated(p, 0.3, 2)
         k = cgf_truncated(p, 0.3, 2)
-        assert k.value == pytest.approx(math.log(m.value), rel=1e-14)
+        assert k.value == pytest.approx(math.log(m.value), rel=1e-14, abs=0)
 
 
 class TestMeanDeviations:
@@ -273,7 +280,7 @@ class TestBonferroniLorenz:
         rng = np.random.default_rng(17)
         for prob in rng.uniform(0.05, 0.95, 10):
             prob = float(prob)
-            assert lorenz(p, prob) == pytest.approx(prob * bonferroni(p, prob), rel=1e-13)
+            assert lorenz(p, prob) == pytest.approx(prob * bonferroni(p, prob), rel=1e-13, abs=0)
 
     def test_bonferroni_vs_quadrature(self):
         p = KumIwParams(1, 1, 3)
@@ -289,7 +296,7 @@ class TestBonferroniLorenz:
         q = float(quantile(p, prob))
         expected = quad_partial_first_moment(p, q) / (prob * quad_moment(p, 1))
         assert bonferroni(p, prob) == pytest.approx(expected, rel=1e-8)
-        assert lorenz(p, prob) == pytest.approx(prob * bonferroni(p, prob), rel=1e-13)
+        assert lorenz(p, prob) == pytest.approx(prob * bonferroni(p, prob), rel=1e-13, abs=0)
 
     def test_mean_series_summed_once(self, monkeypatch):
         calls = []
@@ -332,6 +339,12 @@ class TestBonferroniLorenz:
         with pytest.raises(NumericError, match=re.escape("the quantile at prob=5e-324 rounds to 0")):
             fn(KumIwParams(2, 5e-324, 3), 5e-324)
 
+    @pytest.mark.parametrize("prob", [0.0, 1.0, math.nan, "1", None, True])
+    @pytest.mark.parametrize("fn", [bonferroni, lorenz])
+    def test_prob_must_be_in_the_unit_interval(self, fn, prob):
+        with pytest.raises(ValueError, match=rf"^{fn.__name__}: prob must be in \(0, 1\), got {prob}$"):
+            fn(KumIwParams(2, 1.5, 3), prob)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_partial_moment_underflowing_to_zero(self):
         # at (2, 1.5, 3), Q(5e-324) is 0.165, but the integral of t f below it
@@ -350,7 +363,7 @@ class TestBonferroniLorenz:
 
 class TestOrderStatistics:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1", None, True])
     @pytest.mark.parametrize("fn", [order_stat_moment, order_stat_moment_series])
     def test_non_finite_rank_and_size(self, fn, bad):
         p = KumIwParams(2, 1.5, 3)
@@ -386,7 +399,7 @@ class TestOrderStatistics:
     def test_single_observation(self):
         p = KumIwParams(2, 1, 2)
         t = 1.3
-        assert order_stat_pdf(p, 1, 1, t) == pytest.approx(float(pdf(p, t)), rel=1e-14)
+        assert order_stat_pdf(p, 1, 1, t) == pytest.approx(float(pdf(p, t)), rel=1e-14, abs=0)
 
     def test_maximum_form(self):
         from kumiw import cdf
@@ -394,7 +407,7 @@ class TestOrderStatistics:
         p = KumIwParams(2, 1, 2)
         t, n = 0.9, 4
         expected = n * float(cdf(p, t)) ** (n - 1) * float(pdf(p, t))
-        assert order_stat_pdf(p, n, n, t) == pytest.approx(expected, rel=1e-13)
+        assert order_stat_pdf(p, n, n, t) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_integrates_to_one(self):
         p = KumIwParams(2, 1, 2)
@@ -503,7 +516,7 @@ class TestEntropies:
             renyi_entropy(p, -0.5)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, "1", None, True])
     @pytest.mark.parametrize("fn", [renyi_entropy, renyi_entropy_series])
     def test_renyi_non_finite_order(self, fn, rho):
         # nan compares false with everything, so a test of rho <= 0 lets it
@@ -550,12 +563,12 @@ class TestEntropies:
 class TestExpandedPdf:
     def test_b_one_single_term(self):
         p = KumIwParams(1, 1, 2)
-        assert expanded_pdf(p, 0.5) == pytest.approx(float(pdf(p, 0.5)), rel=1e-14)
+        assert expanded_pdf(p, 0.5) == pytest.approx(float(pdf(p, 0.5)), rel=1e-14, abs=0)
 
     def test_integer_b_terminates_exactly(self):
         p = KumIwParams(3, 1, 2)
         # three weights only; matches the closed form to rounding
-        assert expanded_pdf(p, 1.3) == pytest.approx(float(pdf(p, 1.3)), rel=1e-13)
+        assert expanded_pdf(p, 1.3) == pytest.approx(float(pdf(p, 1.3)), rel=1e-13, abs=0)
 
     def test_fractional_b(self):
         p = KumIwParams(2.5, 1, 2)
@@ -580,6 +593,11 @@ class TestExpandedPdf:
     def test_domain(self):
         with pytest.raises(ValueError):
             expanded_pdf(KumIwParams(1, 1, 1), 0.0)
+
+    @pytest.mark.parametrize("t", ["1", None, True])
+    def test_time_must_be_a_number(self, t):
+        with pytest.raises(ValueError, match=f"^time must be > 0, got {t}$"):
+            expanded_pdf(KumIwParams(1, 1, 1), t)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t", [1e-100, 1e-120, 1e-300, 5e-324])

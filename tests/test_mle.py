@@ -24,6 +24,7 @@ from kumiw.distribution import _SUBMODEL_PINNED
 from kumiw import mle
 from kumiw.mle import FitResult, _Loglik, _wald_from_cov
 from kumiw.survdata import CensoredDataset, censoring_upper_bound, simulate_censored
+from sweep import sweep_cases
 from oracles import (
     TwoGroupLoglik,
     central_gradient,
@@ -56,7 +57,7 @@ class TestCensoredLoglik:
         d = CensoredDataset.from_arrays([1.0, 2.0], [1, 0])
         p = KumIwParams(1.0, 1.0, 1.0)
         assert censored_loglik(p, d) == pytest.approx(
-            -1.0 + math.log(1 - math.exp(-0.5)), rel=1e-14
+            -1.0 + math.log(1 - math.exp(-0.5)), rel=1e-14, abs=0
         )
 
     def test_permutation_invariant(self):
@@ -161,10 +162,10 @@ class TestFitMle:
         assert not fit.converged and fit.message
         assert fit.covariance is None and fit.ci is None
 
-    @pytest.mark.parametrize("level", [1.5, math.nan, -0.2, 0.0, 1.0])
+    @pytest.mark.parametrize("level", [1.5, math.nan, -0.2, 0.0, 1.0, "1", None, True])
     def test_invalid_ci_level_rejected(self, level):
         d = simulate_censored(TRUTH, 100, 0.0, 29)
-        with pytest.raises(ValueError, match=r"confidence level must be in \(0, 1\)"):
+        with pytest.raises(ValueError, match=rf"^confidence level must be in \(0, 1\), got {level}$"):
             fit_mle(d, ci_level=level)
 
     def test_ci_positive_bounds(self):
@@ -614,6 +615,12 @@ class TestWaldCi:
         with pytest.raises(ValueError):
             wald_ci(fit, 1.0)
 
+    @pytest.mark.parametrize("level", ["1", None, True])
+    def test_level_must_be_a_number(self, level):
+        fit = fit_mle(simulate_censored(TRUTH, 200, 0.0, 29))
+        with pytest.raises(ValueError, match=rf"^confidence level must be in \(0, 1\), got {level}$"):
+            wald_ci(fit, level)
+
 
 class TestLrTest:
     def test_full_model_null_is_trivial(self):
@@ -683,3 +690,57 @@ class TestLrTest:
         assert abs(res.full.loglik - full.loglik) <= 1e-9
         assert abs(res.statistic - honest.statistic) <= 1e-8
         assert res.df == honest.df == 1
+
+
+# ROADMAP item 10 (tests/sweep.py): every scalar argument of the fits, one
+# at a time from a valid point at (2, 1.5, 3) on a 30-row sample: the
+# parameters that censored_loglik, observed_information and fit_mle's init
+# take from a KumIwParams, and the confidence levels of fit_mle and
+# wald_ci.  Each call returns finite values (a log-likelihood may read its
+# limit -inf, and an observed information may hold inf or nan where the
+# Hessian leaves the float range), or raises ValueError or NumericError,
+# and never warns.
+SWEEP_DATA = simulate_censored(TRUTH, 30, 0.2, 1)
+
+
+def loglik_at(p, **params):
+    return censored_loglik(dataclasses.replace(p, **params), SWEEP_DATA)
+
+
+def information_at(p, **params):
+    return observed_information(dataclasses.replace(p, **params), SWEEP_DATA)
+
+
+def fit_from(p, **params):
+    return fit_mle(SWEEP_DATA, init=dataclasses.replace(p, **params)).params.as_array()
+
+
+def fit_ci(p, ci_level):
+    return list(fit_mle(SWEEP_DATA, init=p, ci_level=ci_level).ci.values())
+
+
+def wald_at(p, level):
+    return list(wald_ci(fit_mle(SWEEP_DATA, init=p), level).values())
+
+
+_TRIPLE = {"b": 2.0, "c": 1.5, "beta": 3.0}
+_SWEEP = (
+    (loglik_at, _TRIPLE, set()),
+    (information_at, _TRIPLE, set()),
+    (fit_from, _TRIPLE, set()),
+    (fit_ci, {"ci_level": 0.95}, set()),
+    (wald_at, {"level": 0.95}, set()),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, kwargs", sweep_cases(_SWEEP))
+def test_scalar_argument_contract(fn, kwargs):
+    try:
+        value = np.asarray(fn(TRUTH, **kwargs), dtype=float)
+    except (ValueError, NumericError):
+        return
+    if fn is information_at:
+        assert value.shape == (3, 3)
+    else:
+        assert np.all(np.isfinite(value) | ((value == -np.inf) & (fn is loglik_at)))

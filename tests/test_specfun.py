@@ -22,12 +22,12 @@ def gen_binomial_weight(b: float, r: int) -> float:
 
 class TestIncompleteGamma:
     def test_exponential_special_case(self):
-        assert 1.0 - upper_incomplete_gamma(1.0, 1.0) == pytest.approx(1 - math.exp(-1), rel=1e-13)
-        assert upper_incomplete_gamma(1.0, 2.0) == pytest.approx(math.exp(-2), rel=1e-13)
+        assert 1.0 - upper_incomplete_gamma(1.0, 1.0) == pytest.approx(1 - math.exp(-1), rel=1e-13, abs=0)
+        assert upper_incomplete_gamma(1.0, 2.0) == pytest.approx(math.exp(-2), rel=1e-13, abs=0)
 
     def test_boundaries(self):
-        assert upper_incomplete_gamma(0.5, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert upper_incomplete_gamma(1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert upper_incomplete_gamma(0.5, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-14, abs=0)
+        assert upper_incomplete_gamma(1.0, 0.0) == pytest.approx(1.0, rel=1e-14, abs=0)
         assert upper_incomplete_gamma(0.5, math.inf) == 0.0
 
     @pytest.mark.parametrize("a,x", [(2.5, 1.7), (0.3, 0.9), (0.9, 0.01), (5.0, 30.0), (1.2, 8.0)])
@@ -37,7 +37,7 @@ class TestIncompleteGamma:
             quad_lower_incomplete_gamma(a, x), rel=1e-10
         )
         assert upper_incomplete_gamma(a, x) == pytest.approx(
-            quad_upper_incomplete_gamma(a, x), rel=1e-10
+            quad_upper_incomplete_gamma(a, x), rel=1e-10, abs=0
         )
 
     def test_complement_identity_random(self):
@@ -52,7 +52,7 @@ class TestIncompleteGamma:
         for a in (0.4, 1.0, 3.3):
             xs = np.linspace(0.0, 8.0 * a + 4.0, 40)
             vals = upper_incomplete_gamma(a, xs)
-            assert vals[0] == pytest.approx(math.gamma(a), rel=1e-14)
+            assert vals[0] == pytest.approx(math.gamma(a), rel=1e-14, abs=0)
             assert np.all(np.diff(vals) <= 1e-15)
             # at x = 50a the true tail is ~ (50a)^(a-1) e^(-50a)
             tail_bound = 3.0 * (50.0 * a) ** a * math.exp(-50.0 * a)
@@ -75,7 +75,7 @@ class TestGenBinomialWeight:
     def test_matches_direct_product(self):
         b, r = 2.5, 3
         direct = (-1) ** r * math.prod((b - 1.0 - j) / (j + 1.0) for j in range(r))
-        assert gen_binomial_weight(b, r) == pytest.approx(direct, rel=1e-15)
+        assert gen_binomial_weight(b, r) == pytest.approx(direct, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("b", [0.5, 1.0, 2.5, 7.0])
     @pytest.mark.parametrize("x", [0.0, 0.3, 0.7, 0.95])

@@ -101,6 +101,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             CensoredObs(1.0, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1", None, True])
+    def test_obs_time_must_be_a_positive_number(self, bad):
+        with pytest.raises(ValueError, match=f"^observation time must be finite and > 0, got {bad}$"):
+            CensoredObs(bad, Status.EVENT)
+
     def test_dataset_nonempty(self):
         with pytest.raises(DataError):
             CensoredDataset(())
@@ -537,12 +542,12 @@ class TestSimulation:
         np.testing.assert_array_equal(d1.times, d2.times)
         np.testing.assert_array_equal(d1.event_mask, d2.event_mask)
 
-    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0, 0.0, "1", True])
     def test_upper_bound_validated(self, bound):
         with pytest.raises(ValueError, match="upper_bound must be finite and > 0"):
             simulate_censored(KumIwParams(2.0, 1.5, 3.0), 10, 0.2, 1, upper_bound=bound)
 
-    @pytest.mark.parametrize("rate", [math.nan, 1.0, -0.1, math.inf])
+    @pytest.mark.parametrize("rate", [math.nan, 1.0, -0.1, math.inf, "1", None, True])
     def test_rate_validated_beside_an_upper_bound(self, rate):
         with pytest.raises(ValueError, match=r"^censoring rate must be in \[0, 1\), got"):
             simulate_censored(KumIwParams(2.0, 1.5, 3.0), 10, rate, 1, upper_bound=2.0)
@@ -553,7 +558,7 @@ class TestSimulation:
         for n, seed in ((20.0, 7.0), (np.int64(20), np.int32(7))):
             assert simulate_censored(p, n, 0.2, seed) == want
 
-    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -1])
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -1, "7", True, None])
     @pytest.mark.parametrize("name", ["n", "seed"])
     def test_count_rule_before_the_calibration(self, monkeypatch, name, bad):
         def calibrate(*args):
@@ -565,8 +570,14 @@ class TestSimulation:
             simulate_censored(KumIwParams(2.0, 1.5, 3.0), **{"n": 5, "censor_rate": 0.2, "seed": 1, name: bad})
 
 
+def from_arrays_entry(p, time, event):
+    # CensoredDataset.from_arrays' scalar entries: a second row beside (1.0, 1)
+    return CensoredDataset.from_arrays([1.0, time], [1, event])
+
+
 # ROADMAP item 10 (tests/sweep.py): every scalar argument of the
-# simulation and its censoring bound, one at a time from a valid point at
+# simulation and its censoring bound, and each entry of
+# CensoredDataset.from_arrays, one at a time from a valid point at
 # (2, 1.5, 3).  Each call returns a dataset of finite times or a finite
 # bound, or raises ValueError (DataError is one) or NumericError, and
 # never warns.
@@ -574,6 +585,7 @@ _SWEEP = (
     (simulate_censored, {"n": 5, "censor_rate": 0.2, "seed": 1}, {"n", "seed"}),
     (simulate_censored, {"n": 5, "censor_rate": 0.2, "seed": 1, "upper_bound": 2.0}, {"n", "seed"}),
     (censoring_upper_bound, {"rate": 0.2}, set()),
+    (from_arrays_entry, {"time": 2.0, "event": 1}, set()),
 )
 
 
@@ -648,6 +660,11 @@ class TestCensoringUpperBound:
         for rate in (0.0, 1.0, -0.1, math.nan):
             with pytest.raises(ValueError, match="censoring rate"):
                 censoring_upper_bound(KumIwParams(2.0, 1.5, 3.0), rate)
+
+    @pytest.mark.parametrize("rate", ["1", None, True])
+    def test_rate_must_be_a_number(self, rate):
+        with pytest.raises(ValueError, match=rf"^censoring rate must be in \(0, 1\), got {rate}$"):
+            censoring_upper_bound(KumIwParams(2.0, 1.5, 3.0), rate)
 
 
 def _random_bound_cases(count, seed):
