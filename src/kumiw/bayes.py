@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 # log1m_exp is unused here (the sums come from _Loglik.terms); perfbench/tracing.py wraps it
-from .distribution import _PARAM_NAMES, KumIwParams, _is_number, _real, log1m_exp
+from .distribution import _PARAM_NAMES, _TINY, KumIwParams, _is_number, _real, log1m_exp
 from .survdata import CensoredDataset, _write_csv
 from .mle import _Loglik
 
@@ -41,7 +40,10 @@ class PriorSpec:
     """Independent Gamma(shape, rate) priors for b, c and beta.
 
     The defaults are proper but diffuse (shape 1, rate 0.001); the
-    hyperparameters are ours to choose, not prescribed.
+    hyperparameters are ours to choose, not prescribed.  Each is finite and
+    > 0, and the log-normaliser, the sum of shape log(rate) - lgamma(shape)
+    over the three priors, must stay a finite float (so no shape beyond
+    about 2.5e305); ``ValueError`` names the first pair that leaves it.
     """
 
     b_shape: float = 1.0
@@ -52,8 +54,22 @@ class PriorSpec:
     beta_rate: float = 0.001
 
     def __post_init__(self) -> None:
-        for name in ("b_shape", "b_rate", "c_shape", "c_rate", "beta_shape", "beta_rate"):
-            _real(getattr(self, name), name)
+        # on Python floats, where a product beyond the float range is inf
+        # without a numpy warning
+        log_norm = 0.0
+        for name in _PARAM_NAMES:
+            shape = float(_real(getattr(self, f"{name}_shape"), f"{name}_shape"))
+            rate = float(_real(getattr(self, f"{name}_rate"), f"{name}_rate"))
+            try:
+                log_norm += shape * math.log(rate) - math.lgamma(shape)
+            except OverflowError:  # lgamma from about 2.56e305
+                log_norm = math.inf
+            if not math.isfinite(log_norm):
+                raise ValueError(
+                    f"{name}_shape and {name}_rate leave the Gamma log-normaliser "
+                    f"outside the float range, got {shape} and {rate}"
+                )
+        object.__setattr__(self, "_log_norm", log_norm)
 
     @property
     def shapes(self) -> np.ndarray:
@@ -62,10 +78,6 @@ class PriorSpec:
     @property
     def rates(self) -> np.ndarray:
         return np.array([self.b_rate, self.c_rate, self.beta_rate])
-
-    @cached_property
-    def _log_norm(self) -> float:
-        return float(sum(s * math.log(r) - math.lgamma(s) for s, r in zip(self.shapes, self.rates)))
 
     def log_density(self, theta) -> float:
         """Sum of the three Gamma log-densities (normalizing constants included)
@@ -181,7 +193,9 @@ class McmcConfig:
     compatibility.  b is drawn from its exact conditional, so the b entry
     is unused (it must still be finite and positive); the c and beta
     entries are the standard deviations on the log scale of the initial
-    diagonal proposal covariance of the joint (log c, log beta) move.
+    diagonal proposal covariance of the joint (log c, log beta) move.  Each
+    entry's square, a variance, must be a normal float (an entry within
+    about 1.5e-154 to 1.3e154), since the adaptation squares the factor.
     """
 
     n_iter: int = 25_000
@@ -214,7 +228,11 @@ class McmcConfig:
         if not hasattr(scales, "__len__") or len(scales) != 3:
             raise ValueError(f"proposal_scales must be 3 finite positive reals, got {scales}")
         for i, scale in enumerate(scales):
-            _real(scale, f"proposal_scales[{i}]")
+            scale = float(_real(scale, f"proposal_scales[{i}]"))
+            if not _TINY <= scale * scale < math.inf:
+                raise ValueError(
+                    f"proposal_scales[{i}] squared must be a normal float (about 1.5e-154 to 1.3e154), got {scale}"
+                )
 
 
 @dataclass

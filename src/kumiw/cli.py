@@ -3,7 +3,8 @@
 Subcommands: ``dist`` (evaluation grid), ``sample`` (simulation),
 ``fit-mle``, ``fit-bayes``, ``km`` and ``compare``.  Emits plot-ready CSV
 files rather than rendered figures.  Exit codes: 0 success, 2 invalid
-arguments or parameters, 3 data error, 4 numerical failure.
+arguments or parameters (a grid or sample too large for memory among
+them), 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ def _load_dataset(args) -> survdata.CensoredDataset:
 def cmd_dist(args) -> int:
     p = _params_from(args)
     t_min, t_max, points = args.t_min, args.t_max, args.points
-    if not (t_min > 0 and t_max > t_min and points >= 2):
-        raise ValueError("grid requires 0 < t-min < t-max and points >= 2")
+    if not (t_min > 0 and math.inf > t_max > t_min and points >= 2):
+        raise ValueError("grid requires 0 < t-min < t-max < inf and points >= 2")
     grid = np.linspace(t_min, t_max, points)
     out = _out_dir(args) / "dist.csv"
     rows = zip(grid, pdf(p, grid), cdf(p, grid), survival(p, grid), hazard(p, grid))
@@ -497,7 +498,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

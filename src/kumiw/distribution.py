@@ -79,7 +79,7 @@ def log1m_exp(x):
     avoid cancellation.  -inf at x = 0, nan at nan and below 0; a scalar
     gives a ``np.float64``.
     """
-    x = np.array(x, dtype=float)
+    x = np.array(_numbers(x, "x"), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _shaped(_log1m_exp_x(x.reshape(-1)), x.shape)
 
@@ -91,10 +91,10 @@ def log1m_exp(x):
 # log-density and log-hazard, invalid (inf - inf, read as -inf).
 
 
-def _flat(a):
+def _flat(a, name: str):
     # a as a flat float array, a view of a itself when it already is one,
     # and its shape; a scalar becomes one lane
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(_numbers(a, name), dtype=float)
     return a.reshape(-1), a.shape
 
 
@@ -104,7 +104,8 @@ def _shaped(out, shape):
 
 
 def _times(p: KumIwParams, t, allow_zero: bool = False):
-    """Flat validated t, x = (c/t)^beta in a fresh buffer, and t's shape.
+    """Flat validated t, x = (c/t)^beta in a fresh buffer, x's exact log on
+    a mask of lanes (``_log_x`` on t, for ``_log1m_exp_x``), and t's shape.
 
     Under the continuous extension of cdf/survival (``allow_zero``) t may
     contain 0, -0.0 or inf.  Where c/t is not a normal float (it overflows
@@ -112,7 +113,7 @@ def _times(p: KumIwParams, t, allow_zero: bool = False):
     lost digits, and x is exp(beta (log c - log t)) instead; one min and
     one max over t gate that pass.
     """
-    t, shape = _flat(t)
+    t, shape = _flat(t, "time values")
     t_min = t.min(initial=np.inf)
     # both comparisons are false at nan, which the min propagates
     if not (t_min >= 0.0 if allow_zero else t_min > 0.0):
@@ -127,15 +128,15 @@ def _times(p: KumIwParams, t, allow_zero: bool = False):
         odd = (x < _TINY) | np.isinf(x)
     _power(x, p.beta, shape)
     if odd is not None:
-        x[odd] = np.exp(_log_x(p, t[odd]))
-    return t, x, shape
+        x[odd] = np.exp(_log_x(p, t, odd))
+    return t, x, lambda mask: _log_x(p, t, mask), shape
 
 
-def _log_x(p: KumIwParams, t):
-    """log x = beta (log c - log t) in a fresh buffer, from t > 0, which it
-    only reads: x's log where x = (c/t)^beta has lost digits or c/t is
-    not a normal float."""
-    out = np.log(t)
+def _log_x(p: KumIwParams, t, mask):
+    """log x = beta (log c - log t) on the lanes of t > 0 that mask picks,
+    in a fresh buffer: x's log where x = (c/t)^beta has lost digits or c/t
+    is not a normal float."""
+    out = np.log(t[mask])
     np.subtract(math.log(p.c), out, out=out)
     out *= p.beta
     return out
@@ -154,9 +155,10 @@ def _power(x, e, shape):
         x[0] **= e
 
 
-def _log1m_exp_x(x, p: KumIwParams | None = None, t=None):
+def _log1m_exp_x(x, log_x=None):
     """log(1 - e^-x) for a flat array x >= 0, nan at nan, in a fresh
-    buffer; the one kernel behind ``log1m_exp`` and the evaluators.
+    buffer; the one kernel behind ``log1m_exp``, the evaluators, ``quantile``
+    and the measures' exp-sinh nodes.
 
     x is the kernel's scratch and is overwritten; log(0) at x = 0 is
     -inf, under the caller's np.errstate.  numpy's SIMD exp leaves its
@@ -166,11 +168,12 @@ def _log1m_exp_x(x, p: KumIwParams | None = None, t=None):
     where it yields -0.0.  The branches are joined by adding that -0.0,
     not by np.where, which is slow on an unsorted mask.
 
-    With p and t, x is (c/t)^beta; t is only read.  Where x is below the
-    smallest normal float it has lost digits or underflowed to 0, and the
-    value is its limit log x = beta (log c - log t), exact to within x/2.
+    Where x is below the smallest normal float it has lost digits or
+    underflowed to 0, and the value is its limit log x, exact to within
+    x/2, which ``log_x(mask)`` gives on those lanes from the caller's exact
+    inputs (Maechler 2012).  Without ``log_x``, x itself is taken as exact.
     """
-    small = x < _TINY if p is not None and x.min(initial=np.inf) < _TINY else None
+    small = x < _TINY if log_x is not None and x.min(initial=np.inf) < _TINY else None
     lo = x < _LN2
     live = np.logical_xor(x < _X_DEAD, lo)  # ln 2 <= x < _X_DEAD
     # x < ln 2: log(-expm1(-x)); the other lanes are fed ln 2
@@ -192,7 +195,7 @@ def _log1m_exp_x(x, p: KumIwParams | None = None, t=None):
     np.log1p(x, out=x)
     np.add(out, x, out=out)
     if small is not None:
-        out[small] = _log_x(p, t[small])
+        out[small] = log_x(small)
     return out
 
 
@@ -221,10 +224,10 @@ def _log_head(p: KumIwParams, t, x):
 
 def _log_pdf(p: KumIwParams, t):
     # log_pdf's values in a fresh flat buffer, and t's shape
-    t, x, shape = _times(p, t)
+    t, x, log_x, shape = _times(p, t)
     base = _log_head(p, t, x)
     if p.b != 1.0:
-        log_om = _log1m_exp_x(x, p, t)
+        log_om = _log1m_exp_x(x, log_x)
         log_om *= p.b - 1.0
         base += log_om
     # x may overflow for t near 0: the density underflows to 0 there
@@ -250,10 +253,10 @@ def pdf(p: KumIwParams, t):
         return _shaped(_exp_live(out), shape)
 
 
-def _log_cdf(p: KumIwParams, t):
-    # b log(1 - e^-x) = log F(t) in a fresh flat buffer, and t's shape
-    t, x, shape = _times(p, t, allow_zero=True)
-    out = _log1m_exp_x(x, p, t)
+def _log_survival(p: KumIwParams, t):
+    # b log(1 - e^-x) = log S(t) in a fresh flat buffer, and t's shape
+    _, x, log_x, shape = _times(p, t, allow_zero=True)
+    out = _log1m_exp_x(x, log_x)
     out *= p.b
     return out, shape
 
@@ -261,7 +264,7 @@ def _log_cdf(p: KumIwParams, t):
 def cdf(p: KumIwParams, t):
     """Distribution function; extended continuously with cdf(0) = 0."""
     with np.errstate(divide="ignore", over="ignore"):
-        out, shape = _log_cdf(p, t)
+        out, shape = _log_survival(p, t)
         np.expm1(out, out=out)
     np.negative(out, out=out)
     return _shaped(out, shape)
@@ -270,7 +273,7 @@ def cdf(p: KumIwParams, t):
 def survival(p: KumIwParams, t):
     """Survival function; extended continuously with survival(0) = 1."""
     with np.errstate(divide="ignore", over="ignore"):
-        out, shape = _log_cdf(p, t)
+        out, shape = _log_survival(p, t)
     np.exp(out, out=out)
     return _shaped(out, shape)
 
@@ -280,9 +283,9 @@ def hazard(p: KumIwParams, t):
     # (c/t)^beta overflows for t near 0 and dominates, and at t = inf both
     # terms are -inf: the limit is 0 at both ends
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t, x, shape = _times(p, t)
+        t, x, log_x, shape = _times(p, t)
         head = _log_head(p, t, x)
-        head -= _log1m_exp_x(x, p, t)
+        head -= _log1m_exp_x(x, log_x)
         return _shaped(_exp_live(head), shape)
 
 
@@ -295,18 +298,15 @@ def quantile(p: KumIwParams, u):
     float it has lost digits or rounded to 0, and -log(1 - e^-z) is its
     limit log b - log(-log(1-u)), exact to within z/2.
     """
-    u, shape = _flat(u)
+    u, shape = _flat(u, "probabilities")
     if not ((u > 0.0) & (u < 1.0)).all():  # both comparisons are false at nan
         raise ValueError("quantile requires probabilities strictly inside (0, 1)")
     z = np.negative(u)
     np.log1p(z, out=z)
     z /= -p.b                       # -log (1-u)^(1/b), in [0, inf)
-    small = z < _TINY if z.min(initial=np.inf) < _TINY else None
     with np.errstate(divide="ignore", over="ignore"):
-        inner = _log1m_exp_x(z)
+        inner = _log1m_exp_x(z, lambda mask: np.log(-np.log1p(-u[mask])) - math.log(p.b))
         np.negative(inner, out=inner)   # -log(1 - (1-u)^(1/b)) > 0
-        if small is not None:
-            inner[small] = math.log(p.b) - np.log(-np.log1p(-u[small]))
         _power(inner, -1.0 / p.beta, shape)
         inner *= p.c
     return _shaped(inner, shape)
@@ -316,6 +316,19 @@ def _is_number(value) -> bool:
     """Whether value is a real number and not a bool: a Python or numpy
     int or float, but not True, "7" or None."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _numbers(a, name: str, kinds: str = "iuf"):
+    """a as an array (``np.asarray``) where its dtype kind is one of kinds:
+    integers and floats by default, as ``_is_number`` takes no bool, and
+    bools too for an indicator ("biuf").  Otherwise ValueError "<name> must
+    be numbers": a string, bytes or object array, such as one from "1", a
+    list holding "1" or None, or a Decimal or Fraction, which numpy would
+    convert or fail on."""
+    a = np.asarray(a)
+    if a.dtype.kind not in kinds:
+        raise ValueError(f"{name} must be numbers, got an array of dtype {a.dtype}")
+    return a
 
 
 def _real(value, name: str, upper: float = math.inf):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .distribution import KumIwParams, _count, _is_number, _real, cdf, log1m_exp, pdf, quantile, survival
+from .distribution import KumIwParams, _count, _is_number, _log1m_exp_x, _real, cdf, pdf, quantile, survival
 from .errors import MomentNotDefinedError, NumericError
 
 __all__ = [
@@ -103,12 +103,14 @@ def _exp_sinh(lo: float, hi: float, step: float) -> types.SimpleNamespace:
 
     ``log_w`` is log(h dx/ds), so an integrand written as e^(log g) sums
     as e^(log g + log_w) without forming x^(-k) at the smallest nodes,
-    where x itself underflows to 0.  ``log_om`` is log(1 - e^-x); below
-    x = e^-40 it is log x to within x/2.
+    where x itself underflows to 0.  ``log_om`` is log(1 - e^-x), by the
+    evaluators' kernel from the nodes' own logs where x is not normal.
     """
     log_x, dlog_x = _de_nodes(lo, hi, step)
     x = np.exp(log_x)
-    log_om = np.where(log_x < -40.0, log_x, log1m_exp(x))
+    # the first nodes' x rounds to 0, whose log the kernel overwrites
+    with np.errstate(divide="ignore"):
+        log_om = _log1m_exp_x(x.copy(), lambda mask: log_x[mask])
     return types.SimpleNamespace(x=x, log_x=log_x, log_om=log_om, log_w=np.log(dlog_x) + log_x)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import KumIwParams, _count, _is_number, _real, sample, survival
+from .distribution import KumIwParams, _count, _is_number, _numbers, _real, sample, survival
 from .errors import DataError, NumericError
 
 __all__ = [
@@ -75,8 +75,8 @@ class CensoredDataset:
         return d
 
     def _set_columns(self, times, events, name: str) -> None:
-        times = np.array(times, dtype=float)
-        events = np.array(events, dtype=bool)
+        times = np.array(_numbers(times, "observation times"), dtype=float)
+        events = np.array(_numbers(events, "event indicators", "biuf"), dtype=bool)
         if times.shape != events.shape:
             raise DataError("times and events must have matching shapes")
         if times.ndim != 1:
@@ -160,7 +160,7 @@ class KmCurve:
     def survival_at(self, t):
         """Step-function evaluation; value before the first event time is 1.
         A nan time raises ``ValueError``: it has no place among the steps."""
-        t = np.asarray(t, dtype=float)
+        t = np.asarray(_numbers(t, "times"), dtype=float)
         if np.isnan(t).any():
             raise ValueError("survival_at requires times that are not nan")
         idx = np.searchsorted(self.times, t, side="right")
@@ -397,7 +397,14 @@ def _survival_integral(p: KumIwParams, y_m: float) -> float:
     nodes, weights = _GAUSS_LEGENDRE
     y = y_m + half * (2.0 * np.arange(panels)[:, None] + 1.0 + nodes)
     t = p.c * np.exp(-y / p.beta)
-    return t_cut + half / p.beta * float(np.sum(weights * t * survival(p, t)))
+    terms = weights * t * survival(p, t)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(terms))
+    if math.isinf(total):
+        # M near the float range: the node sum leaves it, the integral
+        # (at most M) does not, so each term takes its factor first
+        return t_cut + float(np.sum(half / p.beta * terms))
+    return t_cut + half / p.beta * total
 
 
 # scipy's brentq defaults: rtol = 4 eps, at most 100 iterations

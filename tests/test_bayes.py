@@ -64,6 +64,29 @@ class TestPriorSpec:
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad}$"):
             PriorSpec(**{name: bad})
 
+    @pytest.mark.parametrize("name", ["b", "c", "beta"])
+    @pytest.mark.parametrize("shape, rate", [(1e308, 0.001), (1e306, 0.001), (np.float64(1e308), 0.001), (2e305, 1e-300)])
+    def test_normaliser_beyond_the_float_range_rejected(self, name, shape, rate):
+        # lgamma overflows from about 2.56e305, and at rate 1e-300 the
+        # difference shape log(rate) - lgamma(shape) from about 1.3e305;
+        # log_posterior and run_mcmc warned and then raised OverflowError
+        with pytest.raises(ValueError, match=f"^{name}_shape and {name}_rate leave the Gamma log-normaliser"):
+            PriorSpec(**{f"{name}_shape": shape, f"{name}_rate": rate})
+
+    def test_three_normalisers_whose_sum_overflows_rejected(self):
+        with pytest.raises(ValueError, match="^c_shape and c_rate leave"):
+            PriorSpec(1e305, 1e-300, 1e305, 1e-300, 1e305, 1e-300)
+
+    @pytest.mark.filterwarnings("error")
+    def test_log_normaliser_on_python_floats(self, data):
+        for prior in (PriorSpec(), PRIOR, PriorSpec(np.float64(1e305), 0.5, 2.0, np.float64(1e300), 1.5, 0.3)):
+            expected = sum(s * math.log(r) - math.lgamma(s) for s, r in zip(prior.shapes.tolist(), prior.rates.tolist()))
+            assert type(prior._log_norm) is float and prior._log_norm == expected
+        big = PriorSpec(c_shape=1e305)
+        assert math.isfinite(log_posterior(TRUTH, data, big))
+        chain = run_mcmc(data, big, McmcConfig(n_iter=300, burn_in=100, seed=1))
+        assert np.all(np.isfinite(chain.draws))
+
     def test_log_density_matches_scipy(self):
         theta = np.array([0.7, 2.2, 1.1])
         expected = sum(
@@ -371,6 +394,23 @@ class TestRunMcmc:
         scales[slot] = bad
         with pytest.raises(ValueError, match=rf"^proposal_scales\[{slot}\] must be finite and > 0, got {bad}$"):
             McmcConfig(proposal_scales=tuple(scales))
+
+    @pytest.mark.parametrize("bad", [1e200, 1.35e154, 1e-300, 1.49e-154, 5e-324])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_scales_whose_square_is_not_normal_rejected(self, bad, slot):
+        # at 1e200 chol @ chol.T overflowed and the adapted scales read nan;
+        # at 1e-300 the clip to 1e-3 divided by a zero sd
+        scales = [0.5, 0.5, 0.5]
+        scales[slot] = bad
+        with pytest.raises(ValueError, match=rf"^proposal_scales\[{slot}\] squared must be a normal float"):
+            McmcConfig(proposal_scales=tuple(scales))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scales", [(0.5, 1.34e154, 1.34e154), (0.5, 1.5e-154, 1.5e-154), (0.5, 1.5e-154, 1.34e154)])
+    def test_extreme_accepted_scales_adapt_without_warning(self, data, scales):
+        cfg = McmcConfig(n_iter=800, burn_in=600, seed=2, proposal_scales=scales)
+        chain = run_mcmc(data, PRIOR, cfg)
+        assert np.all(np.isfinite(chain.draws)) and np.all(np.isfinite(chain.proposal_scales[1:]))
 
     @pytest.mark.parametrize("bad", [None, 0.5, (0.5, 0.5)])
     def test_scales_must_be_three(self, bad):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from kumiw import KumIwParams, cdf, mle, pdf, sample, survdata, survival
-from kumiw.cli import DEFAULT_SEED, _write_csv, main
+from kumiw.cli import DEFAULT_SEED, _write_csv, build_parser, main
 from kumiw.survdata import load_csv
 from oracles import iw_pdf
+from sweep import FLOATS, INTS
 
 
 def read_table(path):
@@ -63,6 +65,31 @@ class TestDist:
 
     def test_invalid_params_exit_2(self, tmp_path):
         assert main(["dist", "--b", "-1", "--c", "1", "--beta", "2", "--out-dir", str(tmp_path)]) == 2
+
+    def test_infinite_t_max_exit_2(self, tmp_path, capsys):
+        # np.linspace to inf warned "invalid value encountered in multiply",
+        # and the nan grid then read as times that are not > 0
+        out = tmp_path / "tmax"
+        argv = ["dist", "--b", "2", "--c", "1.5", "--beta", "3", "--t-max", "inf", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: grid requires 0 < t-min < t-max < inf and points >= 2\n"
+        assert not (out / "dist.csv").exists()
+
+
+# 10^17 float64 values are 711 PiB, beyond any address space, so numpy's
+# request fails at once, whatever the machine's memory overcommit
+@pytest.mark.parametrize("argv, name", [
+    (["dist", "--b", "2", "--c", "1.5", "--beta", "3", "--points", "100000000000000000"], "dist.csv"),
+    (["sample", "--b", "2", "--c", "1.5", "--beta", "3", "--n", "100000000000000000"], "sample.csv"),
+    (["sample", "--b", "2", "--c", "1.5", "--beta", "3", "--n", "100000000000000000",
+      "--censor-rate", "0.2"], "sample.csv"),
+], ids=["dist", "sample", "sample-censored"])
+def test_memory_error_exit_2(tmp_path, capsys, argv, name):
+    out = tmp_path / "big"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not (out / name).exists()
 
 
 class TestSample:
@@ -699,3 +726,100 @@ class TestConfigAndSeeds:
     def test_missing_subcommand_exit_2(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+
+# ROADMAP item 10 (tests/sweep.py): every numeric flag of every subcommand,
+# one value slot at a time, as a flag and as a --config entry, from a valid
+# command line that passes every such flag.  Each run exits 0, 2, 3 or 4
+# with no traceback and no numpy RuntimeWarning (pyproject makes one an
+# error), and a value refused with exit 2 writes no file.  On the command
+# line a value goes in as --flag=value, so that "-inf" is not read as a
+# flag; a slot of a two- or three-value flag takes "-inf" as argparse
+# does, a refusal of the flag (exit 2).
+_DATA = "{data}"
+_VALID = {
+    "dist": ["--b", "2", "--c", "1.5", "--beta", "3", "--t-min", "0.05", "--t-max", "5",
+             "--points", "20", "--seed", "1"],
+    "sample": ["--b", "2", "--c", "1.5", "--beta", "3", "--n", "20", "--censor-rate", "0.2",
+               "--seed", "1"],
+    "fit-mle": ["--data", _DATA, "--ci-level", "0.95", "--replicates", "1", "--seed", "1"],
+    "fit-bayes": ["--data", _DATA, "--prior-b", "1", "0.001", "--prior-c", "1", "0.001",
+                  "--prior-beta", "1", "0.001", "--iterations", "60", "--burn-in", "20",
+                  "--thin", "2", "--scales", "0.5", "0.5", "0.5", "--seed", "1"],
+    "km": ["--data", _DATA, "--seed", "1"],
+    "compare": ["--data", _DATA, "--b", "2", "--c", "1.5", "--beta", "3", "--seed", "1"],
+}
+# values that ask for unbounded or very large work: a million bootstrap
+# fits, chain iterations, grid rows or draws, or about 1e308 fits or
+# iterations (a config entry of 1e308 is that integer); int(1e308) rows or
+# draws are refused at once, and stay in
+_LEFT_OUT = {
+    ("--replicates", "10**6"), ("--replicates", "int(1e308)"), ("--replicates", "1e308"),
+    ("--iterations", "10**6"), ("--iterations", "int(1e308)"), ("--iterations", "1e308"),
+    ("--points", "10**6"), ("--n", "10**6"),
+}
+
+
+def _numeric_flags():
+    """(command, flag, dest, nargs, type) of every flag that takes numbers."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.type in (int, float):
+                yield command, action.option_strings[0], action.dest, action.nargs or 1, action.type
+
+
+def _cli_sweep_cases():
+    for command, flag, dest, nargs, kind in _numeric_flags():
+        for slot in range(nargs):
+            for label, value in (INTS if kind is int else FLOATS).items():
+                if (flag, label) in _LEFT_OUT:
+                    continue
+                # on the command line the label, "1e308" or "-1" (int() reads
+                # "0" and "-1"), and the digits of an int
+                text = str(value) if isinstance(value, int) else label
+                for form in ("flag", "config"):
+                    yield pytest.param(command, flag, dest, nargs, kind, slot, text, value, form,
+                                       id=f"{command}-{flag}[{slot}]={label}-{form}")
+
+
+@pytest.fixture(scope="module")
+def sweep_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep-data")
+    assert main(["sample", "--b", "2", "--c", "1.5", "--beta", "3", "--n", "40",
+                 "--seed", "11", "--censor-rate", "0.2", "--out-dir", str(out)]) == 0
+    return str(out / "sample.csv")
+
+
+@pytest.mark.parametrize("command", sorted(_VALID))
+def test_sweep_starts_from_a_valid_command_line(tmp_path, sweep_data, command):
+    assert {flag for cmd, flag, *_ in _numeric_flags() if cmd == command} <= set(_VALID[command])
+    argv = [a.replace(_DATA, sweep_data) for a in _VALID[command]]
+    assert main([command, *argv, "--out-dir", str(tmp_path)]) == 0
+    assert any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, dest, nargs, kind, slot, text, value, form",
+                         _cli_sweep_cases())
+def test_numeric_flag_contract(tmp_path, capsys, sweep_data, command, flag, dest, nargs, kind,
+                               slot, text, value, form):
+    argv = [a.replace(_DATA, sweep_data) for a in _VALID[command]]
+    at = argv.index(flag)
+    entry = argv[at + 1 : at + 1 + nargs]
+    del argv[at : at + 1 + nargs]
+    if form == "flag":
+        entry[slot] = text
+        argv += [f"{flag}={text}"] if nargs == 1 else [flag, *entry]
+    else:
+        # the config entry as JSON holds it: NaN, Infinity and every int
+        entry = [value if i == slot else kind(v) for i, v in enumerate(entry)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({dest: entry if nargs > 1 else entry[0]}))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out"
+    rc = main([command, *argv, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if rc == 2:
+        assert not out.exists() or not any(out.iterdir())

@@ -503,9 +503,23 @@ class TestArgumentSafety:
     def test_int_array_and_list(self, name):
         f, values = ARRAY_FUNCTIONS[name]
         assert_same_bits(f(list(values)), f(values))
+        narrow = np.linspace(0.01, 0.99, 99, dtype=np.float32)  # inside every domain
+        assert_same_bits(f(narrow), f(narrow.astype(float)))
         if name != "quantile":  # no integer lies inside (0, 1)
-            ints = np.arange(1, 600)
-            assert_same_bits(f(ints), f(ints.astype(float)))
+            for ints in (np.arange(1, 600), np.arange(1, 600, dtype=np.uint16)):
+                assert_same_bits(f(ints), f(ints.astype(float)))
+
+    @pytest.mark.parametrize("bad", [
+        "1", b"1", ["0.5", 0.5], [0.5, None], np.array(["0.5"]), np.array([0.5], dtype=object),
+        True, [True, False],
+    ], ids=["str", "bytes", "list-with-str", "list-with-None", "str-array", "object-array",
+            "True", "bool-list"])
+    def test_array_of_non_numbers_refused(self, name, bad):
+        # numpy would read "1" and "0.5" as numbers, None as nan and True
+        # as 1.0; an array argument takes numbers, as a scalar one does
+        f, _ = ARRAY_FUNCTIONS[name]
+        with pytest.raises(ValueError, match=r" must be numbers, got an array of dtype "):
+            f(bad)
 
     def test_result_is_not_the_argument(self, name):
         f, values = ARRAY_FUNCTIONS[name]

@@ -124,6 +124,25 @@ class TestTypes:
             with pytest.raises(ValueError, match="finite and > 0"):
                 CensoredDataset.from_arrays([1.0, bad], [1, 1])
 
+    @pytest.mark.parametrize("times, events", [
+        ([1.0, "1"], [1, 1]),
+        ([1.0, 2.0], ["0", "1"]),
+        ([1.0, None], [1, 1]),
+        ([1.0, 2.0], [1, None]),
+        ([True, True], [1, 1]),
+        (np.array([1.0, 2.0], dtype=object), [1, 1]),
+    ], ids=["str-time", "str-events", "None-time", "None-event", "bool-times", "object-times"])
+    def test_from_arrays_takes_numbers_only(self, times, events):
+        # numpy would read "1" as 1.0 and "0" as a (nonempty, so True) event
+        with pytest.raises(ValueError, match=r"^(observation times|event indicators) must be numbers, "):
+            CensoredDataset.from_arrays(times, events)
+
+    def test_from_arrays_numeric_columns_keep_their_bits(self):
+        d = CensoredDataset.from_arrays(np.array([1.5, 2.25], dtype=np.float32), np.array([2, 0], dtype=np.uint8))
+        assert d.times.tobytes() == np.array([1.5, 2.25]).tobytes()
+        np.testing.assert_array_equal(d.event_mask, [True, False])
+        assert CensoredDataset.from_arrays([1, 2], [1.0, 0.0]) == CensoredDataset.from_arrays([1.0, 2.0], [True, False])
+
     def test_dataset_is_immutable(self):
         times = np.array([1.0, 2.0, 3.0])
         d = CensoredDataset.from_arrays(times, [1, 0, 1])
@@ -490,6 +509,12 @@ class TestKaplanMeier:
         assert km.survival_at(1.7) == pytest.approx(2 / 3)
         np.testing.assert_allclose(km.survival_at(np.array([2.0, 2.9])), [1 / 3, 1 / 3])
 
+    @pytest.mark.parametrize("t", ["1", ["1", 2.0], None, [True]])
+    def test_non_numbers_rejected(self, t):
+        km = kaplan_meier(CensoredDataset.from_arrays([1.0, 2.0, 3.0], [1, 1, 0]))
+        with pytest.raises(ValueError, match="^times must be numbers, "):
+            km.survival_at(t)
+
     @pytest.mark.parametrize("t", [math.nan, [1.0, math.nan]], ids=["scalar", "array"])
     def test_nan_time_rejected(self, t):
         # searchsorted puts nan past the last step, which read as its survival
@@ -650,6 +675,18 @@ class TestCensoringUpperBound:
             calls.clear()
             censoring_upper_bound(KumIwParams(*triple), rate)
             assert 0 < len(calls) <= 40
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("triple", [(2.0, 1.0, 50.0), (2.0, 1.0, 3.0)])
+    def test_scale_near_the_float_range(self, triple):
+        # M = c M(1); near c = 1e307 the quadrature's node sum leaves the
+        # float range before its factor brings it back, and numpy warned
+        b, _, beta = triple
+        unit = censoring_upper_bound(KumIwParams(*triple), 0.2)
+        assert censoring_upper_bound(KumIwParams(b, 1e307, beta), 0.2) == pytest.approx(unit * 1e307, rel=1e-12)
+        # at c = 1e308 the bound, about 5e308, is beyond the float range
+        with pytest.raises(NumericError, match="cannot bracket"):
+            censoring_upper_bound(KumIwParams(b, 1e308, beta), 0.2)
 
     def test_unreachable_bound_is_a_numeric_error(self):
         # M ~ 1e2000: x = (c/M)^beta underflows long before the root
