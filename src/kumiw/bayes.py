@@ -373,7 +373,8 @@ def run_mcmc(
     together with the (c, beta) marginal ratio and the log-Jacobian.  The
     conditional density of b' cancels from the Metropolis-Hastings ratio,
     so the move leaves the posterior invariant (van Dyk & Park 2008).
-    A b' that underflows to 0 rejects the move.
+    A b' that is not a finite positive float, one that underflows to 0
+    or overflows to inf, rejects the move.
 
     The proposal covariance starts diagonal with the c and beta entries of
     ``cfg.proposal_scales`` as standard deviations (the b entry is
@@ -486,12 +487,13 @@ def run_mcmc(
                 lt_prop, rate = target(c_prop, beta_prop, terms_prop)
                 accept_p = rw_accept_probability(lt_cur, lt_prop, u_c + u_beta, u_c_prop + u_beta_prop)
                 b_prop = g / rate if u < accept_p else 0.0
-                if b_prop > 0.0:
+                accept = 0.0 < b_prop < math.inf
+                if accept:
                     u_c, u_beta, lt_cur = u_c_prop, u_beta_prop, lt_prop
                     state = (b_prop, c_prop, beta_prop, terms_prop, u_c, u_beta)
                     accepted += 1
                 seg.append(state)
-                if b_prop > 0.0:
+                if accept:
                     break
         if hi > burn_in:
             for kept in seg[(burn_in - lo) % thin :: thin]:

@@ -23,7 +23,7 @@ from .distribution import (
     _PARAM_NAMES, KumIwParams, SubModel, _count, _is_number, _real, cdf, hazard, pdf, sample, survival,
 )
 from .errors import DataError, NumericError
-from .survdata import _write_csv
+from .survdata import _FLOAT_FORMAT, _write_csv
 
 #: Fixed default seed (never time-based); overridable via KUMIW_SEED or --seed.
 DEFAULT_SEED = 20260810
@@ -228,9 +228,7 @@ def _fit_report_dict(fit: mle.FitResult, data: survdata.CensoredDataset, lr_resu
 
 
 def cmd_fit_mle(args) -> int:
-    replicates = args.replicates
-    if replicates < 0:
-        raise ValueError(f"replicates must be >= 0, got {replicates}")
+    replicates = _count(args.replicates, "replicates", 0)
     # a bad seed exits before anything is written
     seed = _resolve_seed(args) if replicates else None
     data = _load_dataset(args)
@@ -318,7 +316,7 @@ def cmd_fit_bayes(args) -> int:
 
 def _write_km(out_dir: Path, curve: survdata.KmCurve, times, survival) -> Path:
     """Write ``km.csv`` with ``times`` and ``survival`` as the curve's first
-    two columns: its floats, or their ``%.17g`` strings, the same bytes."""
+    two columns: its floats, or their ``_FLOAT_FORMAT`` strings, the same bytes."""
     path = out_dir / "km.csv"
     _write_csv(
         path,
@@ -358,9 +356,9 @@ def cmd_compare(args) -> int:
     out_dir = _out_dir(args)
     comparison = survdata.km_vs_parametric(data, p)
     # the three files share these columns: each value is formatted once,
-    # with the %.17g that _write_csv gives a float
+    # as _write_csv formats a float
     t, km, model = (
-        list(map("%.17g".__mod__, column.tolist()))
+        list(map(_FLOAT_FORMAT.__mod__, column.tolist()))
         for column in (comparison.t, comparison.km_survival, comparison.model_survival)
     )
     _write_km(out_dir, comparison.curve, t, km)

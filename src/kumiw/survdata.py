@@ -185,31 +185,36 @@ def load_csv(path, time_col: str = "time", status_col: str = "status") -> Censor
     is reported with its file line number (the header is line 1, and blank
     lines count), and within a row the time is checked before the status.
 
-    A file in the plain numeric form (``_load_plain``) is parsed by
-    numpy's C reader; every other file, and every error, goes through the
-    row parser, ``_load_rows``.  Both give the same dataset bit for bit.
+    The path is opened and decoded once, so a pipe or a FIFO reads as a
+    file does, and a UTF-8 error is reported before anything else.  A
+    text in the plain numeric form (``_load_plain``) is parsed by numpy's
+    C reader; every other text, and every error, goes through the row
+    parser, ``_load_rows``.  Both give the same dataset bit for bit.
     """
-    plain = _load_plain(path, time_col, status_col)
-    return plain if plain is not None else _load_rows(path, time_col, status_col)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the decoder reads ahead in chunks: no line number is known
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    columns = _load_plain(text, time_col, status_col) or _load_rows(path, text, time_col, status_col)
+    return CensoredDataset.from_arrays(*columns, name=str(path))
 
 
-def _load_plain(path, time_col: str, status_col: str) -> CensoredDataset | None:
-    """The dataset of a file in the plain numeric form, or None.
+def _load_plain(text: str, time_col: str, status_col: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (times, events) columns of a text in the plain numeric form, or None.
 
     The plain form has no double quote and no NUL anywhere (numpy would
     split a quoted comma, and its string cells drop a trailing NUL that
     the csv module keeps), an LF- or CRLF-ended header, and a body that
     ``np.loadtxt`` reads with every time finite and > 0 and every status
     cell exactly ``0`` or ``1`` (read as 2 characters, so ``10`` and a
-    spaced ``1`` fail).  Such a file has the csv module's cells, and numpy
+    spaced ``1`` fail).  Such a text has the csv module's cells, and numpy
     parses each time with the ``PyOS_string_to_double`` that ``float``
     calls; the cells it cannot parse (``1_5``, non-ASCII digits) fail here.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except (OSError, ValueError):
-        return None
     header, _, body = text.partition("\n")
     header = header.removesuffix("\r")
     if not header or "\r" in header or '"' in text or "\0" in text:
@@ -239,33 +244,26 @@ def _load_plain(path, time_col: str, status_col: str) -> CensoredDataset | None:
         times, events = table, np.ones(len(table), dtype=bool)
     if not ((times > 0) & (times < math.inf)).all():
         return None
-    return CensoredDataset.from_arrays(times, events, name=str(path))
+    return times, events
 
 
-def _load_rows(path, time_col: str, status_col: str) -> CensoredDataset:
-    """``load_csv`` by the csv module and ``float``, row by row: the parser
-    of every file outside the plain form, and the only one that reports
-    what is wrong with a file.  It reads the whole file (a csv or UTF-8
-    error wins over a bad row), then checks the rows in file order."""
+def _load_rows(path, text: str, time_col: str, status_col: str) -> tuple[list[float], list[bool]]:
+    """``load_csv`` by the csv module and ``float``, row by row: the
+    (times, events) columns of a text outside the plain form, and the only
+    parser that reports what is wrong with one.  It splits the whole text
+    into rows (a csv error wins over a bad row), then checks the rows in
+    file order; ``path`` names the file in the messages."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines = [], []
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        rows, lines = [], []
-        try:
-            header = next(reader, None)
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-        except csv.Error as exc:
-            # such as a cell over the csv module's field size limit
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            # the decoder reads ahead in chunks: no line number is known
-            raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        header = next(reader, None)
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    except csv.Error as exc:
+        # such as a cell over the csv module's field size limit
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty dataset")
     # a repeated column name resolves to its last occurrence
@@ -291,17 +289,23 @@ def _load_rows(path, time_col: str, status_col: str) -> CensoredDataset:
                 raise DataError(f"{path}: row {line}: unknown status code {status!r} (expected 0 or 1)")
         times.append(time)
         events.append(i_status is None or status == "1")
-    return CensoredDataset.from_arrays(times, events, name=str(path))
+    return times, events
+
+
+# the format of every float that a CSV file of the package holds: the
+# shortest that round-trips every float64
+_FLOAT_FORMAT = "%.17g"
 
 
 def _column_format(value) -> str:
     """The ``%`` format of a CSV column, from its first value: a string as
-    it is, an integer with ``%d``, anything else as a float with ``%.17g``."""
+    it is, an integer with ``%d``, anything else as a float with
+    ``_FLOAT_FORMAT``."""
     if isinstance(value, str):
         return "%s"
     if isinstance(value, (int, np.integer)):
         return "%d"
-    return "%.17g"
+    return _FLOAT_FORMAT
 
 
 def _write_csv(path, header, rows) -> None:

@@ -310,6 +310,16 @@ class TestRunMcmc:
                 "the chain is nearly stuck and its draws are no usable posterior sample"
             ]
 
+    def test_b_overflow_rejects_the_move(self):
+        # the b prior's mean is beyond the float range, so b' = g / rate
+        # can overflow to inf: that rejects the move as an underflow to 0
+        # does, and a chain that can hardly move says it is stuck
+        d = simulate_censored(KumIwParams(2, 1.5, 3), 60, 0.2, 3)
+        cfg = McmcConfig(n_iter=600, burn_in=400, thin=1, seed=1)
+        chain = run_mcmc(d, PriorSpec(b_shape=2.5e305), cfg)
+        assert np.isfinite(chain.draws).all() and np.isfinite(chain.log_post_trace).all()
+        assert any("the chain is nearly stuck" in w for w in chain.warnings)
+
     @pytest.mark.dispatch
     @pytest.mark.parametrize("weight", [1.0, 0.5])
     def test_kept_log_post_is_the_log_posterior_of_its_draw(self, weight):

@@ -282,7 +282,7 @@ class TestFitMle:
         out = tmp_path / "fit"
         argv = ["fit-mle", "--data", str(path), "--replicates", "-3", "--out-dir", str(out)]
         assert main(argv) == 2
-        assert "replicates must be >= 0" in capsys.readouterr().err
+        assert "replicates must be a non-negative integer, got -3" in capsys.readouterr().err
         assert not (out / "replicates.csv").exists()
 
     def test_zero_replicates_write_no_file(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import os
 import pickle
 import re
 
@@ -262,6 +263,40 @@ class TestLoadCsv:
             load_csv(path)
         assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte"
 
+    def test_utf8_error_wins_over_an_earlier_csv_error(self, tmp_path):
+        # the file is decoded before the csv module splits it: a cell over
+        # the field limit on line 2, 32 KB of good rows, then a bad byte
+        path = tmp_path / "bad.csv"
+        big = b'"' + b"x" * 200_000 + b'"'
+        path.write_bytes(b"time,status,note\n0.5,1," + big + b"\n" + b"1.5,1,a\n" * 4096 + b"2\xff,0,b\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("text, expected", [
+        ('time,status\n"5",1\n6,"0"\n', ([5.0, 6.0], [True, False])),
+        ("time,status\n5,1\n6,1\n7,0\n8,2\n", "row 5: unknown status code '2' (expected 0 or 1)"),
+    ], ids=["quoted", "bad-status"])
+    def test_pipe_is_read_once(self, text, expected):
+        # a pipe gives its bytes to the first reader only: a file outside
+        # the plain form must not be opened a second time for the row parser
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        path = f"/dev/fd/{r}"
+        try:
+            if isinstance(expected, str):
+                with pytest.raises(DataError) as info:
+                    load_csv(path)
+                assert str(info.value) == f"{path}: {expected}"
+            else:
+                d = load_csv(path)
+                assert d.times.tolist() == expected[0] and d.event_mask.tolist() == expected[1]
+                assert d.name == path
+        finally:
+            os.close(r)
+
     def test_header_only(self, tmp_path):
         path = write(tmp_path, "time,status\n")
         with pytest.raises(DataError, match="empty"):
@@ -321,17 +356,23 @@ class TestLoadCsv:
     @pytest.mark.parametrize("text, parser, expected", _LOAD_CASES.values(), ids=_LOAD_CASES.keys())
     def test_both_parsers_read_alike(self, tmp_path, monkeypatch, text, parser, expected):
         # each file gives the dataset or the message that the row-by-row
-        # parser alone gave before the C-speed path, and takes the named parser
+        # parser alone gave before the C-speed path, takes the named parser,
+        # and is opened once, whichever parser reads it
         path = tmp_path / "case.csv"
         path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
-        calls = []
+        calls, opened = [], []
 
         def rows(*args):
             calls.append(args)
             return full(*args)
 
+        def counted_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
         full = survdata._load_rows
         monkeypatch.setattr(survdata, "_load_rows", rows)
+        monkeypatch.setattr(survdata, "open", counted_open, raising=False)
         if isinstance(expected, str):
             with pytest.raises(DataError) as info:
                 load_csv(path)
@@ -343,6 +384,7 @@ class TestLoadCsv:
             np.testing.assert_array_equal(d.event_mask, events)
             assert d.name == str(path)
         assert ("full" if calls else "plain") == parser
+        assert opened == [path]
 
     @settings(max_examples=300, deadline=None)
     @given(_plain_files(), st.data())
@@ -351,16 +393,18 @@ class TestLoadCsv:
         # corrupted, the message names that row and the first check it fails
         lines, ending, names, rows = plain_file
         path = tmp_path_factory.mktemp("generated") / "data.csv"
-        path.write_bytes(ending.join(lines).encode() + ending.encode() * data.draw(st.integers(0, 1)))
+        text = ending.join(lines) + ending * data.draw(st.integers(0, 1))
+        path.write_bytes(text.encode())
         column = {name: i for i, name in enumerate(names)}
         times = [float(cells[column["time"]]) for _, cells in rows]
         events = [cells[column["status"]] == "1" if "status" in column else True for _, cells in rows]
-        d = survdata._load_plain(path, "time", "status")
-        assert d is not None and d.times.tobytes() == np.array(times).tobytes()
-        assert d.event_mask.tolist() == events
-        r = survdata._load_rows(path, "time", "status")
-        assert r.times.tobytes() == d.times.tobytes() and r.event_mask.tolist() == events
-        assert r.name == d.name == str(path)
+        plain = survdata._load_plain(text, "time", "status")
+        assert plain is not None and plain[0].tobytes() == np.array(times).tobytes()
+        assert plain[1].tolist() == events
+        r_times, r_events = survdata._load_rows(path, text, "time", "status")
+        assert np.array(r_times).tobytes() == plain[0].tobytes() and r_events == events
+        d = load_csv(path)
+        assert d.times.tobytes() == plain[0].tobytes() and d.name == str(path)
 
         index, cells = data.draw(st.sampled_from(rows))
         cells = list(cells)
