@@ -22,7 +22,7 @@ import scipy
 # log1m_exp is unused here (_Loglik._rows states L); perfbench/tracing.py wraps it
 from .distribution import _LN2, _PARAM_NAMES, _SUBMODEL_PINNED, _TINY, KumIwParams, SubModel, _real, log1m_exp
 from .errors import DataError, NumericError
-from .survdata import CensoredDataset
+from .survdata import CensoredDataset, kaplan_meier
 
 __all__ = [
     "FitResult",
@@ -40,6 +40,7 @@ _VALUE_ULPS = 16  # a value within this many ulps of ``_Loglik.magnitude`` holds
 _EIG_FLOOR = 1e-8  # Hessian eigenvalues are clamped to <= -_EIG_FLOOR * max(1, max |eigenvalue|)
 # below this log x, some x = (c/t)^beta may be under the smallest normal float
 _LOG_TINY_GATE = math.log(_TINY) + 1.0
+_LOG_HUGE = math.log(np.finfo(float).max)
 
 
 class _Loglik:
@@ -300,31 +301,40 @@ class LrTestResult:
 
 
 def _default_init(d: CensoredDataset) -> np.ndarray:
-    """b = 1 with (c, beta) from an inverse-Weibull probability plot.
+    """b = 1 with (c, beta) from a Kaplan-Meier probability plot.
 
-    On event times with empirical cdf p_i, log(-log p_i) is linear in
-    log t_i with slope -beta under the b = 1 sub-model, which is a safe
-    interior start.
+    Under the b = 1 sub-model F(t) = exp(-(c/t)^beta), so log(-log F) is
+    linear in log t with slope -beta and crosses 0 at t = c.  F-hat is
+    taken at the midpoint of each Kaplan-Meier step, 1 - (S_prev + S) / 2,
+    so the censored rows enter through the risk sets.  The least-squares
+    line of log(-log F-hat) on log t over the steps gives beta0 = -slope,
+    clamped to [0.05, 50], and c0 from the line of slope -beta0 through
+    the points' centroid.  Below 3 steps, at a slope that is not negative,
+    or where that c0 is not a normal float, the start is the geometric
+    mean of the event times with beta0 = 1.
     """
-    te = np.sort(d.times[d.event_mask])
-    m = len(te)
-    lt = np.log(te)
-    c0 = float(np.exp(lt.sum() / m))
-    beta0 = 1.0
-    if m >= 3:
-        p_hat = (np.arange(1, m + 1) - 0.5) / m
-        # np.var(lt) and np.cov(lt, y, bias=True) without their wrappers, in
-        # their own operations: the row sums over m centre both rows, and the
-        # covariance is their dot product times 1/m
-        xy = np.array([lt, np.log(-np.log(p_hat))])
-        xy -= (xy.sum(axis=1) / m)[:, None]
-        dev = xy[0]
-        var = float((dev * dev).sum() / m)
+    km = kaplan_meier(d)
+    k = len(km.times)
+    if k >= 3:
+        lt = np.log(km.times)
+        s = km.survival
+        # S_prev + S at each step; F-hat = 1 - mid / 2 lies in (0, 1), and
+        # log1p keeps its digits where F-hat is near 1
+        mid = np.concatenate(([1.0], s[:-1])) + s
+        y = np.log(-np.log1p(-0.5 * mid))
+        x_bar, y_bar = float(lt.sum()) / k, float(y.sum()) / k
+        dev = lt - x_bar
+        var = float(np.dot(dev, dev)) / k
         if var > 1e-12:
-            slope = float(np.dot(xy, xy.T.conj())[0, 1] * (1.0 / m)) / var
+            slope = float(np.dot(dev, y)) / k / var
             if math.isfinite(slope) and slope < 0:
                 beta0 = min(max(-slope, 0.05), 50.0)
-    return np.array([1.0, c0, beta0])
+                log_c0 = x_bar + y_bar / beta0
+                # a normal float, whose log in the fit is finite
+                if math.log(_TINY) < log_c0 < _LOG_HUGE:
+                    return np.array([1.0, math.exp(log_c0), beta0])
+    c0 = float(np.exp(np.log(d.times[d.event_mask]).mean()))
+    return np.array([1.0, c0, 1.0])
 
 
 def _maximize(
@@ -446,11 +456,14 @@ def _covariance_from_info(info: np.ndarray):
 
 
 def _wald_from_cov(theta: np.ndarray, cov: np.ndarray, level: float) -> dict:
-    z = scipy.special.ndtri(0.5 + level / 2.0)
-    se_log = np.sqrt(np.diag(cov)) / theta
+    """theta e^(-+z se) per parameter, with se the log-scale standard error;
+    an upper bound beyond the float range is inf (and the lower one 0)."""
+    z = float(scipy.special.ndtri(0.5 + level / 2.0))
+    se_log = (np.sqrt(np.diag(cov)) / theta).tolist()
+    # Python floats: a product past the float range is inf without a numpy warning
     return {
-        name: (theta[i] * math.exp(-z * se_log[i]), theta[i] * math.exp(z * se_log[i]))
-        for i, name in enumerate(_PARAM_NAMES)
+        name: (t * math.exp(-z * se), t * math.exp(z * se) if z * se < _LOG_HUGE else math.inf)
+        for name, t, se in zip(_PARAM_NAMES, theta.tolist(), se_log)
     }
 
 
@@ -466,7 +479,9 @@ def fit_mle(
     Hessian; ``converged`` means the exact score there has sup-norm
     <= 1e-6, and ``grad_norm`` is that sup-norm.  An unconverged fit keeps
     its observed information but has no covariance or Wald intervals, and
-    its message says so.  Requires at least three events.
+    its message says so.  Requires at least three events.  Without
+    ``init`` the fit starts from ``_default_init``, a Kaplan-Meier
+    probability plot under the b = 1 sub-model.
     """
     _real(ci_level, "confidence level", 1)
     if d.n_events < 3:

@@ -7,6 +7,7 @@ import csv
 import enum
 import io
 import math
+import os
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -170,7 +171,8 @@ class KmCurve:
 
 
 def load_csv(path, time_col: str = "time", status_col: str = "status") -> CensoredDataset:
-    """Read a censored dataset from a headered CSV file.
+    """Read a censored dataset from a headered CSV file at ``path``, a
+    ``str`` or an ``os.PathLike`` (anything else is a ``ValueError``).
 
     The file is UTF-8 (other bytes are a ``DataError``), with or without
     a leading byte-order mark, split into rows and cells by the ``csv``
@@ -191,6 +193,9 @@ def load_csv(path, time_col: str = "time", status_col: str = "status") -> Censor
     C reader; every other text, and every error, goes through the row
     parser, ``_load_rows``.  Both give the same dataset bit for bit.
     """
+    # open() takes an int as a file descriptor, which it would read and close
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a str or an os.PathLike, got {path!r}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
@@ -199,6 +204,8 @@ def load_csv(path, time_col: str = "time", status_col: str = "status") -> Censor
     except UnicodeDecodeError as exc:
         # the decoder reads ahead in chunks: no line number is known
         raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except ValueError as exc:  # open's "embedded null byte"
+        raise DataError(f"cannot open {path!r}: {exc}") from None
     columns = _load_plain(text, time_col, status_col) or _load_rows(path, text, time_col, status_col)
     return CensoredDataset.from_arrays(*columns, name=str(path))
 
@@ -334,8 +341,12 @@ def kaplan_meier(d: CensoredDataset) -> KmCurve:
     """
     if d.n_events == 0:
         raise DataError("Kaplan-Meier requires at least one event")
-    order = np.argsort(d.times, kind="stable")
-    times = d.times[order]
+    # each run of tied times is summed whole, so no order within a run is
+    # needed: numpy's default sort takes 0.12 ms at n = 10^4, the stable
+    # one 0.69 ms (numpy 2.4, 2-vCPU x86 VM)
+    times = d.times
+    order = np.argsort(times)
+    times = times[order]
     starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
     events = np.add.reduceat(d.event_mask[order].astype(np.intp), starts)
     steps = events > 0

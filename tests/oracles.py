@@ -6,8 +6,8 @@ the closed-form sub-model densities transcribed directly, central
 finite differences for the likelihood's analytic derivatives, the
 likelihood core in its earlier two-group layout, the evaluators in
 their earlier plain np.where form, the sampler's loop in its earlier
-thinning-cursor form, and the Newton fit's loop and initial guess in
-their earlier numpy-reduction form.
+thinning-cursor form, the Newton fit's loop in its earlier
+numpy-reduction form, and its earlier start on the event times alone.
 """
 
 import math
@@ -813,11 +813,12 @@ def reference_run_mcmc(d, prior, cfg, likelihood_weight=1.0, init=None):
     )
 
 
-# The Newton fit's initial guess and loop as they were, with numpy's mean,
-# var and cov and numpy reductions on the 3-vector for the per-step checks.
-# The bodies are kept word for word, so the library's fit_mle and lr_test,
-# which take those checks on Python floats, must return the same fits bit
-# for bit.
+# The Newton fit's earlier initial guess and loop.  The guess fitted the
+# probability plot to the event times alone; the Kaplan-Meier start replaced
+# it, and the fit-level tests compare against fits from it.  The loop takes
+# numpy reductions on the 3-vector for the per-step checks and is kept word
+# for word, so the library's fit_mle and lr_test, which take those checks on
+# Python floats, must return the same fits bit for bit from the same start.
 def reference_default_init(d: CensoredDataset) -> np.ndarray:
     """b = 1 with (c, beta) from an inverse-Weibull probability plot.
 

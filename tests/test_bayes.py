@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import math
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from kumiw.bayes import (
 from kumiw.mle import _Loglik
 from kumiw.survdata import CensoredDataset, simulate_censored
 from oracles import collapsed_posterior_moments, reference_collapsed, reference_run_mcmc
+from probe_space import probe_data
 from sweep import sweep_cases
 
 TRUTH = KumIwParams(2.0, 1.5, 3.0)
@@ -309,6 +312,26 @@ class TestRunMcmc:
                 f"(b, c, beta): post-burn-in acceptance rate {rate:.3g} is below 0.05: "
                 "the chain is nearly stuck and its draws are no usable posterior sample"
             ]
+
+    # run_mcmc's documented warnings at burn-in 200, one full window
+    DOCUMENTED = re.compile(
+        r"\(b, c, beta\): (no acceptances in adaptation window ending at iteration 200"
+        r"|post-burn-in acceptance rate \S+ is below 0\.05: the chain is nearly stuck "
+        r"and its draws are no usable posterior sample)"
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=probe_data(), seed=st.integers(0, 2**32 - 1))
+    def test_short_chains_on_the_fit_probe_space(self, d, seed):
+        # ROADMAP item 17's probe space; no data set there is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = run_mcmc(d, PriorSpec(), McmcConfig(n_iter=400, burn_in=200, thin=1, seed=seed))
+        assert chain.draws.shape == (200, 3)
+        assert np.isfinite(chain.draws).all() and (chain.draws > 0).all()
+        assert ((0 <= chain.acceptance_rates) & (chain.acceptance_rates <= 1)).all()
+        for warning in chain.warnings:
+            assert self.DOCUMENTED.fullmatch(warning), warning
 
     def test_b_overflow_rejects_the_move(self):
         # the b prior's mean is beyond the float range, so b' = g / rate

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -24,12 +25,14 @@ from kumiw.distribution import _SUBMODEL_PINNED
 from kumiw import mle
 from kumiw.mle import FitResult, _Loglik, _wald_from_cov
 from kumiw.survdata import CensoredDataset, censoring_upper_bound, simulate_censored
+from probe_space import probe_data
 from sweep import sweep_cases
 from oracles import (
     TwoGroupLoglik,
     central_gradient,
     finite_difference_hessian,
     fisher_information_uniform_censoring,
+    kaplan_meier_product_limit,
     reference_default_init,
     reference_maximize,
     underflow_limit_core,
@@ -389,10 +392,9 @@ class TestWholeFitIdentity:
 
 @pytest.mark.dispatch
 class TestReferenceFit:
-    """The fit loop takes its per-step checks on Python floats and its initial
-    guess without numpy's mean, var and cov wrappers; every fit and LR test
-    must be bit for bit the one of the earlier loop and guess
-    (``oracles.reference_maximize`` and ``oracles.reference_default_init``)."""
+    """The fit loop takes its per-step checks on Python floats; from the
+    same start, every fit and LR test must be bit for bit the one of the
+    earlier loop (``oracles.reference_maximize``)."""
 
     NULLS = [m for m in _SUBMODEL_PINNED if m is not SubModel.KUM_IW]
     HEAVY_TIES = CensoredDataset.from_arrays([1.0, 1.0, 1.0, 1.0, 2.0], [1, 1, 1, 1, 0])
@@ -417,7 +419,6 @@ class TestReferenceFit:
         got = self.outcomes(d, init)
         with monkeypatch.context() as m:
             m.setattr(mle, "_maximize", reference_maximize)
-            m.setattr(mle, "_default_init", reference_default_init)
             want = self.outcomes(d, init)
         for g, w in zip(got, want, strict=True):
             if isinstance(g, FitResult):
@@ -460,6 +461,132 @@ class TestReferenceFit:
         d = CRITERION8_DATA["seed=30000"]
         fit = self.assert_matches_reference(monkeypatch, d, KumIwParams(1.0, 1e6, 1e3))[0]
         assert fit.iterations == 0 and fit.message.startswith("non-finite")
+
+
+def _old_start_fit(d):
+    """The fit from the event-only probability plot that the Kaplan-Meier
+    start replaced (``oracles.reference_default_init``)."""
+    return fit_mle(d, init=KumIwParams(*reference_default_init(d)))
+
+
+class TestKaplanMeierStart:
+    # item 17's two n = 500, 70%-censored sets: from the old start, each
+    # stops at the 100-step cap far below the optimum
+    HEAVY_CENSORED = {
+        1068: (KumIwParams(0.14341117323583136, 2.5749047912974836, 0.3805193681562944), -1101.0197527099),
+        5252: (KumIwParams(0.15360506722999348, 0.4326151164788711, 0.3199291446344125), -891.7018827233),
+    }
+
+    @staticmethod
+    def plot_line(d):
+        """(beta0, c0) from np.polyfit of log(-log F-hat) on log t, with
+        F-hat at the midpoints of the product-limit oracle's steps."""
+        t, s, _, _ = kaplan_meier_product_limit(d.times, d.event_mask)
+        f_hat = 1.0 - (np.concatenate(([1.0], s[:-1])) + s) / 2.0
+        slope, intercept = np.polyfit(np.log(t), np.log(-np.log(f_hat)), 1)
+        return -slope, math.exp(intercept / -slope)
+
+    @pytest.mark.parametrize("name", ["seed=30000", "seed=60003"])
+    def test_start_is_the_km_probability_plot_line(self, name):
+        d = CRITERION8_DATA[name]
+        b0, c0, beta0 = mle._default_init(d)
+        assert b0 == 1.0
+        np.testing.assert_allclose([beta0, c0], self.plot_line(d), rtol=1e-10)
+
+    def test_start_sees_the_censored_rows(self):
+        # the same event times with and without late censorings: the
+        # event-only plot cannot tell them apart, the Kaplan-Meier plot can
+        d = CRITERION8_DATA["seed=30000"]
+        events = CensoredDataset.from_arrays(d.times[d.event_mask], np.ones(d.n_events))
+        np.testing.assert_array_equal(reference_default_init(d), reference_default_init(events))
+        assert mle._default_init(d)[2] != mle._default_init(events)[2]
+
+    @pytest.mark.parametrize("times, events, beta0", [
+        ([1.0, 1.001, 1.002], [1, 1, 1], 50.0),
+        ([1.0, 1e20, 1e40], [1, 1, 1], 0.05),
+    ], ids=["tight", "spread"])
+    def test_beta0_clamped(self, times, events, beta0):
+        d = CensoredDataset.from_arrays(times, events)
+        x = np.log(times)
+        y = np.log(-np.log([1 / 6, 1 / 2, 5 / 6]))
+        start = mle._default_init(d)
+        assert start[2] == beta0
+        # the line of slope -beta0 through the centroid
+        assert start[1] == pytest.approx(math.exp(x.mean() + y.mean() / beta0), rel=1e-12)
+
+    @pytest.mark.parametrize("times, events", [
+        ([1.0, 1.0, 1.0, 1.0, 2.0], [1, 1, 1, 1, 0]),  # one step
+        ([1.0, 2.0, 2.0, 3.0], [1, 1, 1, 0]),  # two steps
+        ([1e306, 1e307, 1e308] + [1.5e308] * 97, [1, 1, 1] + [0] * 97),  # c0 past the float range
+    ], ids=["one-step", "two-steps", "c0-overflows"])
+    def test_fallback_is_the_geometric_mean_of_the_events(self, times, events):
+        d = CensoredDataset.from_arrays(times, events)
+        start = mle._default_init(d)
+        want = math.exp(np.log(d.times[d.event_mask]).mean())
+        assert start[0] == 1.0 and start[2] == 1.0
+        assert start[1] == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", list(HEAVY_CENSORED))
+    def test_heavy_censored_fits_converge(self, seed):
+        truth, loglik = self.HEAVY_CENSORED[seed]
+        d = simulate_censored(truth, 500, 0.7, seed)
+        fit = fit_mle(d)
+        assert fit.converged and fit.ci is not None
+        assert fit.loglik == pytest.approx(loglik, rel=1e-10)
+        assert fit.loglik > censored_loglik(truth, d)
+        old = _old_start_fit(d)
+        assert not old.converged and old.iterations == mle._MAX_STEPS and old.loglik < loglik - 100
+
+    @pytest.mark.parametrize("name", list(CRITERION8_DATA))
+    def test_same_optimum_as_the_old_start(self, name, monkeypatch):
+        d = CRITERION8_DATA[name]
+        fit, old = fit_mle(d), _old_start_fit(d)
+        assert fit.converged and old.converged
+        assert fit.loglik == pytest.approx(old.loglik, rel=1e-9, abs=0)
+        assert fit.iterations < old.iterations
+        nulls = [m for m in _SUBMODEL_PINNED if m is not SubModel.KUM_IW]
+        stats_new = [lr_test(d, null, full_fit=fit).statistic for null in nulls]
+        monkeypatch.setattr(mle, "_default_init", reference_default_init)
+        stats_old = [lr_test(d, null, full_fit=old).statistic for null in nulls]
+        np.testing.assert_allclose(stats_new, stats_old, rtol=0, atol=1e-8)
+
+    def test_local_maximum_reached_from_both_starts(self):
+        # item 12's seed-1010 set (n = 20): a converged fit below the Pareto
+        # boundary's supremum (about -9.17), the same from either start
+        d = simulate_censored(TRUTH, 20, 0.2, 1010)
+        fit, old = fit_mle(d), _old_start_fit(d)
+        assert fit.converged and old.converged
+        assert fit.loglik == pytest.approx(-10.5761250984, rel=1e-10)
+        assert fit.loglik == pytest.approx(old.loglik, rel=1e-9, abs=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=probe_data())
+    @example(d=simulate_censored(HEAVY_CENSORED[1068][0], 500, 0.7, 1068))
+    @example(d=simulate_censored(TRUTH, 20, 0.2, 1010))
+    # the old start's converged fit is a local maximum; the new one climbs
+    # higher, towards b -> 0, and stops unconverged (item 12's boundary)
+    @example(d=simulate_censored(KumIwParams(0.13636622473651508, 1.015069819012927, 2.5215485956544743), 100, 0.0, 1460))
+    # a ridge out to b ~ 2.7e6: both fits run the 100 steps, and only the
+    # old one's last step lands inside the score tolerance
+    @example(d=simulate_censored(KumIwParams(9.09912210748855, 0.16070982941615602, 2.6119004291377155), 10, 0.7, 2345))
+    def test_no_fit_ends_lower_than_from_the_old_start(self, d):
+        """Each fit raises DataError (fewer than 3 events) or returns without
+        a warning.  Where the old start's fit converges, the new fit
+        converges to the same log-likelihood, or ends unconverged no lower."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fit = fit_mle(d)
+            except DataError:
+                assert d.n_events < 3
+                return
+            old = _old_start_fit(d)
+        if not old.converged:
+            return
+        if fit.converged:
+            assert fit.loglik == pytest.approx(old.loglik, rel=1e-9, abs=0)
+        else:
+            assert fit.loglik >= old.loglik - 1e-9 * abs(old.loglik)
 
 
 class TestSpecialFunctions:
@@ -600,6 +727,29 @@ class TestWaldCi:
         )
         ci = wald_ci(fit, 0.95)
         assert ci["b"] == (2.0, 2.0) and ci["beta"] == (3.0, 3.0)
+
+    def test_bounds_past_the_float_range(self):
+        # z se = 1.96e150 for b, where e^(z se) overflows, and 705.6 for c,
+        # where e^(z se) is finite but theta e^(z se) overflows: each upper
+        # bound is inf and the lower one finite or 0, with no OverflowError
+        # and no numpy warning
+        theta = np.array([1.0, 1e5, 2.0])
+        cov = np.diag([1e300, (360.0 * 1e5) ** 2, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ci = _wald_from_cov(theta, cov, 0.95)
+        assert ci["b"] == (0.0, math.inf)
+        assert ci["c"][1] == math.inf and 0.0 < ci["c"][0] < 1e-300
+        assert ci["beta"] == (2.0 * math.exp(-1.959963984540054 * 0.25), 2.0 * math.exp(1.959963984540054 * 0.25))
+
+    def test_converged_fit_with_an_unbounded_interval(self):
+        # n = 5: the fit converges, but the data hardly bound c, whose Wald
+        # upper bound is past the float range
+        d = simulate_censored(KumIwParams(0.4510486526700101, 0.5463140171030723, 0.3), 5, 0.3, 8972)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mle(d)
+        assert fit.converged and fit.ci["c"][1] == math.inf
 
     def test_missing_covariance_rejected(self):
         fit = FitResult(

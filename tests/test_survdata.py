@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import pickle
 import re
 
@@ -297,6 +298,35 @@ class TestLoadCsv:
         finally:
             os.close(r)
 
+    @pytest.mark.parametrize("path", [0, True, 3.5, None, b"data.csv"], ids=repr)
+    def test_path_must_be_a_str_or_path_like(self, path):
+        # open() takes 0 and True as file descriptors: fd 0 or 1 would be read
+        # and closed.  fd 0 and fd 1 are pipes here, and stay open
+        saved = os.dup(0), os.dup(1)
+        r, w = os.pipe()
+        os.write(w, b"time,status\n5,1\n")
+        os.close(w)
+        os.dup2(r, 0)
+        os.dup2(r, 1)
+        os.close(r)
+        try:
+            with pytest.raises(ValueError, match="^path must be a str or an os.PathLike, got ") as info:
+                load_csv(path)
+            os.fstat(0)
+            os.fstat(1)
+            assert os.read(0, 100) == b"time,status\n5,1\n"
+        finally:
+            os.dup2(saved[0], 0)
+            os.dup2(saved[1], 1)
+            os.close(saved[0])
+            os.close(saved[1])
+        assert not isinstance(info.value, DataError)
+
+    @pytest.mark.parametrize("path", ["a\0b.csv", pathlib.Path("a\0b.csv")], ids=["str", "Path"])
+    def test_nul_in_path_is_a_data_error(self, path):
+        with pytest.raises(DataError, match=re.escape(f"cannot open {path!r}: embedded null byte")):
+            load_csv(path)
+
     def test_header_only(self, tmp_path):
         path = write(tmp_path, "time,status\n")
         with pytest.raises(DataError, match="empty"):
@@ -541,6 +571,19 @@ class TestKaplanMeier:
         times, events = zip(*rows)
         km = kaplan_meier(CensoredDataset.from_arrays(times, events))
         expected = kaplan_meier_product_limit(times, events)
+        for got, want in zip((km.times, km.survival, km.at_risk, km.events), expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_tie_heavy_large_sample_matches_product_limit_oracle(self):
+        # 10^4 rows on 50 integer times: numpy's default sort, which is not
+        # stable, orders each tied run its own way, and each run is summed whole
+        rng = np.random.default_rng(11)
+        times = rng.integers(1, 51, 10_000).astype(float)
+        events = rng.random(10_000) < 0.6
+        km = kaplan_meier(CensoredDataset.from_arrays(times, events))
+        expected = kaplan_meier_product_limit(times, events)
+        assert len(km.times) == 50
         for got, want in zip((km.times, km.survival, km.at_risk, km.events), expected):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
