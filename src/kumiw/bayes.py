@@ -571,5 +571,5 @@ def summarize(chain: McmcChain) -> list[dict]:
 
 def write_chain_csv(chain: McmcChain, path) -> None:
     """Export the chain as CSV with columns iter,b,c,beta,log_post."""
-    columns = (chain.iterations.tolist(), *chain.draws.T.tolist(), chain.log_post_trace.tolist())
-    _write_csv(path, ["iter", *_PARAM_NAMES, "log_post"], zip(*columns))
+    columns = [chain.iterations, *chain.draws.T, chain.log_post_trace]
+    _write_csv(path, ["iter", *_PARAM_NAMES, "log_post"], columns)

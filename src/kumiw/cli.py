@@ -3,8 +3,9 @@
 Subcommands: ``dist`` (evaluation grid), ``sample`` (simulation),
 ``fit-mle``, ``fit-bayes``, ``km`` and ``compare``.  Emits plot-ready CSV
 files rather than rendered figures.  Exit codes: 0 success, 2 invalid
-arguments or parameters (a grid or sample too large for memory among
-them), 3 data error, 4 numerical failure.
+arguments or parameters (a grid or sample too large for memory, and an
+output directory or file that cannot be created or opened, among them),
+3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .distribution import (
     _PARAM_NAMES, KumIwParams, SubModel, _count, _is_number, _real, cdf, hazard, pdf, sample, survival,
 )
 from .errors import DataError, NumericError
-from .survdata import _FLOAT_FORMAT, _write_csv
+from .survdata import _write_csv, _write_csvs
 
 #: Fixed default seed (never time-based); overridable via KUMIW_SEED or --seed.
 DEFAULT_SEED = 20260810
@@ -44,9 +45,9 @@ def _finite_or_null(value):
     return value
 
 
-def _write_report(out_dir: Path, stem: str, fmt: str, payload: dict, header, rows) -> Path:
+def _write_report(out_dir: Path, stem: str, fmt: str, payload: dict, header, columns) -> Path:
     """Write a report as ``stem.json``, ``payload`` behind ``schema_version``,
-    or as ``stem.csv``, ``header`` and ``rows``; return its path."""
+    or as ``stem.csv``, ``header`` and ``columns``; return its path."""
     path = out_dir / f"{stem}.{fmt}"
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as handle:
@@ -54,7 +55,7 @@ def _write_report(out_dir: Path, stem: str, fmt: str, payload: dict, header, row
             json.dump(_finite_or_null(report), handle, indent=2, allow_nan=False)
             handle.write("\n")
     else:
-        _write_csv(path, header, rows)
+        _write_csv(path, header, columns)
     return path
 
 
@@ -143,7 +144,10 @@ def _resolve_seed(args) -> int:
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -165,8 +169,8 @@ def cmd_dist(args) -> int:
         raise ValueError("grid requires 0 < t-min < t-max < inf and points >= 2")
     grid = np.linspace(t_min, t_max, points)
     out = _out_dir(args) / "dist.csv"
-    rows = zip(grid, pdf(p, grid), cdf(p, grid), survival(p, grid), hazard(p, grid))
-    _write_csv(out, ["t", "pdf", "cdf", "survival", "hazard"], rows)
+    columns = [grid, pdf(p, grid), cdf(p, grid), survival(p, grid), hazard(p, grid)]
+    _write_csv(out, ["t", "pdf", "cdf", "survival", "hazard"], columns)
     print(f"wrote {out} ({points} rows)")
     return 0
 
@@ -178,20 +182,16 @@ def cmd_sample(args) -> int:
     out = _out_dir(args) / "sample.csv"
     if args.censor_rate is None:
         times = sample(p, n, seed)
-        _write_csv(out, ["time"], ((t,) for t in times))
+        _write_csv(out, ["time"], [times])
     else:
         if n == 0:
             # the rule simulate_censored applies, which n = 0 does not reach
             if args.censor_rate != 0:
                 _real(args.censor_rate, "censoring rate", 1)
-            _write_csv(out, ["time", "status"], [])
+            _write_csv(out, ["time", "status"], [[], []])
         else:
             data = survdata.simulate_censored(p, n, args.censor_rate, seed)
-            _write_csv(
-                out,
-                ["time", "status"],
-                zip(data.times, data.event_mask.astype(int)),
-            )
+            _write_csv(out, ["time", "status"], [data.times, data.event_mask])
     print(f"wrote {out} ({n} rows)")
     return 0
 
@@ -239,7 +239,7 @@ def cmd_fit_mle(args) -> int:
     estimates, se, ci = report["estimates"], report["se"] or {}, fit.ci or {}
     rows = [(name, est, se.get(name, ""), *ci.get(name, ("", ""))) for name, est in estimates.items()]
     header = ["parameter", "estimate", "se", "ci_lower", "ci_upper"]
-    out = _write_report(out_dir, "fit_mle", args.format, report, header, rows)
+    out = _write_report(out_dir, "fit_mle", args.format, report, header, list(zip(*rows)))
     print("estimates: " + " ".join(f"{name}={est:.6g}" for name, est in estimates.items()))
     print(f"loglik={fit.loglik:.6f} converged={fit.converged}")
     for res in lr_results:
@@ -253,7 +253,7 @@ def cmd_fit_mle(args) -> int:
         censor_frac = 1.0 - data.n_events / len(data)
         # the fitted law and the rate are the same for every replicate
         bound = survdata.censoring_upper_bound(fit.params, censor_frac) if censor_frac > 0 else None
-        rep_rows = []
+        rep_fits = []
         for idx in range(replicates):
             rep_seed = np.random.SeedSequence(entropy=seed, spawn_key=(idx,))
             rep_rng_seed = int(rep_seed.generate_state(1)[0])
@@ -261,13 +261,15 @@ def cmd_fit_mle(args) -> int:
                 fit.params, len(data), censor_frac, rep_rng_seed, name=f"replicate-{idx}",
                 upper_bound=bound,
             )
-            rep_fit = mle.fit_mle(sim)
-            rep_rows.append(
-                (idx, rep_fit.params.b, rep_fit.params.c, rep_fit.params.beta,
-                 rep_fit.loglik, int(rep_fit.converged))
-            )
+            rep_fits.append(mle.fit_mle(sim))
         rep_out = out_dir / "replicates.csv"
-        _write_csv(rep_out, ["replicate", *_PARAM_NAMES, "loglik", "converged"], rep_rows)
+        columns = [
+            np.arange(replicates),
+            *([getattr(f.params, name) for f in rep_fits] for name in _PARAM_NAMES),
+            [f.loglik for f in rep_fits],
+            [f.converged for f in rep_fits],
+        ]
+        _write_csv(rep_out, ["replicate", *_PARAM_NAMES, "loglik", "converged"], columns)
         print(f"wrote {rep_out} ({replicates} replicates)")
     return 0
 
@@ -299,7 +301,7 @@ def cmd_fit_bayes(args) -> int:
         args.format,
         {"summary": rows, "acceptance_rates": chain.acceptance_rates.tolist(), "warnings": chain.warnings},
         list(bayes.SUMMARY_COLUMNS),
-        [tuple(row[col] for col in bayes.SUMMARY_COLUMNS) for row in rows],
+        [[row[col] for row in rows] for col in bayes.SUMMARY_COLUMNS],
     )
     header = "  ".join(f"{col:>10}" for col in bayes.SUMMARY_COLUMNS)
     print(header)
@@ -314,22 +316,17 @@ def cmd_fit_bayes(args) -> int:
     return 0
 
 
-def _write_km(out_dir: Path, curve: survdata.KmCurve, times, survival) -> Path:
-    """Write ``km.csv`` with ``times`` and ``survival`` as the curve's first
-    two columns: its floats, or their ``_FLOAT_FORMAT`` strings, the same bytes."""
-    path = out_dir / "km.csv"
-    _write_csv(
-        path,
-        ["time", "survival", "at_risk", "events"],
-        zip(times, survival, curve.at_risk, curve.events),
-    )
-    return path
+def _km_table(out_dir: Path, curve: survdata.KmCurve) -> tuple:
+    """``km.csv`` as a (path, header, columns) table of ``_write_csvs``."""
+    columns = [curve.times, curve.survival, curve.at_risk, curve.events]
+    return out_dir / "km.csv", ["time", "survival", "at_risk", "events"], columns
 
 
 def cmd_km(args) -> int:
     data = _load_dataset(args)
     curve = survdata.kaplan_meier(data)
-    path = _write_km(_out_dir(args), curve, curve.times, curve.survival)
+    path, header, columns = _km_table(_out_dir(args), curve)
+    _write_csv(path, header, columns)
     print(f"wrote {path} ({len(curve.times)} event times)")
     return 0
 
@@ -355,15 +352,15 @@ def cmd_compare(args) -> int:
         p = _params_from(args)
     out_dir = _out_dir(args)
     comparison = survdata.km_vs_parametric(data, p)
-    # the three files share these columns: each value is formatted once,
-    # as _write_csv formats a float
-    t, km, model = (
-        list(map(_FLOAT_FORMAT.__mod__, column.tolist()))
-        for column in (comparison.t, comparison.km_survival, comparison.model_survival)
-    )
-    _write_km(out_dir, comparison.curve, t, km)
-    _write_csv(out_dir / "compare.csv", ["t", "km_survival", "model_survival"], zip(t, km, model))
-    _write_csv(out_dir / "qq.csv", ["km_survival", "model_survival"], zip(km, model))
+    # the three files hold the same column objects, which the writer
+    # formats once per block for all of them
+    curve = comparison.curve
+    t, km, model = curve.times, curve.survival, comparison.model_survival
+    _write_csvs([
+        _km_table(out_dir, curve),
+        (out_dir / "compare.csv", ["t", "km_survival", "model_survival"], [t, km, model]),
+        (out_dir / "qq.csv", ["km_survival", "model_survival"], [km, model]),
+    ])
     gap = float(np.max(np.abs(comparison.km_survival - comparison.model_survival)))
     print(f"wrote km.csv, compare.csv, qq.csv (max |KM - model| = {gap:.4f})")
     return 0
@@ -498,6 +495,12 @@ def main(argv=None) -> int:
         return 4
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # an output file that cannot be opened or written: inputs that
+        # cannot be read are DataErrors and ValueErrors above
+        where = "" if exc.filename is None else f" {exc.filename}"
+        print(f"error: cannot write{where}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -3,8 +3,10 @@ model-vs-nonparametric comparison tables."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
+import functools
 import io
 import math
 import os
@@ -303,30 +305,242 @@ def _load_rows(path, text: str, time_col: str, status_col: str) -> tuple[list[fl
 # shortest that round-trips every float64
 _FLOAT_FORMAT = "%.17g"
 
+# rows formatted at a time: the writer's memory does not grow with the table
+_BLOCK_ROWS = 2048
+# |x| outside this range goes to the fallback, so that no intermediate of
+# the double-double product over- or underflows
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# decimal exponents k = floor(log10 |x|) that the power table covers
+_K_MIN, _K_MAX = -282, 282
+# a lane whose power of ten is not a float is formatted in numpy only when
+# its scaled value y = |x| 10^(16 - k) lies this far from a half-integer;
+# the computed y is within 4e-15 of the exact one there (see _float_band)
+_TIE_MARGIN = 2.0**-40
+# Veltkamp's splitter for float64: 2^27 + 1
+_SPLIT = 134217729.0
 
-def _column_format(value) -> str:
-    """The ``%`` format of a CSV column, from its first value: a string as
-    it is, an integer with ``%d``, anything else as a float with
-    ``_FLOAT_FORMAT``."""
-    if isinstance(value, str):
-        return "%s"
-    if isinstance(value, (int, np.integer)):
-        return "%d"
-    return _FLOAT_FORMAT
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of the CSV writer, built on first use: 10^(16 - k) as
+    the unevaluated sum hi + lo of two floats (each correctly rounded from
+    exact integer arithmetic, so that |10^q - hi - lo| <= 2^-106 hi) for
+    k in [_K_MIN, _K_MAX], and the four ASCII digits of each of 0..9999
+    as one uint32."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        q = 16 - k
+        if q >= 0:
+            h = float(10**q)
+            hi.append(h)
+            lo.append(float(10**q - int(h)))
+        else:
+            den = 10**-q
+            h = 1 / den
+            num, two = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((two - num * den) / (two * den))
+    i = np.arange(10_000)
+    ascii4 = (i[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    return np.array(hi), np.array(lo), np.ascontiguousarray(ascii4).view(np.uint32).ravel()
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write a headered CSV; ``rows`` are tuples whose columns keep the
-    types of the first row, so that one ``%`` template formats each row."""
-    rows = iter(rows)
-    first = next(rows, None)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        if first is None:
-            return
-        template = ",".join(_column_format(v) for v in first) + "\n"
-        handle.write(template % first)
-        handle.writelines(template % row for row in rows)
+def _ascii16(a: np.ndarray) -> np.ndarray:
+    """The 16 ASCII digits of each of the integers ``a`` in [0, 10^16),
+    zero-padded, as a (16, len(a)) uint8 array: one row per digit."""
+    hi = a // 10**8
+    lo = a - hi * 10**8
+    groups = np.empty((4, len(a)), np.intp)
+    np.floor_divide(hi, 10**4, out=groups[0])
+    np.subtract(hi, groups[0] * 10**4, out=groups[1])
+    np.floor_divide(lo, 10**4, out=groups[2])
+    np.subtract(lo, groups[2] * 10**4, out=groups[3])
+    words = _format_tables()[2][groups]
+    return words.view(np.uint8).reshape(4, len(a), 4).transpose(0, 2, 1).reshape(16, len(a))
+
+
+def _cells(strings: list[str], width: int) -> np.ndarray:
+    """``strings`` (none longer than ``width`` bytes in UTF-8) as a
+    (width, len(strings)) uint8 array, one zero-padded column each."""
+    cells = np.array([s.encode() for s in strings], dtype=f"S{width}")
+    return cells.view(np.uint8).reshape(len(strings), width).T
+
+
+def _float_band(x: np.ndarray) -> np.ndarray:
+    """``_FLOAT_FORMAT % v`` for each v of the float64 array ``x``, as a
+    (29, len(x)) uint8 array with one column per value: its characters in
+    order, with zero bytes between them (rows: the sign, "0.000" before
+    the digits of 1e-4 <= |v| < 1, 17 digits with a point, the exponent).
+
+    A lane with |v| in [_FAST_MIN, _FAST_MAX] gets its 17 correctly
+    rounded significant digits D = round(y) of y = |v| 10^(16 - k), k =
+    floor(log10 |v|), from a double-double product: p = fl(|v| hi) and
+    its exact error (Dekker's two-product over Veltkamp halves), plus
+    fl(|v| lo).  With y in (10^16, 10^17), p is an even integer and
+    |y - p| < 20, so D = p + rint(s) for the sum s of the two small
+    terms, half to even as dtoa rounds.  s is exact where 10^(16 - k) is
+    a float (lo = 0); elsewhere it is within 4e-15 of y - p (2^-106 y
+    from the table, half an ulp of |v| lo < 12 and of s < 20).  The digits are
+    laid out as %g lays them out: fixed notation for -4 <= k < 17,
+    exponent notation otherwise, trailing zeros of the fraction dropped.
+    Every other lane keeps the ``%`` call: zero, nan, inf, |v| out of
+    range, p within 32 of 10^16 or 10^17 (log10's k may be one off
+    there), and, where lo != 0, y within _TIE_MARGIN of a half-integer
+    (exact ties included)."""
+    n = len(x)
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(fast, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)), _K_MIN, _K_MAX).astype(np.intp)
+    hi_table, lo_table, _ = _format_tables()
+    hi, lo = hi_table[k - _K_MIN], lo_table[k - _K_MIN]
+    p = a * hi
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+    hi_lo = hi - hi_hi
+    small_terms = (((a_hi * hi_hi - p) + a_hi * hi_lo) + a_lo * hi_hi) + a_lo * hi_lo + a * lo
+    r = np.rint(small_terms)
+    clear = (lo == 0) | (np.abs(small_terms - r) < 0.5 - _TIE_MARGIN)
+    ok = fast & (p > 1e16 + 32) & (p < 1e17 - 32) & clear
+    d17 = p.astype(np.int64) + r.astype(np.int64)
+    d17[~ok] = 10**16
+    lead = d17 // 10**16
+
+    # digits[i] is the i-th significant digit, row 17 an empty one
+    j = np.arange(18, dtype=np.int8)[:, None]
+    digits = np.zeros((18, n), np.uint8)
+    digits[0] = lead + 48
+    digits[1:17] = _ascii16(d17 - lead * 10**16)
+    last = ((digits[:17] != 48) * j[:17]).max(axis=0)
+    fixed = (k >= -4) & (k < 17)
+    # the digit the point follows: the last one of the integer part in
+    # fixed notation, whose zeros stay, the first in exponent notation
+    point = np.where(fixed, k, 0).astype(np.int8)
+    digits *= j <= np.maximum(last, point)
+    small = fixed & (k < 0)
+    point[small] = 17
+
+    band = np.zeros((29, n), np.uint8)
+    np.multiply(45, np.signbit(x), out=band[0], casting="unsafe")
+    if small.any():
+        band[1] = 48 * small
+        band[2] = 46 * small
+        band[3:6] = 48 * (small & (k <= np.array([[-2], [-3], [-4]])))
+    body = band[6:24]
+    np.multiply(digits, j <= point, out=body)
+    body += (j == point + 1) * (46 * (last > point)).astype(np.uint8)
+    body[1:] += digits[:17] * (j[1:] > point + 1)
+    expo = ~fixed
+    if expo.any():
+        e = np.abs(k)
+        band[24] = 101 * expo
+        band[25] = expo * (43 + 2 * (k < 0))
+        band[26] = expo * (e >= 100) * (e // 100 + 48)
+        band[27] = expo * (e // 10 % 10 + 48)
+        band[28] = expo * (e % 10 + 48)
+
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        band[:, slow] = _cells([_FLOAT_FORMAT % v for v in x[slow].tolist()], 29)
+    return band
+
+
+def _int_band(v: np.ndarray) -> np.ndarray:
+    """``"%d" % i`` for each i of ``v`` (an integer or bool array, or an
+    object array of Python integers), as a (20, len(v)) uint8 array laid
+    out as ``_float_band``'s.  |i| < 10^16 is formatted in numpy; a larger
+    one keeps the ``%`` call."""
+    fast = (v < 10**16) & (v > -(10**16))
+    a = np.where(fast, v, 0).astype(np.int64)
+    band = np.zeros((20, len(v)), np.uint8)
+    np.multiply(45, a < 0, out=band[0], casting="unsafe")
+    digits = band[4:]
+    digits[:] = _ascii16(np.abs(a))
+    # keep the digits from the first nonzero one, and the last
+    rank = np.arange(16, 0, -1, dtype=np.int8)[:, None]
+    digits *= rank <= np.maximum(((digits != 48) * rank).max(axis=0), 1)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        band[:, slow] = _cells(["%d" % i for i in v[slow].tolist()], 20)
+    return band
+
+
+def _str_band(s: np.ndarray) -> np.ndarray:
+    """``"%s" % c`` for each cell c of ``s``, laid out as ``_float_band``'s."""
+    cells = np.array([str(c).encode() for c in s.tolist()], dtype="S")
+    return cells.view(np.uint8).reshape(len(cells), cells.itemsize).T
+
+
+def _prepare(column):
+    """A CSV column as (band function, 1-D array), chosen by its numpy
+    dtype: float, integer or bool (or Python integers too large for
+    int64), or string."""
+    arr = np.asarray(column)
+    if arr.ndim != 1:
+        raise ValueError(f"a CSV column must be 1-D, got shape {arr.shape}")
+    kind = arr.dtype.kind
+    if kind == "f":
+        return _float_band, arr.astype(np.float64, copy=False)
+    if kind in "iub" or kind == "O" and all(isinstance(v, (int, np.integer)) for v in arr.tolist()):
+        return _int_band, arr
+    if kind in "US":
+        return _str_band, arr
+    raise TypeError(f"cannot write a CSV column of dtype {arr.dtype}")
+
+
+def _rows(bands: list[np.ndarray]) -> bytes:
+    """The CSV text of a block: the cells of ``bands`` joined by commas,
+    one line per column of the bands, zero bytes dropped."""
+    # rows of zeros (an unused layout slot in every lane) are dropped first
+    bands = [band[band.any(axis=1)] for band in bands]
+    rows = np.empty((bands[0].shape[1], sum(len(b) + 1 for b in bands)), np.uint8)
+    at = 0
+    for band in bands:
+        rows[:, at:at + len(band)] = band.T
+        at += len(band)
+        rows[:, at] = 44
+        at += 1
+    rows[:, -1] = 10
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _write_csvs(tables) -> None:
+    """Write headered CSV files with equal row counts: ``tables`` holds
+    (path, header, columns) triples, one column (an array or a sequence)
+    per header name.  A float column is written with ``_FLOAT_FORMAT``,
+    an integer or bool one with ``%d`` and a string one with ``%s`` (no
+    NUL character), by its numpy dtype.  The rows go out in blocks of
+    ``_BLOCK_ROWS``, and a column object that several tables hold is
+    formatted once per block."""
+    prepared = {}
+    for _, header, columns in tables:
+        if len(columns) != len(header):
+            raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+        for column in columns:
+            if id(column) not in prepared:
+                prepared[id(column)] = _prepare(column)
+    lengths = {len(arr) for _, arr in prepared.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns of different lengths {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "wb")) for path, _, _ in tables]
+        for handle, (_, header, _) in zip(handles, tables):
+            handle.write((",".join(header) + "\n").encode())
+        for start in range(0, n, _BLOCK_ROWS):
+            bands = {
+                key: band(arr[start:start + _BLOCK_ROWS]) for key, (band, arr) in prepared.items()
+            }
+            for handle, (_, _, columns) in zip(handles, tables):
+                handle.write(_rows([bands[id(column)] for column in columns]))
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write one headered CSV file; see ``_write_csvs``."""
+    _write_csvs([(path, header, columns)])
 
 
 def kaplan_meier(d: CensoredDataset) -> KmCurve:

@@ -3,9 +3,12 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kumiw import KumIwParams, cdf, mle, pdf, sample, survdata, survival
 from kumiw.cli import DEFAULT_SEED, _write_csv, build_parser, main
@@ -90,6 +93,25 @@ def test_memory_error_exit_2(tmp_path, capsys, argv, name):
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
     assert not (out / name).exists()
+
+
+# an output path that cannot be created or opened: exit 2 with one error
+# line that names it, not a traceback
+@pytest.mark.parametrize("case", ["out-dir-is-a-file", "out-dir-under-a-file", "output-is-a-dir"])
+def test_unusable_output_path_exit_2(tmp_path, capsys, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if case == "out-dir-is-a-file":
+        out = named = blocker
+    elif case == "out-dir-under-a-file":
+        out = named = blocker / "sub"
+    else:
+        out = tmp_path / "out"
+        named = out / "dist.csv"
+        named.mkdir(parents=True)
+    assert main(["dist", "--b", "2", "--c", "1.5", "--beta", "3", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err and err.count("\n") == 1
 
 
 class TestSample:
@@ -454,7 +476,7 @@ class TestKmCompare:
     @pytest.mark.parametrize("data", ["sample", "extremes"])
     def test_compare_writes_the_float_rows_bytes(self, tmp_path, data):
         # compare formats each shared column once: its km.csv is km's, and
-        # its compare.csv and qq.csv are _write_csv's on the float rows
+        # its compare.csv and qq.csv are _write_csv's on the float columns
         if data == "sample":
             path = make_sample(tmp_path, n=500, seed=43)
         else:
@@ -473,11 +495,29 @@ class TestKmCompare:
             assert 0 < comp.model_survival[2] < np.finfo(float).tiny
             assert comp.t[-1] == 1e308
         _write_csv(tmp_path / "compare.csv", ["t", "km_survival", "model_survival"],
-                   zip(comp.t, comp.km_survival, comp.model_survival))
+                   [comp.t, comp.km_survival, comp.model_survival])
         _write_csv(tmp_path / "qq.csv", ["km_survival", "model_survival"],
-                   zip(comp.km_survival, comp.model_survival))
+                   [comp.km_survival, comp.model_survival])
         for name in ("compare.csv", "qq.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_compare_formats_each_shared_column_once(self, tmp_path, monkeypatch):
+        # t, km_survival and model_survival: one float band each per block,
+        # though km.csv, compare.csv and qq.csv hold 7 float columns
+        path = make_sample(tmp_path, n=500, seed=43)
+        calls = []
+        real_band = survdata._float_band
+
+        def counting_band(x):
+            calls.append(len(x))
+            return real_band(x)
+
+        monkeypatch.setattr(survdata, "_float_band", counting_band)
+        argv = ["compare", "--data", str(path), "--b", "2", "--c", "1.5", "--beta", "3",
+                "--out-dir", str(tmp_path / "cmp")]
+        assert main(argv) == 0
+        n = len(read_table(tmp_path / "cmp" / "compare.csv")["t"])
+        assert calls == [n] * 3
 
     def test_compare_builds_km_once(self, tmp_path, monkeypatch):
         path = make_sample(tmp_path)
@@ -535,7 +575,7 @@ class TestCsvWriter:
         ints = [0, -3, np.int64(2**62), np.int32(-7), True, np.int64(0), 5, 6, 7, 8]
         rows = list(zip(["a"] * len(floats), floats, ints))
         path = tmp_path / "out.csv"
-        _write_csv(path, ["name", "x", "k"], iter(rows))
+        _write_csv(path, ["name", "x", "k"], [["a"] * len(floats), floats, ints])
         expected = "name,x,k\n" + "".join(
             f"{name},{float(x):.17g},{int(k)}\n" for name, x, k in rows
         )
@@ -543,8 +583,95 @@ class TestCsvWriter:
 
     def test_no_rows_writes_the_header(self, tmp_path):
         path = tmp_path / "empty.csv"
-        _write_csv(path, ["time", "status"], [])
+        _write_csv(path, ["time", "status"], [[], []])
         assert path.read_text(encoding="utf-8") == "time,status\n"
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # the writer formats blocks of a fixed row count: a 10^6-row float
+        # column (8 MB in, about 19 MB of text out) peaks far below either
+        x = np.random.default_rng(5).random(10**6)
+        _write_csv(tmp_path / "warm.csv", ["x"], [x[:10]])
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "big.csv", ["x"], [x])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class _CountingFormat(str):
+    """``_FLOAT_FORMAT`` that counts its ``%`` calls: the writer's fallback lanes."""
+
+    calls = 0
+
+    def __mod__(self, value):
+        type(self).calls += 1
+        return str.__mod__(self, value)
+
+
+def _written_floats(path, values):
+    """The lines ``_write_csv`` writes for ``values`` as one float column,
+    and the number of them that took the ``%`` fallback."""
+    values = np.asarray(values, dtype=np.float64)
+    _CountingFormat.calls = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(survdata, "_FLOAT_FORMAT", _CountingFormat("%.17g"))
+        _write_csv(path, ["x"], [values])
+    lines = path.read_bytes().split(b"\n")
+    assert lines[0] == b"x" and lines[-1] == b""
+    assert lines[1:-1] == [b"%.17g" % v for v in values.tolist()]
+    return _CountingFormat.calls
+
+
+def _fast_range(values):
+    a = np.abs(np.asarray(values, dtype=np.float64))
+    return int(np.count_nonzero((a >= 1e-280) & (a <= 1e280)))
+
+
+# every float64 bit pattern: nan payloads, both infinities and zeros,
+# subnormals
+_ANY_FLOAT64 = st.floats() | st.integers(0, 2**64 - 1).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item()
+)
+
+
+@pytest.mark.dispatch
+class TestFloatFormatExact:
+    """The writer formats floats in numpy (a double-double product, the
+    digits laid out as %g lays them out) with a ``%`` fallback: each
+    value's bytes must be ``"%.17g" % v``, on every SIMD dispatch path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ANY_FLOAT64, min_size=1, max_size=64))
+    def test_every_float64(self, tmp_path_factory, values):
+        _written_floats(tmp_path_factory.mktemp("floats") / "x.csv", values)
+
+    def test_a_million_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(35).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        slow = _written_floats(tmp_path / "x.csv", values)
+        # the fallback takes the lanes outside [1e-280, 1e280] and next to
+        # none of the others
+        assert slow - (len(values) - _fast_range(values)) <= 10
+
+    def test_boundaries(self, tmp_path):
+        powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+        ulps = np.arange(1, 41)
+        near = [
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+            # the 16/17 digit and k = -5/-4 form switches and both ends of
+            # the fast range, about 40 ulps each way
+            *(v + ulps * np.spacing(v) for v in (1e16, 1e17, 1e-4, 1e-5, 1e-280, 1e280)),
+            *(v - ulps * np.spacing(v) / 2 for v in (1e16, 1e17, 1e-4, 1e-5, 1e-280, 1e280)),
+            # exact ties at 17 digits: m / 4 with m odd, 16 integer digits
+            (2.0**53 + np.arange(1, 80, 2)) / 4,
+            np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                      9.9999999999999995e-5, 99999999999999999.0, 9999999999999999.0]),
+        ]
+        values = np.concatenate(near)
+        values = np.concatenate([values, -values])
+        _written_floats(tmp_path / "x.csv", values)
 
 
 class TestConfigAndSeeds:
