@@ -77,11 +77,14 @@ class _Loglik:
         # value_score_hessian's
         self._blocks = {}
         self._fit_rows = None
+        # term_bounds' bin summary, for each bin count
+        self._summaries = {}
 
-    def _rows(self, log_cs, betas, out, tiny):
-        """Write the b-free rows at k points (log c_j, beta_j), Python
-        floats, into the caller's buffers and return the ``tiny`` mask or
-        None; run under the caller's ``errstate``.
+    def _rows(self, log_t, log_cs, betas, out, tiny):
+        """Write the b-free rows of the log-times ``log_t`` (``self.log_t``
+        or a summary of it) at k points (log c_j, beta_j), Python floats,
+        into the caller's buffers and return the ``tiny`` mask or None; run
+        under the caller's ``errstate``.
 
         ``out`` holds six float arrays of one shape, (k, n) or, at one
         point, 1-D: L, x, y, -x and den, then a scratch row; ``tiny`` is a
@@ -91,8 +94,9 @@ class _Loglik:
         x < ln 2 and as log1p(-e^-x) elsewhere.  ``tiny`` marks the lanes
         where x is below the smallest normal float (lost digits or 0),
         whose L takes its limit y; None is returned when ``max_log_t``
-        shows that no lane can be.  No exp or log writes over its own
-        input, so each runs the loop that a fresh output would.
+        shows that no lane can be (``log_t`` holds no larger value).  No
+        exp or log writes over its own input, so each runs the loop that a
+        fresh output would.
         """
         ell, x, y, neg_x, den, work = out
         if len(log_cs) == 1:
@@ -102,7 +106,7 @@ class _Loglik:
         # each ufunc takes its output positionally: out= costs about 50 ns a
         # call, and the rows' masked copies go through putmask, about 1 us
         # less at n = 500 than copyto(where=)
-        np.subtract(log_c, self.log_t, y)
+        np.subtract(log_c, log_t, y)
         np.multiply(beta, y, y)
         np.exp(y, x)
         np.negative(x, neg_x)  # y - x is y + (-x) bit for bit
@@ -152,7 +156,7 @@ class _Loglik:
         rows, tiny, events, censored = block
         log_cs = [math.log(c) for c in cs]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            self._rows(log_cs, betas, rows, tiny)
+            self._rows(self.log_t, log_cs, betas, rows, tiny)
             # an empty group sums to 0.0; skipping it saves a reduction.  The
             # sum of x overflows to inf at extreme (c, beta)
             if r:
@@ -161,6 +165,64 @@ class _Loglik:
                 s_f = sum_x_f = [0.0] * k
             s_c = censored.sum(axis=1).tolist() if r < n else [0.0] * k
         return list(zip(sum_x_f, s_f, s_c))
+
+    def term_bounds(self, c: float, beta: float, bins: int) -> list[float]:
+        """Bounds on ``terms(c, beta)``, for c, beta > 0, from at most
+        ``bins`` equal-count bins of each group's sorted log-times: a lower
+        bound on the sum of x over events, upper bounds on S_f and S_c, and
+        an upper bound on A = -(S_f + S_c).
+
+        x = e^(beta (log c - log t)) is convex in log t, and L = log(1 - e^-x)
+        is concave in it, since dL/dy = x / expm1(x) falls as y rises.  So
+        for a bin of m rows with log-times from lo to hi and mean mu, the
+        sum of x is at least m x(mu) and the sum of L at most m L(mu)
+        (Jensen), and the sum of -L at most m times the chord of -L through
+        lo and hi, taken at mu.  The bins' representative log-times run
+        through ``_rows`` in one 1-D pass, and the four sums of the bins'
+        terms are one matrix-vector product.  A bound may be inf or nan
+        where x overflows or y does.  The summary is built on the first
+        call for each bin count.
+        """
+        summary = self._summaries.get(bins)
+        if summary is None:
+            summary = self._summaries[bins] = self._bin_summary(bins)
+        reps, weights, rows, tiny, values = summary
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self._rows(reps, [math.log(c)], [beta], rows, tiny)
+            return (weights @ values).tolist()
+
+    def _bin_summary(self, bins: int):
+        """``term_bounds``' representative log-times, its (4, 3 K + K_f)
+        weight matrix over the rows' L at them and x at the event means,
+        and its workspace, for K bins (K_f of them events)."""
+        counts, lows, highs, means = [], [], [], []
+        for group in (self.log_t[: self.r], self.log_t[self.r :]):
+            ordered = np.sort(group)
+            k = min(bins, len(ordered))
+            starts = np.arange(k) * len(ordered) // k if k else np.zeros(0, dtype=np.intp)
+            m = np.diff(starts, append=len(ordered))
+            counts.append(m)
+            lows.append(ordered[starts])
+            highs.append(ordered[starts + m - 1])
+            # a rounded mean stays in its bin, where the chord holds
+            sums = np.add.reduceat(ordered, starts) if k else np.zeros(0)
+            means.append(np.clip(sums / m, lows[-1], highs[-1]))
+        k_f, k_all = len(counts[0]), len(counts[0]) + len(counts[1])
+        m, lo, hi, mu = (np.concatenate(parts) for parts in (counts, lows, highs, means))
+        # the rows' L at the means, lows and highs, then x at the event means
+        reps = np.concatenate((mu, lo, hi))
+        weights = np.zeros((4, 3 * k_all + k_f))
+        weights[0, 3 * k_all :] = m[:k_f]
+        weights[1, :k_f] = m[:k_f]
+        weights[2, k_f:k_all] = m[k_f:]
+        width = np.where(hi > lo, hi - lo, 1.0)
+        # a bin of equal log-times (hi - mu = mu - lo = 0) has the chord -L(lo)
+        weights[3, k_all : 2 * k_all] = -np.where(hi > lo, m * (hi - mu) / width, m)
+        weights[3, 2 * k_all : 3 * k_all] = -m * (mu - lo) / width
+        work = np.empty((6, 3 * k_all))
+        # rows 0 and 1 of the workspace, L and x, are one contiguous run
+        values = work.reshape(-1)[: 3 * k_all + k_f]
+        return reps, weights, tuple(work), np.empty(3 * k_all, dtype=bool), values
 
     def combine(self, b: float, c: float, beta: float, terms: tuple[float, float, float]) -> float:
         """The log-likelihood at (b, c, beta) from ``terms(c, beta)``."""
@@ -230,7 +292,9 @@ class _Loglik:
         buf, rows, tiny = self._fit_rows
         ell, q, yq, a, ya, sa, m, ym, x, y, neg_x, den, work = rows
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            tiny = self._rows([math.log(c)], [float(beta)], (ell, x, y, neg_x, den, work), tiny)
+            tiny = self._rows(
+                self.log_t, [math.log(c)], [float(beta)], (ell, x, y, neg_x, den, work), tiny
+            )
             np.divide(np.exp(y + neg_x), den, out=q)
             curv = np.exp(2.0 * y + neg_x) / den + q * q
             if tiny is not None:

@@ -160,6 +160,15 @@ class KmCurve:
         if n and (np.any(np.diff(self.times) <= 0) or np.any(np.diff(self.survival) > 1e-15)):
             raise ValueError("KmCurve requires increasing times and nonincreasing survival")
 
+    @classmethod
+    def _built(cls, times, survival, at_risk, events) -> KmCurve:
+        """A curve from fields that the caller's construction makes valid
+        (``kaplan_meier``), without ``__post_init__``'s checks, which took
+        13 of about 37 us of ``kaplan_meier`` at n = 500."""
+        curve = object.__new__(cls)
+        vars(curve).update(times=times, survival=survival, at_risk=at_risk, events=events)
+        return curve
+
     def survival_at(self, t):
         """Step-function evaluation; value before the first event time is 1.
         A nan time raises ``ValueError``: it has no place among the steps."""
@@ -385,7 +394,8 @@ def _float_band(x: np.ndarray) -> np.ndarray:
     exponent notation otherwise, trailing zeros of the fraction dropped.
     Every other lane keeps the ``%`` call: zero, nan, inf, |v| out of
     range, p within 32 of 10^16 or 10^17 (log10's k may be one off
-    there), and, where lo != 0, y within _TIE_MARGIN of a half-integer
+    there) but for the exact product y = p = 10^16 (s = 0, lo = 0), and,
+    where lo != 0, y within _TIE_MARGIN of a half-integer
     (exact ties included)."""
     n = len(x)
     a = np.abs(x)
@@ -404,7 +414,9 @@ def _float_band(x: np.ndarray) -> np.ndarray:
     small_terms = (((a_hi * hi_hi - p) + a_hi * hi_lo) + a_lo * hi_hi) + a_lo * hi_lo + a * lo
     r = np.rint(small_terms)
     clear = (lo == 0) | (np.abs(small_terms - r) < 0.5 - _TIE_MARGIN)
-    ok = fast & (p > 1e16 + 32) & (p < 1e17 - 32) & clear
+    # y = 10^16 exactly (|v| = 10^k, as a survival of 1.0) has its k and digits
+    exact_power = (p == 1e16) & (small_terms == 0) & (lo == 0)
+    ok = fast & (((p > 1e16 + 32) & (p < 1e17 - 32) & clear) | exact_power)
     d17 = p.astype(np.int64) + r.astype(np.int64)
     d17[~ok] = 10**16
     lead = d17 // 10**16
@@ -566,7 +578,8 @@ def kaplan_meier(d: CensoredDataset) -> KmCurve:
     steps = events > 0
     at_risk = len(times) - starts[steps]
     events = events[steps]
-    return KmCurve(
+    # the runs' times increase and each factor is in [0, 1)
+    return KmCurve._built(
         times=times[starts[steps]],
         survival=np.cumprod(1.0 - events / at_risk),
         at_risk=at_risk,

@@ -548,6 +548,91 @@ class TestSpeculationDepth:
         assert 0.0 < deep.acceptance_rates[0] < 1.0
 
 
+# the degenerate sets of the ceiling's property: ties, fewer rows than
+# bins (one row a bin), no events, no censorings
+_TIES = CensoredDataset.from_arrays([1.0] * 40 + [2.5] * 25 + [0.3] * 5, [1, 0] * 35)
+_FEW_ROWS = simulate_censored(TRUTH, 20, 0.3, 5)
+_NO_EVENTS = CensoredDataset.from_arrays([0.5, 1.0, 1.0, 4.0], [0, 0, 0, 0])
+_NO_CENSORINGS = simulate_censored(TRUTH, 100, 0.0, 6)
+_WIDE = st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)
+
+
+class TestScreen:
+    """A proposal whose ceiling already fails the Metropolis test is rejected
+    without a pass; the ceiling must bound the target, and the chain must
+    be the earlier loop's bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        d=st.one_of(probe_data(), st.sampled_from([_TIES, _FEW_ROWS, _NO_EVENTS, _NO_CENSORINGS])),
+        weight=st.sampled_from([1.0, 0.5]),
+        prior=st.sampled_from([PriorSpec(), PRIOR]),
+        # from the box to c and beta where x overflows or is subnormal
+        c=st.one_of(LOG_UNIFORM, _WIDE),
+        beta=st.one_of(LOG_UNIFORM, st.floats(math.log(1e-3), math.log(1e4)).map(math.exp)),
+        shift=st.floats(-50.0, 50.0),
+        jacobian=st.floats(-5.0, 5.0),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_ceiling_bounds_the_target(self, d, weight, prior, c, beta, shift, jacobian, u):
+        ll = _Loglik(d)
+        _, target = _collapsed_target(prior, ll, weight)
+        terms = ll.terms(c, beta)
+        lt = target(c, beta, terms)[0]
+        # the bins' bounds on the terms: sum x_f from below, S_f, S_c and
+        # A = -(S_f + S_c) from above (A by the chord), up to rounding
+        sum_x_f, s_f, s_c = terms
+        exact = (-sum_x_f, s_f, s_c, -(s_f + s_c))
+        bounds = ll.term_bounds(c, beta, bayes._SCREEN_BINS)
+        for bound, value in zip((-bounds[0], *bounds[1:]), exact):
+            if math.isfinite(bound) and math.isfinite(value):
+                assert bound >= value - 1e-12 * (1.0 + abs(value)), (bounds, terms)
+        ceiling = bayes._ceiling(ll, target, c, beta)
+        if math.isfinite(lt) and not math.isnan(ceiling):
+            # up to the screen's allowance for the two sides' rounding
+            allowance = bayes._SCREEN_SLACK * (1.0 + abs(ceiling) + abs(lt))
+            assert ceiling + allowance >= lt, (ceiling, lt)
+        # screened means rejected: u is at least the acceptance probability
+        # the pass would give, from any current target
+        lt_cur = lt + shift if math.isfinite(lt) else shift
+        if bayes._screened(lt_cur, ceiling, 0.0, jacobian, u):
+            assert u >= rw_accept_probability(lt_cur, lt, 0.0, jacobian)
+        for unusable in (math.nan, math.inf, -math.inf):
+            assert not bayes._screened(lt_cur, unusable, 0.0, jacobian, u)
+
+    @pytest.mark.dispatch
+    @pytest.mark.parametrize("n_iter, burn_in, thin, censor_rate", [
+        (300, 100, 2, 0.2),  # cli-pipeline's fit-bayes
+        (1603, 800, 3, 0.2),
+        (1603, 800, 3, 0.7),
+    ])
+    def test_chain_at_ten_thousand_rows_is_the_reference(
+        self, n_iter, burn_in, thin, censor_rate, monkeypatch
+    ):
+        d = simulate_censored(TRUTH, 10_000, censor_rate, 36)
+        assert bayes._depth(len(d)) == 1
+        passes = []
+        terms_rows = _Loglik.terms_rows
+
+        def counted(self, cs, betas):
+            passes.append(len(cs))
+            return terms_rows(self, cs, betas)
+
+        cfg = McmcConfig(n_iter=n_iter, burn_in=burn_in, thin=thin, seed=17)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Loglik, "terms_rows", counted)
+            chain = run_mcmc(d, PriorSpec(), cfg)
+        ref = reference_run_mcmc(d, PriorSpec(), cfg)
+        for name in ("draws", "log_post_trace", "iterations", "acceptance_rates", "proposal_scales"):
+            assert np.array_equal(getattr(chain, name), getattr(ref, name), equal_nan=True), name
+        assert chain.warnings == ref.warnings
+        if n_iter == 300:
+            # the start's pass and the proposals the screen leaves, of 300
+            assert len(passes) <= 30
+        else:
+            assert 0.0 < chain.acceptance_rates[0] < 1.0
+
+
 class TestCollapsedTarget:
     POINTS = [(1.5, 3.0), (1.2, 2.4), (2.1, 3.6), (1.7, 1.8)]
 

@@ -674,6 +674,43 @@ class TestFloatFormatExact:
         _written_floats(tmp_path / "x.csv", values)
 
 
+def test_exact_powers_of_ten_take_no_fallback(tmp_path):
+    # y = |v| 10^(16 - k) is exactly 10^16 (a survival of 1.0 among them):
+    # the numpy path has its digits
+    values = [1.0, 10.0, 1e16, -1.0, 1e5]
+    assert _written_floats(tmp_path / "x.csv", values) == 0
+
+
+# every positive finite float64: subnormals and the largest float included
+_POSITIVE_FLOAT64 = st.floats(min_value=5e-324, allow_infinity=False) | st.integers(
+    1, 0x7FEF_FFFF_FFFF_FFFF
+).map(lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_POSITIVE_FLOAT64, st.booleans()), min_size=1, max_size=40))
+def test_loader_reads_back_what_the_writer_writes(tmp_path_factory, rows):
+    # the plain file through numpy's reader, and a copy with quoted time
+    # cells through the row parser: each gives the written floats bit for bit
+    times = np.array([t for t, _ in rows])
+    events = np.array([e for _, e in rows])
+    path = tmp_path_factory.mktemp("round") / "sample.csv"
+    _write_csv(path, ["time", "status"], [times, events])
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    quoted = path.with_name("quoted.csv")
+    quoted.write_text("".join(f"{line}\n" for line in [header, *(f'"{t}",{s}' for t, s in (
+        line.split(",") for line in body))]))
+    row_parses = []
+    load_rows = survdata._load_rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(survdata, "_load_rows", lambda *args: row_parses.append(1) or load_rows(*args))
+        for file, by_rows in ((path, 0), (quoted, 1)):
+            d = load_csv(file)
+            assert len(row_parses) == by_rows
+            assert d.times.tobytes() == times.tobytes()
+        assert np.array_equal(d.event_mask, events)
+
+
 class TestConfigAndSeeds:
     def test_bit_reproducible_with_seed(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -14,6 +14,7 @@ from kumiw import DataError, KumIwParams, NumericError, survdata, survival
 from kumiw.survdata import (
     CensoredDataset,
     CensoredObs,
+    KmCurve,
     Status,
     censoring_upper_bound,
     kaplan_meier,
@@ -503,6 +504,25 @@ class TestKaplanMeier:
         d = CensoredDataset.from_arrays([1.0, 2.0], [0, 0])
         with pytest.raises(DataError):
             kaplan_meier(d)
+
+    @pytest.mark.parametrize("times, survival, match", [
+        ([1.0, 2.0], [0.5], "equal lengths"),
+        ([2.0, 1.0], [0.5, 0.2], "increasing times"),
+        ([1.0, 1.0], [0.5, 0.2], "increasing times"),
+        ([1.0, 2.0], [0.2, 0.5], "nonincreasing survival"),
+    ])
+    def test_constructor_checks_its_fields(self, times, survival, match):
+        # kaplan_meier builds its curve without these checks; the public
+        # constructor keeps them
+        counts = np.ones(len(times), dtype=np.intp)
+        with pytest.raises(ValueError, match=match):
+            KmCurve(np.array(times), np.array(survival), counts, counts)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.7])
+    def test_built_curves_pass_the_constructor_checks(self, rate):
+        for seed in range(20):
+            curve = kaplan_meier(simulate_censored(KumIwParams(0.5, 1.5, 3.0), 200, rate, seed))
+            KmCurve(curve.times, curve.survival, curve.at_risk, curve.events)
 
     def test_matches_empirical_survival_without_censoring(self):
         rng = np.random.default_rng(2)
